@@ -8,12 +8,34 @@
 //   <item> <delta>
 //   ...
 //
+// Accepted grammar, exactly:
+//   - Lines end at '\n'; the last line may lack one.  Line numbers in
+//     diagnostics are 1-based and count every line, blank or not.
+//   - A '#' starts a comment running to the end of its line, also when it
+//     is glued to a token ("5 1#note").
+//   - Tokens are separated by runs of ' ', '\t', '\r', '\v' and '\f' (the
+//     `istream >>` set), so CRLF files load.  A line with no token left
+//     after its comment is cut off is blank and skipped.
+//   - The first non-blank line is the header: the token "gstream-v1", then
+//     <domain>, and nothing else.  Every later non-blank line holds exactly
+//     two tokens, <item> and <delta>.
+//   - Numbers are decimal digits (leading zeros allowed) and each token must
+//     be a number as a whole ("0x3", "5x" are errors).  <domain> and <item>
+//     are uint64_t and take an optional '+' but no '-'; <delta> is int64_t
+//     and takes '+' or '-'.  A value outside its type's range (2^64,
+//     9223372036854775808, -9223372036854775809) is a parse error, never a
+//     wrap.  <domain> must be positive and every <item> must be < <domain>.
+//
 // Loading validates the header, the domain bound on every item, and
 // integer syntax; failures return std::nullopt rather than aborting, so
 // callers can handle user-supplied files gracefully.  Pass a LoadStatus
 // to learn *why* a load failed: the reason code distinguishes a missing
 // file from a garbled header from an out-of-domain item, and the message
 // names the offending line.
+//
+// Saving writes the canonical form: one header line, then one
+// "<item> <delta>" line per update, single spaces, '\n' line ends, no signs
+// on nonnegative values.
 
 #ifndef GSTREAM_STREAM_STREAM_IO_H_
 #define GSTREAM_STREAM_STREAM_IO_H_

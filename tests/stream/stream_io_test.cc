@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "stream/exact.h"
 #include "stream/generators.h"
@@ -47,6 +56,14 @@ TEST(StreamIoTest, CommentsAndBlankLinesIgnored) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->length(), 2u);
   EXPECT_EQ(loaded->updates()[1].delta, -2);
+}
+
+TEST(StreamIoTest, WhitespaceOnlyLinesAreBlank) {
+  // Any mix of the separator set (' ' \t \r \v \f) is a blank line,
+  // before the header and after it.
+  const auto loaded = StreamFromText("\f\ngstream-v1 16\n\v\n \f\t\n1 1\n");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->length(), 1u);
 }
 
 TEST(StreamIoTest, RejectsBadMagic) {
@@ -172,11 +189,287 @@ TEST(StreamIoCorruptionTest, IntegerOverflow) {
             LoadError::kParseError);
 }
 
+TEST(StreamIoCorruptionTest, MinusSignOnUnsignedFieldRejected) {
+  // The domain and the item are unsigned: a '-' sign is a parse error
+  // naming the line, never a silent wrap to 2^64 - k.
+  const LoadStatus domain = StatusOf("gstream-v1 -16\n");
+  EXPECT_EQ(domain.error, LoadError::kParseError);
+  EXPECT_NE(domain.message.find("line 1"), std::string::npos)
+      << domain.message;
+  for (const char* item : {"-0", "-1"}) {
+    const LoadStatus status =
+        StatusOf(std::string("gstream-v1 16\n1 1\n") + item + " 1\n");
+    EXPECT_EQ(status.error, LoadError::kParseError) << item;
+    EXPECT_NE(status.message.find("line 3"), std::string::npos)
+        << status.message;
+  }
+  // '+' stays accepted on every field.
+  EXPECT_TRUE(StreamFromText("gstream-v1 +16\n+1 +1\n").has_value());
+}
+
+TEST(StreamIoCorruptionTest, DomainTokenMustBeConsumedWhole) {
+  // "0x3" is not a decimal domain, even though its "0" prefix is (and a
+  // zero domain would be a kDomainError): tokens parse whole or not at all.
+  const LoadStatus status = StatusOf("gstream-v1 0x3\n");
+  EXPECT_EQ(status.error, LoadError::kParseError);
+  EXPECT_NE(status.message.find("line 1"), std::string::npos);
+  EXPECT_EQ(StatusOf("gstream-v1 16x\n").error, LoadError::kParseError);
+}
+
 TEST(StreamIoCorruptionTest, SuccessReportsOk) {
   LoadStatus status = LoadStatus::Fail(LoadError::kIoError, "stale");
   EXPECT_TRUE(StreamFromText("gstream-v1 16\n1 1\n", &status).has_value());
   EXPECT_TRUE(status.ok());
   EXPECT_TRUE(status.message.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Grammar edge cases: one row per corner of the accepted grammar (see
+// stream_io.h), each with its verdict, reason and the line the diagnostic
+// names.
+// ---------------------------------------------------------------------------
+
+struct GrammarRow {
+  const char* name;
+  std::string text;
+  LoadError error;              // kOk: the text loads
+  size_t line;                  // error rows: the line the message names
+  std::vector<Update> updates;  // ok rows: the expected updates
+};
+
+std::vector<GrammarRow> GrammarTable() {
+  using L = LoadError;
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const uint64_t kUMax = std::numeric_limits<uint64_t>::max();
+  return {
+      {"delta INT64_MIN", "gstream-v1 16\n3 -9223372036854775808\n", L::kOk,
+       0, {{3, kMin}}},
+      {"delta INT64_MIN-1", "gstream-v1 16\n3 -9223372036854775809\n",
+       L::kParseError, 2, {}},
+      {"delta INT64_MAX", "gstream-v1 16\n3 9223372036854775807\n", L::kOk, 0,
+       {{3, kMax}}},
+      {"delta INT64_MAX+1", "gstream-v1 16\n3 9223372036854775808\n",
+       L::kParseError, 2, {}},
+      {"item UINT64_MAX-1 in domain UINT64_MAX",
+       "gstream-v1 18446744073709551615\n18446744073709551614 -1\n", L::kOk,
+       0, {{kUMax - 1, -1}}},
+      {"item UINT64_MAX outside domain UINT64_MAX",
+       "gstream-v1 18446744073709551615\n18446744073709551615 1\n",
+       L::kDomainError, 2, {}},
+      {"item UINT64_MAX+1", "gstream-v1 16\n18446744073709551616 1\n",
+       L::kParseError, 2, {}},
+      {"domain UINT64_MAX+1", "gstream-v1 18446744073709551616\n",
+       L::kParseError, 1, {}},
+      {"leading zeros", "gstream-v1 0016\n0003 -0007\n00 000\n", L::kOk, 0,
+       {{3, -7}, {0, 0}}},
+      {"hex item", "gstream-v1 16\n0x3 1\n", L::kParseError, 2, {}},
+      {"hex delta", "gstream-v1 16\n3 0x3\n", L::kParseError, 2, {}},
+      {"plus signs", "gstream-v1 +16\n+5 +1\n", L::kOk, 0, {{5, 1}}},
+      {"detached minus", "gstream-v1 16\n5 - 1\n", L::kParseError, 2, {}},
+      {"double sign", "gstream-v1 16\n5 +-1\n", L::kParseError, 2, {}},
+      {"lone plus", "gstream-v1 16\n+ 1\n", L::kParseError, 2, {}},
+      {"CRLF line ends", "gstream-v1 16\r\n3 7\r\n5 -2\r\n", L::kOk, 0,
+       {{3, 7}, {5, -2}}},
+      {"vt/ff/tab separators",
+       "gstream-v1\t16\n3\v7\n5\f-2\n\t1 \t\v\f 1 \v\n", L::kOk, 0,
+       {{3, 7}, {5, -2}, {1, 1}}},
+      {"comment glued to a token", "gstream-v1 16#hdr\n5 1#c\n", L::kOk, 0,
+       {{5, 1}}},
+      {"comment glued to a lone item", "gstream-v1 16\n5#1\n",
+       L::kParseError, 2, {}},
+      {"last line without newline", "gstream-v1 16\n3 7\n5 -2", L::kOk, 0,
+       {{3, 7}, {5, -2}}},
+      {"embedded NUL in a token", std::string("gstream-v1 16\n5\0 1\n", 19),
+       L::kParseError, 2, {}},
+      {"embedded NUL in a comment",
+       std::string("gstream-v1 16\n5 1 #\0\n", 21), L::kOk, 0, {{5, 1}}},
+      {"header after comment lines",
+       "# saved\n\n   \n# again\ngstream-v1 16\n1 1\n", L::kOk, 0, {{1, 1}}},
+      {"header error after comment lines", "# saved\n\ngstream-v1 x\n",
+       L::kParseError, 3, {}},
+      {"parse error after blank and comment lines",
+       "gstream-v1 16\n\n# c\n1 1\n   \n# x\n1 x\n", L::kParseError, 7, {}},
+      {"domain error after blank and comment lines",
+       "# c\ngstream-v1 16\n\n1 1\n\t\n16 1\n", L::kDomainError, 6, {}},
+      {"third token", "gstream-v1 16\n1 2 3\n", L::kParseError, 2, {}},
+  };
+}
+
+TEST(StreamIoGrammarTest, EdgeCaseTable) {
+  for (const GrammarRow& row : GrammarTable()) {
+    SCOPED_TRACE(row.name);
+    LoadStatus status;
+    const std::optional<Stream> loaded = StreamFromText(row.text, &status);
+    EXPECT_EQ(status.error, row.error) << status.message;
+    if (row.error == LoadError::kOk) {
+      ASSERT_TRUE(loaded.has_value());
+      ASSERT_EQ(loaded->length(), row.updates.size());
+      for (size_t i = 0; i < row.updates.size(); ++i) {
+        EXPECT_EQ(loaded->updates()[i].item, row.updates[i].item) << i;
+        EXPECT_EQ(loaded->updates()[i].delta, row.updates[i].delta) << i;
+      }
+    } else {
+      EXPECT_FALSE(loaded.has_value());
+      EXPECT_NE(status.message.find("line " + std::to_string(row.line)),
+                std::string::npos)
+          << status.message;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded round trips over extreme values, and a mutation sweep over valid
+// text: every mutant either loads or fails with a named reason.
+// ---------------------------------------------------------------------------
+
+void ExpectSameUpdates(const Stream& a, const Stream& b) {
+  EXPECT_EQ(a.domain(), b.domain());
+  ASSERT_EQ(a.length(), b.length());
+  for (size_t i = 0; i < a.length(); ++i) {
+    ASSERT_EQ(a.updates()[i].item, b.updates()[i].item) << i;
+    ASSERT_EQ(a.updates()[i].delta, b.updates()[i].delta) << i;
+  }
+}
+
+// A stream whose items and deltas favor the extremes of their ranges.
+Stream ExtremeStream(uint64_t seed, size_t length) {
+  uint64_t state = seed;
+  const uint64_t domains[] = {1, 2, 1000,
+                              std::numeric_limits<uint64_t>::max(),
+                              SplitMix64(state) | 1};
+  const uint64_t domain = domains[SplitMix64(state) % 5];
+  Stream stream(domain);
+  for (size_t i = 0; i < length; ++i) {
+    const uint64_t r = SplitMix64(state);
+    const ItemId item = r % 3 == 0   ? domain - 1
+                        : r % 3 == 1 ? 0
+                                     : SplitMix64(state) % domain;
+    int64_t delta = static_cast<int64_t>(SplitMix64(state));
+    switch (r >> 60) {
+      case 0: delta = std::numeric_limits<int64_t>::min(); break;
+      case 1: delta = std::numeric_limits<int64_t>::max(); break;
+      case 2: delta = 0; break;
+      case 3: delta = -1; break;
+      case 4: delta = 1; break;
+      case 5: delta %= 1000; break;
+      default: break;
+    }
+    stream.Append(item, delta);
+  }
+  return stream;
+}
+
+// Reference formatting (iostream) for the writer's byte-identity pin.
+std::string ReferenceText(const Stream& stream) {
+  std::ostringstream out;
+  out << "gstream-v1 " << stream.domain() << '\n';
+  for (const Update& u : stream.updates()) {
+    out << u.item << ' ' << u.delta << '\n';
+  }
+  return out.str();
+}
+
+TEST(StreamIoRoundTripTest, SeededExtremesSurviveSaveAndLoad) {
+  const std::string path = ::testing::TempDir() + "/gstream_io_extremes.txt";
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    const Stream stream = ExtremeStream(seed, seed * 37);
+    EXPECT_EQ(StreamToText(stream), ReferenceText(stream));
+    ASSERT_TRUE(SaveStream(stream, path));
+    LoadStatus status;
+    const std::optional<Stream> loaded = LoadStream(path, &status);
+    ASSERT_TRUE(loaded.has_value()) << status.message;
+    ExpectSameUpdates(*loaded, stream);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StreamIoRoundTripTest, LoadsFromAPipe) {
+  // A FIFO reports size 0: the loader must read to end of file, not trust
+  // the size it was told.
+  const std::string path = ::testing::TempDir() + "/gstream_io_fifo";
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  const Stream stream = ExtremeStream(7, 20000);
+  const std::string text = StreamToText(stream);
+  std::thread writer([&] {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) return;
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  });
+  const std::optional<Stream> loaded = LoadStream(path);
+  writer.join();
+  ASSERT_TRUE(loaded.has_value());
+  ExpectSameUpdates(*loaded, stream);
+  std::remove(path.c_str());
+}
+
+// True when `message` names a line: "line <digits>".
+bool NamesALine(const std::string& message) {
+  const size_t at = message.find("line ");
+  return at != std::string::npos && at + 5 < message.size() &&
+         std::isdigit(static_cast<unsigned char>(message[at + 5]));
+}
+
+TEST(StreamIoMutationTest, EveryMutantLoadsOrFailsWithNamedReason) {
+  Stream base(64);
+  uint64_t state = 0x5eed;
+  for (int i = 0; i < 40; ++i) {
+    base.Append(SplitMix64(state) % 64,
+                static_cast<int64_t>(SplitMix64(state) % 2001) - 1000);
+  }
+  const std::string valid = "# recorded\n" + StreamToText(base) + "# end\n";
+  const char kInserts[] = "0123456789 #\n+-\t\r";
+  size_t loaded_count = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string text = valid;
+    const int mutations = 1 + static_cast<int>(SplitMix64(state) % 3);
+    for (int m = 0; m < mutations && !text.empty(); ++m) {
+      const size_t pos = SplitMix64(state) % text.size();
+      switch (SplitMix64(state) % 4) {
+        case 0:  // insert a grammar-significant byte
+          text.insert(pos, 1,
+                      kInserts[SplitMix64(state) % (sizeof(kInserts) - 1)]);
+          break;
+        case 1:  // flip to an arbitrary byte (NUL and high bytes included)
+          text[pos] = static_cast<char>(SplitMix64(state));
+          break;
+        case 2:  // delete a byte
+          text.erase(pos, 1);
+          break;
+        default:  // truncate
+          text.resize(pos);
+          break;
+      }
+    }
+    SCOPED_TRACE(text);
+    LoadStatus status;
+    const std::optional<Stream> loaded = StreamFromText(text, &status);
+    if (loaded.has_value()) {
+      ++loaded_count;
+      EXPECT_TRUE(status.ok());
+      for (const Update& u : loaded->updates()) {
+        ASSERT_LT(u.item, loaded->domain());
+      }
+      // Whatever loaded re-serializes to text that loads to the same stream.
+      const std::optional<Stream> again = StreamFromText(StreamToText(*loaded));
+      ASSERT_TRUE(again.has_value());
+      ExpectSameUpdates(*again, *loaded);
+    } else {
+      EXPECT_TRUE(status.error == LoadError::kBadMagic ||
+                  status.error == LoadError::kParseError ||
+                  status.error == LoadError::kDomainError)
+          << LoadErrorName(status.error);
+      EXPECT_TRUE(NamesALine(status.message) ||
+                  status.message == "no header line (empty input?)")
+          << status.message;
+    }
+  }
+  // The sweep exercises both outcomes.
+  EXPECT_GT(loaded_count, 0u);
+  EXPECT_LT(loaded_count, 4000u);
 }
 
 }  // namespace

@@ -25,7 +25,13 @@ std::string EncodeCheckpoint(const CheckpointImage& image) {
   const size_t shards = image.shard_blobs.size();
   GSTREAM_CHECK_EQ(image.producer.staged.size(), shards);
   GSTREAM_CHECK_EQ(image.producer.stats.shard_updates.size(), shards);
+  size_t total = kCheckpointHeaderBytes + 8 * shards + kChecksumBytes;
+  for (const auto& staged : image.producer.staged) {
+    total += 8 + 16 * staged.size();
+  }
+  for (const std::string& blob : image.shard_blobs) total += 8 + blob.size();
   persist::ByteWriter w;
+  w.Reserve(total);
   w.PutBytes(std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic)));
   w.PutU32(kCheckpointFormatVersion);
   w.PutU64(shards);
@@ -61,16 +67,19 @@ LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image) {
   persist::ByteReader tail(bytes.substr(bytes.size() - kChecksumBytes));
   uint64_t stored_checksum = 0;
   tail.GetU64(&stored_checksum);
-  if (persist::Checksum64(body) != stored_checksum) {
-    return LoadStatus::Fail(LoadError::kChecksumMismatch,
-                            "whole-file checksum mismatch (corrupt or torn "
-                            "checkpoint)");
-  }
   persist::ByteReader r(body);
   std::string_view magic;
   r.GetBytes(sizeof(kCheckpointMagic), &magic);
   uint32_t version = 0;
   r.GetU32(&version);
+  // A retired version carries another checksum, which cannot verify here:
+  // it is reported as version skew rather than as a corrupt file.
+  const bool retired = version >= 1 && version < kCheckpointFormatVersion;
+  if (!retired && persist::Checksum64(body) != stored_checksum) {
+    return LoadStatus::Fail(LoadError::kChecksumMismatch,
+                            "whole-file checksum mismatch (corrupt or torn "
+                            "checkpoint)");
+  }
   if (version != kCheckpointFormatVersion) {
     return LoadStatus::Fail(
         LoadError::kVersionSkew,

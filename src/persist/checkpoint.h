@@ -21,7 +21,8 @@
 // interval_updates must be a multiple of the engine's chunk_updates
 // (checked).
 //
-// File layout (little-endian, sharing the persist byte primitives):
+// File layout (little-endian, version 2, sharing the persist byte
+// primitives):
 //
 //   bytes 0-3   magic "GCKP"
 //   u32         checkpoint format version
@@ -32,7 +33,10 @@
 //   u64 x S     stats: shard_updates
 //   per shard   u64 staged count, then (u64 item, i64 delta) pairs
 //   per shard   length-prefixed sketch blob (self-validating, sketch_io.h)
-//   u64         FNV-1a checksum of every preceding byte
+//   u64         XXH64 (seed 0) of every preceding byte
+//
+// Version history: 1 = FNV-1a trailer (retired, reported as version skew),
+// 2 = XXH64 trailer.
 
 #ifndef GSTREAM_PERSIST_CHECKPOINT_H_
 #define GSTREAM_PERSIST_CHECKPOINT_H_
@@ -54,7 +58,7 @@
 
 namespace gstream {
 
-inline constexpr uint32_t kCheckpointFormatVersion = 1;
+inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
 // In-memory image of one checkpoint.
 struct CheckpointImage {
@@ -67,8 +71,10 @@ std::string EncodeCheckpoint(const CheckpointImage& image);
 
 // Total over arbitrary bytes, like DeserializeSketch: magic, truncation,
 // checksum, and version failures come back as a clean LoadStatus and the
-// image is untouched.  Shard blobs are only framed here; their contents
-// self-validate when RestoreIngestor feeds them to DeserializeSketch.
+// image is untouched.  A file of a retired version (its checksum no
+// longer verifies) is reported as version skew, not as corruption.
+// Shard blobs are only framed here; their contents self-validate when
+// RestoreIngestor feeds them to DeserializeSketch.
 LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image);
 
 // Encode + WriteFileAtomic (fault injectable for the torn-write tests).

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -25,29 +26,93 @@
 namespace gstream {
 namespace persist {
 
+// The wire format is little-endian and the byte primitives below copy
+// host words as-is; a big-endian port would need byte-swapping readers
+// and writers, so it is refused here rather than left untested.
+static_assert(std::endian::native == std::endian::little,
+              "the GSKB/GCKP byte primitives assume a little-endian host");
+
+namespace {
+
+constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr uint64_t kPrime3 = 0x165667b19e3779f9ULL;
+constexpr uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
+
+uint64_t Load64(const char* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t Load32(const char* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t Round(uint64_t acc, uint64_t lane) {
+  return std::rotl(acc + lane * kPrime2, 31) * kPrime1;
+}
+
+uint64_t MergeRound(uint64_t h, uint64_t acc) {
+  return (h ^ Round(0, acc)) * kPrime1 + kPrime4;
+}
+
+}  // namespace
+
 uint64_t Checksum64(std::string_view bytes) {
-  // FNV-1a 64.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+  // XXH64 with seed 0: four independent lanes over 32-byte stripes, then
+  // the 8-, 4- and 1-byte tails, then the avalanche.
+  const char* p = bytes.data();
+  const char* const end = p + bytes.size();
+  uint64_t h = kPrime5;
+  if (bytes.size() >= 32) {
+    uint64_t v1 = kPrime1 + kPrime2, v2 = kPrime2, v3 = 0, v4 = -kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = Round(v1, Load64(p));
+      v2 = Round(v2, Load64(p + 8));
+      v3 = Round(v3, Load64(p + 16));
+      v4 = Round(v4, Load64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = MergeRound(MergeRound(MergeRound(MergeRound(h, v1), v2), v3), v4);
   }
+  h += bytes.size();
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ Round(0, Load64(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ Load32(p) * kPrime1, 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h = std::rotl(h ^ static_cast<unsigned char>(*p) * kPrime5, 11) * kPrime1;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 
 void ByteWriter::PutU32(uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
-  buf_.append(b, 4);
+  buf_.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 void ByteWriter::PutU64(uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
-  buf_.append(b, 8);
+  buf_.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 void ByteWriter::PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
+
+void ByteWriter::PutI64Array(const int64_t* values, size_t n) {
+  if (n == 0) return;
+  buf_.append(reinterpret_cast<const char*>(values), n * sizeof(int64_t));
+}
 
 void ByteWriter::PutBytes(std::string_view bytes) {
   buf_.append(bytes.data(), bytes.size());
@@ -59,26 +124,16 @@ void ByteWriter::PutBlob(std::string_view blob) {
 }
 
 bool ByteReader::GetU32(uint32_t* v) {
-  if (remaining() < 4) return false;
-  uint32_t r = 0;
-  for (int i = 0; i < 4; ++i) {
-    r |= static_cast<uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  *v = r;
+  if (remaining() < sizeof(*v)) return false;
+  std::memcpy(v, bytes_.data() + pos_, sizeof(*v));
+  pos_ += sizeof(*v);
   return true;
 }
 
 bool ByteReader::GetU64(uint64_t* v) {
-  if (remaining() < 8) return false;
-  uint64_t r = 0;
-  for (int i = 0; i < 8; ++i) {
-    r |= static_cast<uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  *v = r;
+  if (remaining() < sizeof(*v)) return false;
+  std::memcpy(v, bytes_.data() + pos_, sizeof(*v));
+  pos_ += sizeof(*v);
   return true;
 }
 
@@ -86,6 +141,15 @@ bool ByteReader::GetI64(int64_t* v) {
   uint64_t u = 0;
   if (!GetU64(&u)) return false;
   *v = static_cast<int64_t>(u);
+  return true;
+}
+
+bool ByteReader::GetI64Array(int64_t* out, size_t n) {
+  // Divide rather than multiply: n * 8 may overflow for a corrupt count.
+  if (n > remaining() / sizeof(int64_t)) return false;
+  if (n == 0) return true;
+  std::memcpy(out, bytes_.data() + pos_, n * sizeof(int64_t));
+  pos_ += n * sizeof(int64_t);
   return true;
 }
 
@@ -131,9 +195,12 @@ LoadStatus Truncated(const std::string& what) {
                           "blob ends inside " + what);
 }
 
-// Starts a blob: header with a placeholder-free layout (the checksum is
-// appended by FinishBlob over everything written so far).
-void BeginBlob(ByteWriter* w, SketchKind kind, uint64_t fingerprint) {
+// Starts a blob of `payload_bytes` kind-specific bytes: reserves the
+// exact blob size and writes the header (the checksum is appended by
+// FinishBlob over everything written so far).
+void BeginBlob(ByteWriter* w, SketchKind kind, uint64_t fingerprint,
+               size_t payload_bytes) {
+  w->Reserve(kBlobHeaderBytes + payload_bytes + kChecksumBytes);
   w->PutBytes(std::string_view(kBlobMagic, sizeof(kBlobMagic)));
   w->PutU32(kSketchFormatVersion);
   w->PutU32(static_cast<uint32_t>(kind));
@@ -163,24 +230,27 @@ LoadStatus OpenBlob(std::string_view blob, SketchKind want_kind,
   ByteReader tail(blob.substr(blob.size() - kChecksumBytes));
   uint64_t stored_checksum = 0;
   tail.GetU64(&stored_checksum);
-  if (Checksum64(body) != stored_checksum) {
-    return LoadStatus::Fail(LoadError::kChecksumMismatch,
-                            "whole-blob checksum mismatch (corrupt bytes)");
-  }
   *reader = ByteReader(body);
   std::string_view magic;
   reader->GetBytes(sizeof(kBlobMagic), &magic);
   uint32_t version = 0, kind = 0, flags = 0;
   reader->GetU32(&version);
-  reader->GetU32(&kind);
-  reader->GetU32(&flags);
-  reader->GetU64(fingerprint);
+  // A retired version carries another checksum, which cannot verify here:
+  // it is reported as version skew rather than as corrupt bytes.
+  const bool retired = version >= 1 && version < kSketchFormatVersion;
+  if (!retired && Checksum64(body) != stored_checksum) {
+    return LoadStatus::Fail(LoadError::kChecksumMismatch,
+                            "whole-blob checksum mismatch (corrupt bytes)");
+  }
   if (version != kSketchFormatVersion) {
     return LoadStatus::Fail(
         LoadError::kVersionSkew,
         "format version " + std::to_string(version) + ", this build reads " +
             std::to_string(kSketchFormatVersion));
   }
+  reader->GetU32(&kind);
+  reader->GetU32(&flags);
+  reader->GetU64(fingerprint);
   if (kind != static_cast<uint32_t>(want_kind)) {
     return LoadStatus::Fail(
         LoadError::kTypeMismatch,
@@ -215,16 +285,18 @@ LoadStatus ExpectDrained(const ByteReader& reader) {
   return LoadStatus::Ok();
 }
 
-// Reads `n` i64 counters into `out`; `out` arrives pre-sized to the
-// destination geometry, so a corrupt length cannot drive allocation.
-// Templated over the vector type: sketch counter arrays use the 64-byte-
-// aligned allocator (util/aligned.h), and the transactional temporaries
-// below must match the destination's type to move-assign on commit.
+// Wire bytes of `n` i64 counters, or of `n` (u64, i64) entries.
+constexpr size_t CounterBytes(size_t n) { return 8 * n; }
+constexpr size_t EntryBytes(size_t n) { return 16 * n; }
+
+// Reads counters into `out`; `out` arrives pre-sized to the destination
+// geometry, so a corrupt length cannot drive allocation.  Templated over
+// the vector type: sketch counter arrays use the 64-byte-aligned
+// allocator (util/aligned.h), and the transactional temporaries below
+// must match the destination's type to move-assign on commit.
 template <typename Vec>
 LoadStatus ReadCounters(ByteReader* reader, const char* what, Vec* out) {
-  for (int64_t& c : *out) {
-    if (!reader->GetI64(&c)) return Truncated(what);
-  }
+  if (!reader->GetI64Array(out->data(), out->size())) return Truncated(what);
   return LoadStatus::Ok();
 }
 
@@ -238,10 +310,11 @@ struct SketchSerde {
   // --- CountSketch ---------------------------------------------------------
   static std::string WriteCountSketch(const CountSketch& s) {
     ByteWriter w;
-    BeginBlob(&w, SketchKind::kCountSketch, s.Fingerprint());
+    BeginBlob(&w, SketchKind::kCountSketch, s.Fingerprint(),
+              16 + CounterBytes(s.counters_.size()));
     w.PutU64(s.rows());
     w.PutU64(s.buckets());
-    for (const int64_t c : s.counters_) w.PutI64(c);
+    w.PutI64Array(s.counters_.data(), s.counters_.size());
     return FinishBlob(&w);
   }
 
@@ -274,10 +347,11 @@ struct SketchSerde {
   // --- CountMinSketch ------------------------------------------------------
   static std::string WriteCountMin(const CountMinSketch& s) {
     ByteWriter w;
-    BeginBlob(&w, SketchKind::kCountMin, s.Fingerprint());
+    BeginBlob(&w, SketchKind::kCountMin, s.Fingerprint(),
+              16 + CounterBytes(s.counters_.size()));
     w.PutU64(s.options_.rows);
     w.PutU64(s.options_.buckets);
-    for (const int64_t c : s.counters_) w.PutI64(c);
+    w.PutI64Array(s.counters_.data(), s.counters_.size());
     return FinishBlob(&w);
   }
 
@@ -312,10 +386,11 @@ struct SketchSerde {
   // --- AmsSketch -----------------------------------------------------------
   static std::string WriteAms(const AmsSketch& s) {
     ByteWriter w;
-    BeginBlob(&w, SketchKind::kAms, s.Fingerprint());
+    BeginBlob(&w, SketchKind::kAms, s.Fingerprint(),
+              16 + CounterBytes(s.sums_.size()));
     w.PutU64(s.options_.group_size);
     w.PutU64(s.options_.groups);
-    for (const int64_t z : s.sums_) w.PutI64(z);
+    w.PutI64Array(s.sums_.data(), s.sums_.size());
     return FinishBlob(&w);
   }
 
@@ -347,11 +422,12 @@ struct SketchSerde {
   // --- GnpHeavyHitter ------------------------------------------------------
   static std::string WriteGnp(const GnpHeavyHitter& s) {
     ByteWriter w;
-    BeginBlob(&w, SketchKind::kGnp, s.Fingerprint());
+    BeginBlob(&w, SketchKind::kGnp, s.Fingerprint(),
+              24 + CounterBytes(s.counters_.size()));
     w.PutU64(s.options_.substreams);
     w.PutU64(s.options_.trials);
     w.PutU64(static_cast<uint64_t>(s.options_.id_bits));
-    for (const int64_t c : s.counters_) w.PutI64(c);
+    w.PutI64Array(s.counters_.data(), s.counters_.size());
     return FinishBlob(&w);
   }
 
@@ -388,13 +464,14 @@ struct SketchSerde {
 
   // --- ExactFrequencySketch ------------------------------------------------
   static std::string WriteExactFrequency(const ExactFrequencySketch& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kExactFrequency, /*fingerprint=*/0);
     // Sorted by item so equal states serialize to identical bytes (the
     // in-memory map order is not deterministic).
     std::vector<std::pair<ItemId, int64_t>> entries(s.freq_.begin(),
                                                     s.freq_.end());
     std::sort(entries.begin(), entries.end());
+    ByteWriter w;
+    BeginBlob(&w, SketchKind::kExactFrequency, /*fingerprint=*/0,
+              8 + EntryBytes(entries.size()));
     w.PutU64(entries.size());
     for (const auto& [item, value] : entries) {
       w.PutU64(item);
@@ -434,13 +511,15 @@ struct SketchSerde {
 
   // --- CountSketchTopK -----------------------------------------------------
   static std::string WriteTopK(const CountSketchTopK& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kCountSketchTopK, s.Fingerprint());
-    w.PutU64(s.k());
-    w.PutBlob(WriteCountSketch(s.sketch_));
+    const std::string sketch = WriteCountSketch(s.sketch_);
     std::vector<std::pair<ItemId, int64_t>> candidates(s.candidates_.begin(),
                                                        s.candidates_.end());
     std::sort(candidates.begin(), candidates.end());
+    ByteWriter w;
+    BeginBlob(&w, SketchKind::kCountSketchTopK, s.Fingerprint(),
+              8 + 8 + sketch.size() + 8 + EntryBytes(candidates.size()));
+    w.PutU64(s.k());
+    w.PutBlob(sketch);
     w.PutU64(candidates.size());
     for (const auto& [item, estimate] : candidates) {
       w.PutU64(item);
@@ -485,9 +564,11 @@ struct SketchSerde {
 
   // --- ExactHeavyHitterSketch ----------------------------------------------
   static std::string WriteExactHH(const ExactHeavyHitterSketch& s) {
+    const std::string freq = WriteExactFrequency(s.freq_);
     ByteWriter w;
-    BeginBlob(&w, SketchKind::kExactHeavyHitter, /*fingerprint=*/0);
-    w.PutBlob(WriteExactFrequency(s.freq_));
+    BeginBlob(&w, SketchKind::kExactHeavyHitter, /*fingerprint=*/0,
+              8 + freq.size());
+    w.PutBlob(freq);
     return FinishBlob(&w);
   }
 
@@ -511,10 +592,13 @@ struct SketchSerde {
 
   // --- OnePassHeavyHitter --------------------------------------------------
   static std::string WriteOnePass(const OnePassHeavyHitter& s) {
+    const std::string tracker = WriteTopK(s.tracker_);
+    const std::string ams = WriteAms(s.ams_);
     ByteWriter w;
-    BeginBlob(&w, SketchKind::kOnePassHH, s.Fingerprint());
-    w.PutBlob(WriteTopK(s.tracker_));
-    w.PutBlob(WriteAms(s.ams_));
+    BeginBlob(&w, SketchKind::kOnePassHH, s.Fingerprint(),
+              8 + tracker.size() + 8 + ams.size());
+    w.PutBlob(tracker);
+    w.PutBlob(ams);
     return FinishBlob(&w);
   }
 
@@ -542,13 +626,17 @@ struct SketchSerde {
 
   // --- TwoPassHeavyHitter --------------------------------------------------
   static std::string WriteTwoPass(const TwoPassHeavyHitter& s) {
+    const std::string tracker = WriteTopK(s.tracker_);
     ByteWriter w;
-    BeginBlob(&w, SketchKind::kTwoPassHH, s.Fingerprint());
+    BeginBlob(&w, SketchKind::kTwoPassHH, s.Fingerprint(),
+              4 + 8 + tracker.size() + 8 +
+                  CounterBytes(s.candidate_ids_.size()) +
+                  CounterBytes(s.exact_counts_.size()));
     w.PutU32(static_cast<uint32_t>(s.current_pass_));
-    w.PutBlob(WriteTopK(s.tracker_));
+    w.PutBlob(tracker);
     w.PutU64(s.candidate_ids_.size());
     for (const ItemId id : s.candidate_ids_) w.PutU64(id);
-    for (const int64_t c : s.exact_counts_) w.PutI64(c);
+    w.PutI64Array(s.exact_counts_.data(), s.exact_counts_.size());
     return FinishBlob(&w);
   }
 
@@ -580,8 +668,9 @@ struct SketchSerde {
     for (ItemId& id : ids) {
       if (!r.GetU64(&id)) return Truncated("two_pass_hh candidate ids");
     }
-    for (int64_t& c : counts) {
-      if (!r.GetI64(&c)) return Truncated("two_pass_hh exact counts");
+    if (LoadStatus s = ReadCounters(&r, "two_pass_hh exact counts", &counts);
+        !s.ok()) {
+      return s;
     }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
     dst->current_pass_ = static_cast<int>(pass);
@@ -593,13 +682,20 @@ struct SketchSerde {
 
   // --- RecursiveGSum -------------------------------------------------------
   static std::string WriteRecursive(const RecursiveGSum& stack) {
+    std::vector<std::string> levels;
+    levels.reserve(stack.sketches_.size());
+    size_t payload = 16;
+    for (const auto& sketch : stack.sketches_) {
+      levels.push_back(SerializeHeavyHitter(*sketch));
+      payload += 4 + 8 + levels.back().size();
+    }
     ByteWriter w;
-    BeginBlob(&w, SketchKind::kRecursiveGSum, stack.Fingerprint());
+    BeginBlob(&w, SketchKind::kRecursiveGSum, stack.Fingerprint(), payload);
     w.PutU64(stack.subsampler_.Fingerprint());
     w.PutU64(stack.sketches_.size());
-    for (const auto& sketch : stack.sketches_) {
-      w.PutU32(static_cast<uint32_t>(KindOfHeavyHitter(*sketch)));
-      w.PutBlob(SerializeHeavyHitter(*sketch));
+    for (size_t l = 0; l < levels.size(); ++l) {
+      w.PutU32(static_cast<uint32_t>(KindOfHeavyHitter(*stack.sketches_[l])));
+      w.PutBlob(levels[l]);
     }
     return FinishBlob(&w);
   }

@@ -1,7 +1,8 @@
 // Durable sketches: a versioned binary wire format for every mergeable
 // sketch in the library, including whole RecursiveGSum Theorem-13 stacks.
 //
-// Blob layout (little-endian, docs/persistence.md has the full story):
+// Blob layout (little-endian, version 2; docs/persistence.md has the full
+// story):
 //
 //   bytes 0-3   magic "GSKB"
 //   u32         format version (kSketchFormatVersion)
@@ -9,8 +10,9 @@
 //   u32         flags (0, reserved)
 //   u64         Fingerprint() of the serialized sketch
 //   ...         kind-specific payload: geometry words, then counter state
-//               (composites nest full length-prefixed child blobs)
-//   u64         FNV-1a checksum of every preceding byte
+//               (counter arrays are copied in bulk; composites nest full
+//               length-prefixed child blobs)
+//   u64         XXH64 (seed 0) of every preceding byte
 //
 // What is serialized is exactly the *state* -- counters, sums, candidate
 // sets, pass position -- never the hash coefficients.  A loader must
@@ -69,7 +71,9 @@ enum class SketchKind : uint32_t {
   kRecursiveGSum = 10,
 };
 
-inline constexpr uint32_t kSketchFormatVersion = 1;
+// Version history: 1 = FNV-1a trailer (retired, reported as version skew),
+// 2 = XXH64 trailer.  The payload layout is the same in both.
+inline constexpr uint32_t kSketchFormatVersion = 2;
 
 // ---------------------------------------------------------------------------
 // Serialize / Deserialize, one overload pair per mergeable sketch.
@@ -182,7 +186,7 @@ LoadStatus LoadSketch(const std::string& path, SketchT* dst) {
 
 namespace persist {
 
-// FNV-1a 64-bit over a byte range: the whole-blob checksum.  Not
+// XXH64 (seed 0) over a byte range: the whole-blob checksum.  Not
 // cryptographic -- it detects corruption (bit rot, torn writes), not
 // adversaries, which is the contract crash consistency needs.
 uint64_t Checksum64(std::string_view bytes);
@@ -191,9 +195,15 @@ uint64_t Checksum64(std::string_view bytes);
 // checkpoint formats.
 class ByteWriter {
  public:
+  // Writers reserve the exact blob size up front, so appends never
+  // reallocate.
+  void Reserve(size_t bytes) { buf_.reserve(bytes); }
+
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v);
+  // `n` i64s in one copy; the wire bytes equal n PutI64 calls.
+  void PutI64Array(const int64_t* values, size_t n);
   void PutBytes(std::string_view bytes);
   // Length-prefixed child blob.
   void PutBlob(std::string_view blob);
@@ -212,6 +222,8 @@ class ByteReader {
   bool GetU32(uint32_t* v);
   bool GetU64(uint64_t* v);
   bool GetI64(int64_t* v);
+  // `n` i64s in one copy; false, reading nothing, if fewer remain.
+  bool GetI64Array(int64_t* out, size_t n);
   bool GetBytes(size_t n, std::string_view* out);
   // Length-prefixed child blob (bounded by the remaining bytes).
   bool GetBlob(std::string_view* out);

@@ -1,0 +1,465 @@
+// Structure-aware mutation fuzzing of the GSKB and GCKP loaders.
+//
+// The byte-flip and truncation sweeps in sketch_io_test.cc and
+// checkpoint_test.cc mostly stop at the checksum.  This suite walks a
+// valid blob's layout -- the envelope, the length-prefixed child blobs
+// (recursively) and, for a GCKP, the shard table -- and mutates one
+// semantic field at a time: child lengths, entry / staged / shard counts,
+// geometry words, and kind and version tags.  It then re-seals every
+// checksum innermost first, so the mutant reaches the parser behind the
+// checksum.  Mutants are drawn from SplitMix64 with a fixed budget.
+//
+// The oracle: every mutant either loads and re-serializes to exactly its
+// own bytes, or fails with a named LoadError and a message and leaves the
+// destination bit-unchanged.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "core/gnp_sketch.h"
+#include "core/heavy_hitters.h"
+#include "core/one_pass_hh.h"
+#include "core/recursive_sketch.h"
+#include "core/two_pass_hh.h"
+#include "persist/checkpoint.h"
+#include "persist/sketch_io.h"
+#include "sketch/ams.h"
+#include "sketch/count_min.h"
+#include "sketch/count_sketch.h"
+#include "stream/exact.h"
+#include "util/random.h"
+
+namespace gstream {
+namespace {
+
+constexpr uint64_t kSeed = 0xf022ULL;
+
+// ---------------------------------------------------------------------------
+// The layout walker.
+// ---------------------------------------------------------------------------
+
+enum class FieldClass { kVersion, kKind, kGeometry, kCount, kChildLength };
+
+struct Field {
+  size_t offset;
+  size_t width;  // 4 or 8
+  FieldClass cls;
+};
+
+// A checksummed envelope [begin, end); its checksum is the last 8 bytes.
+struct Seal {
+  size_t begin;
+  size_t end;
+  int depth;
+};
+
+struct WireMap {
+  std::vector<Field> fields;
+  std::vector<Seal> seals;  // innermost (deepest) first after Walk*()
+};
+
+uint64_t ReadLe(std::string_view bytes, size_t offset, size_t width) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes[offset + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void WriteLe(std::string* bytes, size_t offset, size_t width, uint64_t v) {
+  for (size_t i = 0; i < width; ++i) {
+    (*bytes)[offset + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+// Walks a *valid* blob; the layouts mirror sketch_io.cc and checkpoint.cc.
+class Walker {
+ public:
+  explicit Walker(std::string_view bytes) : bytes_(bytes) {}
+
+  WireMap WalkSketch() {
+    Blob(0, bytes_.size(), 0);
+    return Finish();
+  }
+
+  WireMap WalkCheckpoint() {
+    map_.seals.push_back({0, bytes_.size(), 0});
+    Add(4, 4, FieldClass::kVersion);
+    Add(8, 8, FieldClass::kCount);  // shards
+    const uint64_t shards = ReadLe(bytes_, 8, 8);
+    // cursor, round-robin position, three stat words, per-shard counts.
+    size_t pos = 16 + 5 * 8 + 8 * shards;
+    for (uint64_t s = 0; s < shards; ++s) {
+      Add(pos, 8, FieldClass::kCount);  // staged updates
+      pos += 8 + 16 * ReadLe(bytes_, pos, 8);
+    }
+    for (uint64_t s = 0; s < shards; ++s) pos = Child(pos, 1);
+    return Finish();
+  }
+
+ private:
+  void Add(size_t offset, size_t width, FieldClass cls) {
+    map_.fields.push_back({offset, width, cls});
+  }
+
+  // A length-prefixed child blob at `pos`; returns the offset past it.
+  size_t Child(size_t pos, int depth) {
+    Add(pos, 8, FieldClass::kChildLength);
+    const size_t len = ReadLe(bytes_, pos, 8);
+    Blob(pos + 8, pos + 8 + len, depth);
+    return pos + 8 + len;
+  }
+
+  void Blob(size_t begin, size_t end, int depth) {
+    map_.seals.push_back({begin, end, depth});
+    Add(begin + 4, 4, FieldClass::kVersion);
+    Add(begin + 8, 4, FieldClass::kKind);
+    size_t pos = begin + 24;
+    auto geometry = [&](int words) {
+      for (int i = 0; i < words; ++i, pos += 8) {
+        Add(pos, 8, FieldClass::kGeometry);
+      }
+    };
+    switch (static_cast<SketchKind>(ReadLe(bytes_, begin + 8, 4))) {
+      case SketchKind::kCountSketch:
+      case SketchKind::kCountMin:
+      case SketchKind::kAms:
+        geometry(2);
+        break;
+      case SketchKind::kGnp:
+        geometry(3);
+        break;
+      case SketchKind::kExactFrequency:
+        Add(pos, 8, FieldClass::kCount);
+        break;
+      case SketchKind::kCountSketchTopK:
+        geometry(1);
+        pos = Child(pos, depth + 1);
+        Add(pos, 8, FieldClass::kCount);
+        break;
+      case SketchKind::kExactHeavyHitter:
+        Child(pos, depth + 1);
+        break;
+      case SketchKind::kOnePassHH:
+        Child(Child(pos, depth + 1), depth + 1);
+        break;
+      case SketchKind::kTwoPassHH:
+        Add(pos, 4, FieldClass::kGeometry);  // pass
+        pos = Child(pos + 4, depth + 1);
+        Add(pos, 8, FieldClass::kCount);
+        break;
+      case SketchKind::kRecursiveGSum: {
+        pos += 8;  // subsampler fingerprint
+        const uint64_t levels = ReadLe(bytes_, pos, 8);
+        Add(pos, 8, FieldClass::kCount);
+        pos += 8;
+        for (uint64_t l = 0; l < levels; ++l) {
+          Add(pos, 4, FieldClass::kKind);
+          pos = Child(pos + 4, depth + 1);
+        }
+        break;
+      }
+    }
+  }
+
+  WireMap Finish() {
+    std::stable_sort(map_.seals.begin(), map_.seals.end(),
+                     [](const Seal& a, const Seal& b) {
+                       return a.depth > b.depth;
+                     });
+    return std::move(map_);
+  }
+
+  std::string_view bytes_;
+  WireMap map_;
+};
+
+// Recomputes every checksum, innermost first, so an outer checksum covers
+// the re-sealed inner bytes.
+void Reseal(const WireMap& map, std::string* bytes) {
+  for (const Seal& seal : map.seals) {
+    const std::string_view body(bytes->data() + seal.begin,
+                                seal.end - seal.begin - 8);
+    WriteLe(bytes, seal.end - 8, 8, persist::Checksum64(body));
+  }
+}
+
+// A value for `field` other than `v`, from the edge-heavy menu below.
+uint64_t MutateValue(const Field& field, uint64_t v, uint64_t& rng) {
+  const uint64_t mask = field.width == 4 ? 0xffffffffULL
+                                         : std::numeric_limits<uint64_t>::max();
+  const uint64_t r = SplitMix64(rng);
+  uint64_t out = v;
+  switch (field.cls) {
+    case FieldClass::kVersion: {
+      constexpr uint64_t kVersions[] = {0, 1, 2, 3, 0x80, 0xffffffffULL};
+      out = kVersions[r % std::size(kVersions)];
+      break;
+    }
+    case FieldClass::kKind:
+      out = r % 13;  // every tag, plus 0, 11 and 12
+      break;
+    default: {
+      const uint64_t menu[] = {0,
+                               1,
+                               v + 1,
+                               v - 1,
+                               v + 8,
+                               v - 8,
+                               v * 2,
+                               v / 2,
+                               mask,
+                               mask / 16 + 1,  // 16-byte entries overflow
+                               mask / 8 + 1,   // 8-byte counters overflow
+                               uint64_t{1} << 32,
+                               SplitMix64(rng) % 64,
+                               SplitMix64(rng)};
+      out = menu[r % std::size(menu)];
+      break;
+    }
+  }
+  out &= mask;
+  return out == v ? (v ^ 1) & mask : out;
+}
+
+// One mutant: a single field of `pristine` replaced, checksums re-sealed.
+std::string Mutant(std::string_view pristine, const WireMap& map,
+                   uint64_t& rng) {
+  const Field& field = map.fields[SplitMix64(rng) % map.fields.size()];
+  std::string bytes(pristine);
+  const uint64_t v = ReadLe(bytes, field.offset, field.width);
+  WriteLe(&bytes, field.offset, field.width, MutateValue(field, v, rng));
+  Reseal(map, &bytes);
+  return bytes;
+}
+
+// ---------------------------------------------------------------------------
+// Targets: a seeded blob plus a same-seed shell it must load into.
+// ---------------------------------------------------------------------------
+
+template <typename SketchT>
+void Feed(SketchT& sketch, uint64_t seed = 7, size_t n = 600) {
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    sketch.Update(rng.NextUint64() % 1024, static_cast<int64_t>(i % 7) - 3);
+  }
+}
+
+OnePassHeavyHitter MakeOnePass(uint64_t seed = kSeed) {
+  Rng rng(seed);
+  OnePassHHOptions options;
+  options.count_sketch = {2, 16};
+  options.ams = {4, 2};
+  options.candidates = 4;
+  return OnePassHeavyHitter(options, rng);
+}
+
+// A loader under test: `load` deserializes into a persistent same-seed
+// shell, `save` serializes it, and `reset` empties it again -- so a failed
+// load that half-commits the blob's state is visible.
+struct Target {
+  std::string name;
+  std::string blob;
+  std::function<LoadStatus(std::string_view)> load;
+  std::function<std::string()> save;
+  std::function<void()> reset;
+};
+
+template <typename SketchT, typename MakeFn, typename PrepFn>
+Target MakeTarget(std::string name, MakeFn make, PrepFn prep) {
+  SketchT original = make();
+  prep(original);
+  auto shell = std::make_shared<SketchT>(make());
+  return Target{
+      std::move(name), SerializeSketch(original),
+      [shell](std::string_view b) { return DeserializeSketch(b, shell.get()); },
+      [shell] { return SerializeSketch(*shell); },
+      [shell, make] { *shell = make(); }};
+}
+
+std::vector<Target> AllTargets() {
+  auto fed = [](auto& s) { Feed(s); };
+  std::vector<Target> targets;
+  targets.push_back(MakeTarget<CountSketch>(
+      "count_sketch",
+      [] {
+        Rng rng(kSeed);
+        return CountSketch(CountSketchOptions{2, 16}, rng);
+      },
+      fed));
+  targets.push_back(MakeTarget<CountMinSketch>(
+      "count_min",
+      [] {
+        Rng rng(kSeed);
+        return CountMinSketch(CountMinOptions{2, 16}, rng);
+      },
+      fed));
+  targets.push_back(MakeTarget<AmsSketch>(
+      "ams", [] { Rng rng(kSeed); return AmsSketch(AmsOptions{4, 2}, rng); },
+      fed));
+  targets.push_back(MakeTarget<GnpHeavyHitter>(
+      "gnp",
+      [] {
+        Rng rng(kSeed);
+        GnpSketchOptions options;
+        options.substreams = 4;
+        options.trials = 2;
+        options.id_bits = 10;
+        return GnpHeavyHitter(options, rng);
+      },
+      fed));
+  targets.push_back(MakeTarget<ExactFrequencySketch>(
+      "exact_frequency", [] { return ExactFrequencySketch(); },
+      [](auto& s) { Feed(s, 7, 60); }));
+  targets.push_back(MakeTarget<CountSketchTopK>(
+      "count_sketch_topk",
+      [] {
+        Rng rng(kSeed);
+        return CountSketchTopK(CountSketchOptions{2, 16}, 4, rng);
+      },
+      fed));
+  targets.push_back(MakeTarget<ExactHeavyHitterSketch>(
+      "exact_heavy_hitter", [] { return ExactHeavyHitterSketch(); },
+      [](auto& s) { Feed(s, 7, 60); }));
+  targets.push_back(MakeTarget<OnePassHeavyHitter>(
+      "one_pass_hh", [] { return MakeOnePass(); }, fed));
+  targets.push_back(MakeTarget<TwoPassHeavyHitter>(
+      "two_pass_hh",
+      [] {
+        Rng rng(kSeed);
+        TwoPassHHOptions options;
+        options.count_sketch = {2, 16};
+        options.candidates = 4;
+        return TwoPassHeavyHitter(options, rng);
+      },
+      [](auto& s) {
+        Feed(s);
+        s.AdvancePass();
+        Feed(s, 8, 200);
+      }));
+  targets.push_back(MakeTarget<RecursiveGSum>(
+      "recursive_gsum",
+      [] {
+        Rng rng(kSeed);
+        return RecursiveGSum(
+            2,
+            [](int, Rng& r) {
+              return std::make_unique<OnePassHeavyHitter>(
+                  MakeOnePass(r.NextUint64()));
+            },
+            rng);
+      },
+      fed));
+  return targets;
+}
+
+// The oracle for one load attempt.
+void CheckOutcome(const Target& target, std::string_view mutant,
+                  const std::string& before, const LoadStatus& status,
+                  size_t index) {
+  if (status.ok()) {
+    ASSERT_EQ(target.save(), mutant)
+        << target.name << " mutant " << index
+        << " loaded but does not re-serialize to its own bytes";
+    target.reset();
+    return;
+  }
+  ASSERT_NE(std::string(LoadErrorName(status.error)), "unknown")
+      << target.name << " mutant " << index;
+  ASSERT_FALSE(status.message.empty()) << target.name << " mutant " << index;
+  ASSERT_EQ(target.save(), before)
+      << target.name << " mutant " << index << " ("
+      << LoadErrorName(status.error) << ": " << status.message
+      << ") mutated the destination";
+}
+
+constexpr size_t kMutantsPerKind = 1000;
+
+TEST(SketchIoFuzzTest, EveryKindsMutantsLoadOrFailCleanly) {
+  uint64_t rng = 0x5eed0f22ULL;
+  for (const Target& target : AllTargets()) {
+    SCOPED_TRACE(target.name);
+    const WireMap map = Walker(target.blob).WalkSketch();
+    ASSERT_FALSE(map.fields.empty());
+    // The pristine blob loads (the walker and the re-seal agree with the
+    // format).
+    std::string resealed = target.blob;
+    Reseal(map, &resealed);
+    ASSERT_EQ(resealed, target.blob);
+    ASSERT_TRUE(target.load(target.blob).ok());
+    target.reset();
+    size_t rejected = 0;
+    for (size_t i = 0; i < kMutantsPerKind; ++i) {
+      const std::string mutant = Mutant(target.blob, map, rng);
+      const std::string before = target.save();
+      const LoadStatus status = target.load(mutant);
+      rejected += !status.ok();
+      ASSERT_NO_FATAL_FAILURE(CheckOutcome(target, mutant, before, status, i));
+    }
+    // The mutants do reach the parser: most fail behind a valid checksum.
+    EXPECT_GT(rejected, kMutantsPerKind / 2);
+  }
+}
+
+TEST(CheckpointFuzzTest, TwoShardMutantsDecodeAndRestoreOrFailCleanly) {
+  CheckpointImage pristine;
+  pristine.cursor = 2048;
+  pristine.producer.round_robin_next = 1;
+  pristine.producer.stats.updates_submitted = 2048;
+  pristine.producer.stats.chunks_committed = 3;
+  pristine.producer.stats.shard_updates = {1030, 1018};
+  pristine.producer.staged = {{{5, 1}, {6, -2}}, {{7, 3}}};
+  for (const uint64_t stream_seed : {31, 32}) {
+    OnePassHeavyHitter s = MakeOnePass();
+    Feed(s, stream_seed);
+    pristine.shard_blobs.push_back(SerializeSketch(s));
+  }
+  const std::string bytes = EncodeCheckpoint(pristine);
+  const WireMap map = Walker(bytes).WalkCheckpoint();
+
+  auto shell = std::make_shared<OnePassHeavyHitter>(MakeOnePass());
+  const Target shard{
+      "shard", "",
+      [shell](std::string_view b) { return DeserializeSketch(b, shell.get()); },
+      [shell] { return SerializeSketch(*shell); },
+      [shell] { *shell = MakeOnePass(); }};
+
+  uint64_t rng = 0xc4ec9017ULL;
+  size_t decoded = 0;
+  for (size_t i = 0; i < 5000; ++i) {
+    const std::string mutant = Mutant(bytes, map, rng);
+    CheckpointImage image = pristine;
+    const LoadStatus status = DecodeCheckpoint(mutant, &image);
+    if (!status.ok()) {
+      ASSERT_NE(std::string(LoadErrorName(status.error)), "unknown");
+      ASSERT_FALSE(status.message.empty());
+      ASSERT_EQ(EncodeCheckpoint(image), bytes)
+          << "mutant " << i << " (" << status.message
+          << ") mutated the image";
+      continue;
+    }
+    ++decoded;
+    ASSERT_EQ(EncodeCheckpoint(image), mutant) << "mutant " << i;
+    // Decode only frames the shard blobs; the restore path validates them.
+    for (const std::string& blob : image.shard_blobs) {
+      const std::string before = shard.save();
+      ASSERT_NO_FATAL_FAILURE(
+          CheckOutcome(shard, blob, before, shard.load(blob), i));
+    }
+  }
+  // Shard-internal mutations pass the outer decode and reach the shard
+  // loader.
+  EXPECT_GT(decoded, 0u);
+}
+
+}  // namespace
+}  // namespace gstream

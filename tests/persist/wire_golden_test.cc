@@ -1,0 +1,333 @@
+// Golden wire vectors for the persisted formats.  Every SketchKind and one
+// two-shard GCKP image is built from a fixed seed and stream at a small
+// geometry and pinned by (size, digest).  The digest is an FNV-1a written
+// here, independent of persist::Checksum64, so a change to the writer, the
+// reader primitives or the trailer checksum that moves a single byte shows
+// up as a digest change.  On a mismatch the failure prints the
+// replacement table row.  Committed version-1 vectors pin the retired-
+// version rule and show that version 2 kept the payload layout.
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "core/gnp_sketch.h"
+#include "core/heavy_hitters.h"
+#include "core/one_pass_hh.h"
+#include "core/recursive_sketch.h"
+#include "core/two_pass_hh.h"
+#include "persist/checkpoint.h"
+#include "persist/sketch_io.h"
+#include "sketch/ams.h"
+#include "sketch/count_min.h"
+#include "sketch/count_sketch.h"
+#include "stream/exact.h"
+
+namespace gstream {
+namespace {
+
+constexpr uint64_t kSeed = 0x901dULL;
+
+// FNV-1a 64, the digest of the golden table (not the wire checksum).
+uint64_t TestDigest(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+std::string FromHex(std::string_view hex) {
+  auto nibble = [](char c) {
+    return c <= '9' ? c - '0' : c - 'a' + 10;
+  };
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
+  }
+  return out;
+}
+
+template <typename SketchT>
+void Feed(SketchT& sketch, uint64_t seed = 11, size_t n = 300) {
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    sketch.Update(rng.NextUint64() % 512, static_cast<int64_t>(i % 5) - 2);
+  }
+}
+
+OnePassHHOptions OnePassOptions() {
+  OnePassHHOptions options;
+  options.count_sketch = {2, 8};
+  options.ams = {4, 2};
+  options.candidates = 4;
+  return options;
+}
+
+// One seeded blob per SketchKind, in tag order.
+std::vector<std::pair<std::string, std::string>> GoldenBlobs() {
+  std::vector<std::pair<std::string, std::string>> blobs;
+  {
+    Rng rng(kSeed);
+    CountSketch s(CountSketchOptions{2, 8}, rng);
+    Feed(s);
+    blobs.emplace_back("count_sketch", SerializeSketch(s));
+  }
+  {
+    Rng rng(kSeed);
+    CountMinSketch s(CountMinOptions{2, 8}, rng);
+    Feed(s);
+    blobs.emplace_back("count_min", SerializeSketch(s));
+  }
+  {
+    Rng rng(kSeed);
+    AmsSketch s(AmsOptions{4, 2}, rng);
+    Feed(s);
+    blobs.emplace_back("ams", SerializeSketch(s));
+  }
+  {
+    Rng rng(kSeed);
+    GnpSketchOptions options;
+    options.substreams = 4;
+    options.trials = 2;
+    options.id_bits = 9;
+    GnpHeavyHitter s(options, rng);
+    Feed(s);
+    blobs.emplace_back("gnp", SerializeSketch(s));
+  }
+  {
+    ExactFrequencySketch s;
+    Feed(s, 11, 40);
+    blobs.emplace_back("exact_frequency", SerializeSketch(s));
+  }
+  {
+    Rng rng(kSeed);
+    CountSketchTopK s(CountSketchOptions{2, 8}, 4, rng);
+    Feed(s);
+    blobs.emplace_back("count_sketch_topk", SerializeSketch(s));
+  }
+  {
+    ExactHeavyHitterSketch s;
+    Feed(s, 11, 40);
+    blobs.emplace_back("exact_heavy_hitter", SerializeSketch(s));
+  }
+  {
+    Rng rng(kSeed);
+    OnePassHeavyHitter s(OnePassOptions(), rng);
+    Feed(s);
+    blobs.emplace_back("one_pass_hh", SerializeSketch(s));
+  }
+  {
+    Rng rng(kSeed);
+    TwoPassHHOptions options;
+    options.count_sketch = {2, 8};
+    options.candidates = 4;
+    TwoPassHeavyHitter s(options, rng);
+    Feed(s);
+    s.AdvancePass();
+    Feed(s, 12, 100);
+    blobs.emplace_back("two_pass_hh", SerializeSketch(s));
+  }
+  {
+    Rng rng(kSeed);
+    const OnePassHHOptions hh = OnePassOptions();
+    RecursiveGSum s(
+        2,
+        [hh](int, Rng& r) {
+          return std::make_unique<OnePassHeavyHitter>(hh, r);
+        },
+        rng);
+    Feed(s);
+    blobs.emplace_back("recursive_gsum", SerializeSketch(s));
+  }
+  return blobs;
+}
+
+// A two-shard image: seeded CountSketch replicas, one staged partial chunk.
+CheckpointImage GoldenImage() {
+  CheckpointImage image;
+  image.cursor = 4096;
+  image.producer.round_robin_next = 1;
+  image.producer.stats.updates_submitted = 4096;
+  image.producer.stats.chunks_committed = 7;
+  image.producer.stats.producer_stalls = 2;
+  image.producer.stats.shard_updates = {2050, 2043};
+  image.producer.staged = {{{17, -1}, {300, 4}, {17, 2}}, {}};
+  for (const uint64_t stream_seed : {21, 22}) {
+    Rng rng(kSeed);
+    CountSketch s(CountSketchOptions{2, 8}, rng);
+    Feed(s, stream_seed);
+    image.shard_blobs.push_back(SerializeSketch(s));
+  }
+  return image;
+}
+
+struct Golden {
+  const char* name;
+  size_t size;
+  uint64_t digest;
+};
+
+void ExpectGolden(const Golden& want, std::string_view blob) {
+  char row[128];
+  std::snprintf(row, sizeof(row), "{\"%s\", %zu, 0x%016llxULL},", want.name,
+                blob.size(),
+                static_cast<unsigned long long>(TestDigest(blob)));
+  EXPECT_EQ(blob.size(), want.size) << "re-pin as: " << row;
+  EXPECT_EQ(TestDigest(blob), want.digest) << "re-pin as: " << row;
+}
+
+// Version 2 (XXH64 trailer).  The version 1 table differed in every
+// digest and in no size.
+constexpr Golden kSketchGoldens[] = {
+    {"count_sketch", 176, 0xce05fe79c078f50dULL},
+    {"count_min", 176, 0xdb1de15eb6a9cff8ULL},
+    {"ams", 112, 0xb59e10ac4d36571cULL},
+    {"gnp", 696, 0x308e423dea32b0a2ULL},
+    {"exact_frequency", 648, 0x1b9f3ce50c17bdceULL},
+    {"count_sketch_topk", 328, 0xc4afc9a01cf0fe63ULL},
+    {"exact_heavy_hitter", 688, 0xb1d64170865baf8fULL},
+    {"one_pass_hh", 488, 0xa35323122b650cf2ULL},
+    {"two_pass_hh", 444, 0xeb24afb0009f58e7ULL},
+    {"recursive_gsum", 1548, 0x84f6eaf11279dc2aULL},
+};
+
+constexpr Golden kCheckpointGolden = {"gckp_two_shards", 512,
+                                      0xb979eba373c24e14ULL};
+
+TEST(SketchIoGoldenTest, EveryKindMatchesItsPinnedBytes) {
+  const auto blobs = GoldenBlobs();
+  ASSERT_EQ(blobs.size(), std::size(kSketchGoldens));
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    SCOPED_TRACE(blobs[i].first);
+    ASSERT_EQ(blobs[i].first, kSketchGoldens[i].name);
+    ASSERT_EQ(PeekSketchKind(blobs[i].second),
+              static_cast<SketchKind>(i + 1));
+    ExpectGolden(kSketchGoldens[i], blobs[i].second);
+  }
+}
+
+TEST(CheckpointGoldenTest, TwoShardImageMatchesItsPinnedBytes) {
+  ExpectGolden(kCheckpointGolden, EncodeCheckpoint(GoldenImage()));
+}
+
+// ---------------------------------------------------------------------------
+// Committed v1 vectors: a 1x4 CountSketch blob and a two-shard GCKP whose
+// shards both hold that blob.
+// ---------------------------------------------------------------------------
+
+constexpr std::string_view kV1CountSketchHex =
+    "47534b4201000000010000000000000047dad39d7f422c4d0100000000000000"
+    "0400000000000000fffffffffffffffffaffffffffffffff0300000000000000"
+    "0200000000000000c481f3b3c67a7757";
+
+constexpr std::string_view kV1CheckpointHex =
+    "47434b5001000000020000000000000000040000000000000000000000000000"
+    "0004000000000000020000000000000000000000000000000002000000000000"
+    "0002000000000000010000000000000009000000000000000300000000000000"
+    "0000000000000000500000000000000047534b42010000000100000000000000"
+    "47dad39d7f422c4d01000000000000000400000000000000ffffffffffffffff"
+    "faffffffffffffff03000000000000000200000000000000c481f3b3c67a7757"
+    "500000000000000047534b4201000000010000000000000047dad39d7f422c4d"
+    "01000000000000000400000000000000fffffffffffffffffaffffffffffffff"
+    "03000000000000000200000000000000c481f3b3c67a775706147b71da7fce93";
+
+CountSketch FedTinyCountSketch() {
+  Rng rng(kSeed);
+  CountSketch s(CountSketchOptions{1, 4}, rng);
+  Feed(s, 5, 40);
+  return s;
+}
+
+// The image behind kV1CheckpointHex, with `shard_blob` in both shards.
+CheckpointImage TinyImage(const std::string& shard_blob) {
+  CheckpointImage image;
+  image.cursor = 1024;
+  image.producer.stats.updates_submitted = 1024;
+  image.producer.stats.chunks_committed = 2;
+  image.producer.stats.shard_updates = {512, 512};
+  image.producer.staged = {{{9, 3}}, {}};
+  image.shard_blobs = {shard_blob, shard_blob};
+  return image;
+}
+
+// Format version 1 is retired: its FNV-1a trailer cannot verify as XXH64,
+// and the loaders name the version instead of reporting corruption.
+TEST(SketchIoGoldenTest, RetiredV1BlobIsVersionSkew) {
+  CountSketch dst = FedTinyCountSketch();
+  dst.Update(77, 5);
+  const std::string before = SerializeSketch(dst);
+  const LoadStatus status =
+      DeserializeSketch(FromHex(kV1CountSketchHex), &dst);
+  EXPECT_EQ(status.error, LoadError::kVersionSkew) << status.message;
+  EXPECT_EQ(status.message, "format version 1, this build reads " +
+                                std::to_string(kSketchFormatVersion));
+  EXPECT_EQ(SerializeSketch(dst), before);
+}
+
+TEST(CheckpointGoldenTest, RetiredV1CheckpointIsVersionSkew) {
+  CheckpointImage image = GoldenImage();
+  const std::string before = EncodeCheckpoint(image);
+  const LoadStatus status =
+      DecodeCheckpoint(FromHex(kV1CheckpointHex), &image);
+  EXPECT_EQ(status.error, LoadError::kVersionSkew) << status.message;
+  EXPECT_EQ(status.message, "checkpoint version 1, this build reads " +
+                                std::to_string(kCheckpointFormatVersion));
+  EXPECT_EQ(EncodeCheckpoint(image), before);
+}
+
+// Replaces a blob's version word and strips its checksum trailer.
+std::string BodyAsVersion(std::string blob, uint32_t version) {
+  for (int i = 0; i < 4; ++i) {
+    blob[4 + i] = static_cast<char>(version >> (8 * i));
+  }
+  blob.resize(blob.size() - 8);
+  return blob;
+}
+
+// Version 2 changed only the version word and the trailer: the bodies of
+// the committed v1 vectors are this build's bytes.
+TEST(SketchIoGoldenTest, V2KeepsTheV1PayloadLayout) {
+  const std::string v2 = SerializeSketch(FedTinyCountSketch());
+  EXPECT_EQ(ToHex(BodyAsVersion(v2, 1)),
+            ToHex(BodyAsVersion(FromHex(kV1CountSketchHex), 1)));
+}
+
+TEST(CheckpointGoldenTest, V2KeepsTheV1PayloadLayout) {
+  const std::string v2 =
+      EncodeCheckpoint(TinyImage(FromHex(kV1CountSketchHex)));
+  EXPECT_EQ(ToHex(BodyAsVersion(v2, 1)),
+            ToHex(BodyAsVersion(FromHex(kV1CheckpointHex), 1)));
+}
+
+// XXH64 reference values (seed 0), computed independently of this
+// implementation.
+TEST(SketchIoChecksumTest, Xxh64KnownAnswers) {
+  EXPECT_EQ(persist::Checksum64(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(persist::Checksum64("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(persist::Checksum64("abc"), 0x44bc2cf5ad770999ULL);
+  std::string ramp;
+  for (int i = 0; i < 1000; ++i) {
+    ramp.push_back(static_cast<char>((i * 31 + 7) & 0xff));
+  }
+  EXPECT_EQ(persist::Checksum64(ramp), 0x99594f4828043d35ULL);
+}
+
+}  // namespace
+}  // namespace gstream

@@ -762,11 +762,13 @@ int Run(int argc, char** argv) {
     report.Add(MeasureBatched(
         engine_batch_ns, "one_pass_hh/sharded" + std::to_string(shards),
         gsum_stream.length(), repeats, [&, shards] {
-          OnePassHHOptions sharded = hh_options;
-          sharded.parallel_ingest = true;
-          sharded.ingest_shards = shards;
-          const OnePassHeavyHitter hh =
-              ProcessOnePassHH(sharded, 5, gsum_stream);
+          IngestEngineOptions engine_options;
+          engine_options.shards = shards;
+          const OnePassHeavyHitter hh = ProcessStreamSharded(
+              gsum_stream, engine_options, [&](size_t) {
+                Rng rng(5);  // same seed per shard => shared hashes
+                return OnePassHeavyHitter(hh_options, rng);
+              });
           return hh.SpaceBytes();
         }));
   }

@@ -5,12 +5,12 @@
 //
 // The scenario: a traffic-analytics pipeline wants the users whose
 // g-weighted activity dominates the day (g = x^2 makes this "who drives
-// the variance"), but one thread cannot keep up with the feed.  With
-// OnePassHHOptions/TwoPassHHOptions::parallel_ingest the stream fans
-// across same-seed replicas; at close the trackers merge by candidate
-// union (re-estimated against the merged counters, re-pruned to k per
-// pairwise merge -- see docs/engine.md), so every genuinely heavy user
-// survives into the decode just as in a sequential pass.
+// the variance"), but one thread cannot keep up with the feed.
+// ProcessStreamSharded fans every pass across same-seed replicas of the
+// heavy hitter; at close the trackers merge by candidate union
+// (re-estimated against the merged counters, re-pruned to k per pairwise
+// merge -- see docs/engine.md), so every genuinely heavy user survives
+// into the decode just as in a sequential pass.
 
 #include <cinttypes>
 #include <cstdio>
@@ -18,6 +18,7 @@
 
 #include "core/one_pass_hh.h"
 #include "core/two_pass_hh.h"
+#include "engine/sharded_ingestor.h"
 #include "gfunc/catalog.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
@@ -51,15 +52,18 @@ int main() {
   // Two-pass, both passes sharded across 4 workers: pass 1 merges the
   // trackers by candidate union, pass 2 tabulates the frozen candidates
   // exactly on each shard and sums the counts.
+  IngestEngineOptions engine_options;
+  engine_options.shards = 4;
   TwoPassHHOptions two_pass;
   two_pass.count_sketch = {5, 2048};
   two_pass.candidates = 32;
-  two_pass.parallel_ingest = true;
-  two_pass.ingest_shards = 4;
-  const TwoPassHeavyHitter hh2 = ProcessTwoPassHH(two_pass, 0xc0de,
-                                                  w.stream);
+  const TwoPassHeavyHitter hh2 =
+      ProcessStreamSharded(w.stream, engine_options, [&](size_t) {
+        Rng shard_rng(0xc0de);  // same seed per shard => shared hashes
+        return TwoPassHeavyHitter(two_pass, shard_rng);
+      });
   std::printf("\ntwo-pass cover (exact weights), sharded x%zu:\n",
-              two_pass.ingest_shards);
+              engine_options.shards);
   for (const GCoverEntry& e : hh2.Cover(*g)) {
     if (g->ValueAbs(e.frequency) < 1e6) continue;  // print the heavy tail
     std::printf("  user %8" PRIu64 "  v = %8" PRIu64 "  g(v) = %.3e\n",
@@ -72,13 +76,14 @@ int main() {
   one_pass.count_sketch = {5, 4096};
   one_pass.ams = {32, 5};
   one_pass.candidates = 32;
-  one_pass.parallel_ingest = true;
-  one_pass.ingest_shards = 4;
-  const OnePassHeavyHitter hh1 = ProcessOnePassHH(one_pass, 0xc0de,
-                                                  w.stream);
+  const OnePassHeavyHitter hh1 =
+      ProcessStreamSharded(w.stream, engine_options, [&](size_t) {
+        Rng shard_rng(0xc0de);
+        return OnePassHeavyHitter(one_pass, shard_rng);
+      });
   std::printf("\none-pass cover (estimates, pruning radius %" PRId64
               "), sharded x%zu:\n",
-              hh1.PruningRadius(), one_pass.ingest_shards);
+              hh1.PruningRadius(), engine_options.shards);
   size_t shown = 0;
   for (const GCoverEntry& e : hh1.Cover(*g)) {
     if (++shown > 8) break;

@@ -5,34 +5,11 @@
 
 #include "core/one_pass_hh.h"
 #include "core/two_pass_hh.h"
-#include "engine/sharded_ingestor.h"
 #include "gfunc/envelope.h"
 #include "util/bit.h"
 #include "util/logging.h"
 
 namespace gstream {
-namespace {
-
-// The unit a shard replica owns under whole-stack sharding: every
-// repetition's recursive stack.  A chunk routed to a shard flows through
-// all of that shard's stacks, so merging RepetitionStacks rep-by-rep
-// reproduces each repetition's sequential state.
-struct RepetitionStack {
-  std::vector<RecursiveGSum> reps;
-
-  void UpdateBatch(const Update* updates, size_t n) {
-    for (RecursiveGSum& rep : reps) rep.UpdateBatch(updates, n);
-  }
-
-  void MergeFrom(const RepetitionStack& other) {
-    GSTREAM_CHECK_EQ(reps.size(), other.reps.size());
-    for (size_t r = 0; r < reps.size(); ++r) {
-      reps[r].MergeFrom(other.reps[r]);
-    }
-  }
-};
-
-}  // namespace
 
 GSumEstimator::GSumEstimator(GFunctionPtr g, uint64_t domain,
                              const GSumOptions& options)
@@ -86,12 +63,10 @@ GSumEstimator::GSumEstimator(GFunctionPtr g, uint64_t domain,
 }
 
 void GSumEstimator::Update(ItemId item, int64_t delta) {
-  ++updates_fed_;
   for (RecursiveGSum& rep : reps_) rep.Update(item, delta);
 }
 
 void GSumEstimator::UpdateBatch(const gstream::Update* updates, size_t n) {
-  updates_fed_ += n;
   for (RecursiveGSum& rep : reps_) rep.UpdateBatch(updates, n);
 }
 
@@ -110,50 +85,33 @@ double GSumEstimator::EstimateForG(const GFunction& other) const {
 }
 
 double GSumEstimator::Process(const Stream& stream) {
-  // Whole-stack sharding replicates the stacks' *current* state into every
-  // shard and sums the replicas at the fold, so state fed before Process()
-  // would be counted once per shard -- enforce the fresh-estimator
-  // precondition where violating it silently corrupts the estimate.  (The
-  // engine-fed passes below bypass UpdateBatch, so this stays 0 across a
-  // sharded run's own passes.)
-  if (options_.parallel_ingest) GSTREAM_CHECK_EQ(updates_fed_, 0u);
-  auto one_pass = [&] {
-    if (!options_.parallel_ingest) {
-      stream.ForEachBatch(kStreamBatchSize,
-                          [&](const gstream::Update* ups, size_t n) {
-                            UpdateBatch(ups, n);
-                          });
-      return;
-    }
-    // Whole-stack sharding: each shard replicates the current state of
-    // every repetition's stack -- fresh (all-zero) in pass 1, frozen
-    // candidate tables with zeroed tabulation in pass 2 -- runs the entire
-    // recursion on its stream partition, and the stacks fold at Close()
-    // via the per-level fingerprint-guarded merges.  Broadcast would feed
-    // every replica the whole stream and the fold would multiply counts.
-    GSTREAM_CHECK(options_.ingest_policy != PartitionPolicy::kBroadcast);
-    IngestEngineOptions engine_options;
-    engine_options.shards = std::max<size_t>(options_.ingest_shards, 1);
-    engine_options.policy = options_.ingest_policy;
-    ShardedIngestor<RepetitionStack> ingest(
-        engine_options, [this](size_t /*shard*/) {
-          RepetitionStack replica;
-          replica.reps.reserve(reps_.size());
-          for (const RecursiveGSum& rep : reps_) {
-            replica.reps.push_back(rep.Replicate());
-          }
-          return replica;
-        });
-    ingest.Open();
-    ingest.SubmitStream(stream);
-    reps_ = std::move(ingest.Close().reps);
-  };
-  one_pass();
-  for (int p = 1; p < options_.passes; ++p) {
-    AdvancePass();
-    one_pass();
+  for (int p = 0; p < options_.passes; ++p) {
+    if (p > 0) AdvancePass();
+    stream.ForEachBatch(kStreamBatchSize,
+                        [&](const gstream::Update* ups, size_t n) {
+                          UpdateBatch(ups, n);
+                        });
   }
   return Estimate();
+}
+
+GSumEstimator GSumEstimator::Replicate() const {
+  GSumEstimator replica;
+  replica.g_ = g_;
+  replica.options_ = options_;
+  replica.h_envelope_ = h_envelope_;
+  replica.reps_.reserve(reps_.size());
+  for (const RecursiveGSum& rep : reps_) {
+    replica.reps_.push_back(rep.Replicate());
+  }
+  return replica;
+}
+
+void GSumEstimator::MergeFrom(const GSumEstimator& other) {
+  GSTREAM_CHECK_EQ(reps_.size(), other.reps_.size());
+  for (size_t r = 0; r < reps_.size(); ++r) {
+    reps_[r].MergeFrom(other.reps_[r]);
+  }
 }
 
 size_t GSumEstimator::SpaceBytes() const {

@@ -13,6 +13,16 @@
 //   GSumEstimator est(MakeX2Log(), /*domain=*/1 << 16, opts);
 //   double approx = est.Process(stream);
 //
+// The estimator is itself a shardable unit (Replicate / MergeFrom), so the
+// ingestion engine runs it -- every pass, every repetition's whole stack --
+// across N shards exactly as it runs a CountSketch:
+//
+//   GSumEstimator merged = ProcessStreamSharded(
+//       stream, IngestEngineOptions{}, [&](size_t /*shard*/) {
+//         return GSumEstimator(MakeX2Log(), 1 << 16, opts);
+//       });
+//   double approx = merged.Estimate();
+//
 // The sketch state is linear and independent of g up to the candidate
 // decode, so one processed sketch can be decoded under many functions via
 // EstimateForG -- the observation behind the maximum-likelihood
@@ -25,7 +35,6 @@
 #include <vector>
 
 #include "core/recursive_sketch.h"
-#include "engine/ingest_engine.h"
 #include "gfunc/catalog.h"
 #include "sketch/ams.h"
 #include "sketch/count_sketch.h"
@@ -56,25 +65,6 @@ struct GSumOptions {
   // Probe magnitudes per sign in the pruning test.
   size_t probe_points = 24;
   uint64_t seed = 0x9b1e;
-  // When true, Process() shards each pass through the ingestion engine:
-  // every shard runs a Replicate() of the *entire* stack of repetitions --
-  // all recursive levels included -- on its partition of the stream
-  // (`ingest_policy`: hash-by-item or round-robin chunks), and the stacks
-  // fold at Close() through the per-level fingerprint-guarded merges.
-  // Parallelism therefore scales with `ingest_shards` and the host's
-  // cores, independent of the repetition count (unlike the old broadcast
-  // mode, which capped workers at `repetitions`).  The merged per-level
-  // *linear* state is bit-identical to the sequential batched pass for any
-  // policy and shard count; the estimate is additionally bit-identical
-  // whenever no level prunes candidates (see docs/engine.md on the
-  // candidate-union merge for the pruning-regime caveat).  Incremental
-  // Update/UpdateBatch callers not going through Process() are
-  // unaffected; Process()'s fresh-estimator precondition is *checked* on
-  // this path, because replicating stacks that already hold state would
-  // multiply that state by the shard count at the fold.
-  bool parallel_ingest = false;
-  size_t ingest_shards = 4;
-  PartitionPolicy ingest_policy = PartitionPolicy::kRoundRobinChunks;
 };
 
 class GSumEstimator {
@@ -103,22 +93,30 @@ class GSumEstimator {
   // state is g-independent.
   double EstimateForG(const GFunction& other) const;
 
-  // Convenience: runs the configured number of passes over `stream` and
-  // returns Estimate().  Must be called on a freshly constructed estimator
-  // (enforced when parallel_ingest shards the stacks: pre-fed state would
-  // be replicated into every shard and multiplied at the fold).
+  // Convenience: runs the configured number of passes over `stream`
+  // sequentially on a freshly constructed estimator and returns
+  // Estimate().
   double Process(const Stream& stream);
+
+  // Deep copy of every repetition's stack (RecursiveGSum::Replicate) --
+  // fresh, or frozen between passes -- for the sharded ingestion engine.
+  GSumEstimator Replicate() const;
+
+  // Folds a same-seed replica that processed a disjoint shard of the
+  // current pass's stream, repetition by repetition.  The repetition
+  // counts must agree, and each stack's fingerprint-guarded merge refuses
+  // a replica built from a different seed.
+  void MergeFrom(const GSumEstimator& other);
 
   size_t SpaceBytes() const;
 
  private:
+  GSumEstimator() = default;  // Replicate() fills every field
+
   GFunctionPtr g_;
   GSumOptions options_;
   double h_envelope_ = 1.0;
   std::vector<RecursiveGSum> reps_;
-  // Updates fed through the incremental interface; guards Process()'s
-  // fresh-estimator precondition on the sharded path.
-  uint64_t updates_fed_ = 0;
 };
 
 }  // namespace gstream

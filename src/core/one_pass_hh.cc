@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "engine/sharded_ingestor.h"
 #include "util/logging.h"
 
 namespace gstream {
@@ -45,21 +44,10 @@ void OnePassHeavyHitter::MergeFrom(const GHeavyHitterSketch& other) {
 
 OnePassHeavyHitter ProcessOnePassHH(const OnePassHHOptions& options,
                                     uint64_t seed, const Stream& stream) {
-  if (!options.parallel_ingest) {
-    Rng rng(seed);
-    OnePassHeavyHitter hh(options, rng);
-    ProcessStream(hh, stream);
-    return hh;
-  }
-  IngestEngineOptions engine_options;
-  engine_options.shards = options.ingest_shards;
-  engine_options.policy = options.ingest_policy;
-  return ProcessStreamSharded(stream, engine_options,
-                              [&options, seed](size_t /*shard*/) {
-                                // Same seed per shard => shared hashes.
-                                Rng rng(seed);
-                                return OnePassHeavyHitter(options, rng);
-                              });
+  Rng rng(seed);
+  OnePassHeavyHitter hh(options, rng);
+  ProcessStream(hh, stream);
+  return hh;
 }
 
 int64_t OnePassHeavyHitter::PruningRadius() const {

@@ -22,7 +22,6 @@
 #define GSTREAM_CORE_ONE_PASS_HH_H_
 
 #include "core/heavy_hitters.h"
-#include "engine/ingest_engine.h"
 #include "sketch/ams.h"
 #include "sketch/count_sketch.h"
 
@@ -40,14 +39,6 @@ struct OnePassHHOptions {
   double h_envelope = 1.0;
   // Probe magnitudes per sign used to approximate "for all |y| <= E".
   size_t probe_points = 24;
-  // Mirrors GSumOptions::parallel_ingest: when true, ProcessOnePassHH
-  // shards the stream across `ingest_shards` same-seed replicas through
-  // the ingestion engine and merges at close (tracker candidate-union
-  // merge + AMS sum merge).  The merged linear state is bit-identical to
-  // the sequential batched pass for any policy and shard count.
-  bool parallel_ingest = false;
-  size_t ingest_shards = 4;
-  PartitionPolicy ingest_policy = PartitionPolicy::kRoundRobinChunks;
 };
 
 class OnePassHeavyHitter : public GHeavyHitterSketch {
@@ -99,12 +90,12 @@ class OnePassHeavyHitter : public GHeavyHitterSketch {
   AmsSketch ams_;
 };
 
-// Runs the full one-pass algorithm over `stream` on a fresh sketch whose
-// randomness derives from Rng(seed), and returns it ready to decode.
-// Sequential batched pass by default; with options.parallel_ingest the
-// stream is fanned across options.ingest_shards same-seed replicas via
-// ShardedIngestor and merged at close.  The returned linear state
-// (tracker counters, AMS sums) is bit-identical either way.
+// Runs the full one-pass algorithm over `stream` as one sequential batched
+// pass on a fresh sketch whose randomness derives from Rng(seed), and
+// returns it ready to decode.  The sharded counterpart is
+// ProcessStreamSharded (engine/sharded_ingestor.h) with a factory that
+// builds OnePassHeavyHitter(options, Rng(seed)) per shard; its merged
+// linear state (tracker counters, AMS sums) is bit-identical to this.
 OnePassHeavyHitter ProcessOnePassHH(const OnePassHHOptions& options,
                                     uint64_t seed, const Stream& stream);
 

@@ -1,9 +1,7 @@
 #include "core/two_pass_hh.h"
 
 #include <algorithm>
-#include <utility>
 
-#include "engine/sharded_ingestor.h"
 #include "util/logging.h"
 
 namespace gstream {
@@ -111,31 +109,12 @@ size_t TwoPassHeavyHitter::SpaceBytes() const {
 
 TwoPassHeavyHitter ProcessTwoPassHH(const TwoPassHHOptions& options,
                                     uint64_t seed, const Stream& stream) {
-  if (!options.parallel_ingest) {
-    Rng rng(seed);
-    TwoPassHeavyHitter hh(options, rng);
-    ProcessStream(hh, stream);
-    hh.AdvancePass();
-    ProcessStream(hh, stream);
-    return hh;
-  }
-  IngestEngineOptions engine_options;
-  engine_options.shards = options.ingest_shards;
-  engine_options.policy = options.ingest_policy;
-  // Pass 1: same-seed replicas, candidate-union merge at close.
-  TwoPassHeavyHitter merged = ProcessStreamSharded(
-      stream, engine_options, [&options, seed](size_t /*shard*/) {
-        Rng rng(seed);  // same seed per shard => shared hash functions
-        return TwoPassHeavyHitter(options, rng);
-      });
-  merged.AdvancePass();
-  // Pass 2: every shard tabulates its partition against a copy of the
-  // frozen candidate table (zeroed counts); the counts sum at close.
-  ShardedIngestor<TwoPassHeavyHitter> pass2(engine_options,
-                                            ReplicateFactory(merged));
-  pass2.Open();
-  pass2.SubmitStream(stream);
-  return std::move(pass2.Close());
+  Rng rng(seed);
+  TwoPassHeavyHitter hh(options, rng);
+  ProcessStream(hh, stream);
+  hh.AdvancePass();
+  ProcessStream(hh, stream);
+  return hh;
 }
 
 }  // namespace gstream

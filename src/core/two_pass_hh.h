@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/heavy_hitters.h"
-#include "engine/ingest_engine.h"
 #include "sketch/count_sketch.h"
 
 namespace gstream {
@@ -35,14 +34,6 @@ struct TwoPassHHOptions {
   // Number of candidate ids carried into the second pass
   // (2 H(M) / lambda in the paper's parameterization).
   size_t candidates = 64;
-  // Mirrors GSumOptions::parallel_ingest: when true, ProcessTwoPassHH runs
-  // *both* passes through the sharded ingestion engine -- pass 1 across
-  // same-seed replicas merged via the tracker's candidate-union merge,
-  // pass 2 across copies of the frozen candidate table whose exact counts
-  // sum at close.  Pass-2 tabulation is exact either way.
-  bool parallel_ingest = false;
-  size_t ingest_shards = 4;
-  PartitionPolicy ingest_policy = PartitionPolicy::kRoundRobinChunks;
 };
 
 class TwoPassHeavyHitter : public GHeavyHitterSketch {
@@ -92,10 +83,13 @@ class TwoPassHeavyHitter : public GHeavyHitterSketch {
   std::vector<int64_t> exact_counts_;
 };
 
-// Runs both passes over `stream` on a fresh sketch whose randomness derives
-// from Rng(seed), and returns it ready to decode.  Sequential batched
-// passes by default; with options.parallel_ingest each pass is sharded
-// through the ingestion engine as described on TwoPassHHOptions.
+// Runs both passes over `stream` as sequential batched passes on a fresh
+// sketch whose randomness derives from Rng(seed), and returns it ready to
+// decode.  The sharded counterpart is ProcessStreamSharded
+// (engine/sharded_ingestor.h) with a factory that builds
+// TwoPassHeavyHitter(options, Rng(seed)) per shard: pass 1 merges the
+// same-seed replicas by candidate union, pass 2 tabulates copies of the
+// frozen candidate table whose exact counts sum at close.
 TwoPassHeavyHitter ProcessTwoPassHH(const TwoPassHHOptions& options,
                                     uint64_t seed, const Stream& stream);
 

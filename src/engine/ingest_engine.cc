@@ -17,7 +17,6 @@ const char* OverloadPolicyName(OverloadPolicy policy) {
   switch (policy) {
     case OverloadPolicy::kBlock: return "block";
     case OverloadPolicy::kDeadline: return "deadline";
-    case OverloadPolicy::kShedOldest: return "shed-oldest";
     case OverloadPolicy::kShedIncoming: return "shed-incoming";
   }
   return "unknown";
@@ -68,8 +67,7 @@ void ProducerHandle::MaybePinSelf() {
 }
 
 UpdateChunk* ProducerHandle::ReserveSlot(size_t s) {
-  IngestEngine::Lane& lane = *engine_->shards_[s]->lanes[index_];
-  SpscRing<UpdateChunk>& ring = lane.ring;
+  SpscRing<UpdateChunk>& ring = engine_->shards_[s]->lanes[index_]->ring;
   // Injected ring-full storm: pretend the ring is full for param() ns,
   // driving the overload path even when the workers keep up.  Under
   // kBlock that is just a stall; under the bounded policies it exercises
@@ -84,11 +82,6 @@ UpdateChunk* ProducerHandle::ReserveSlot(size_t s) {
   if (overload == OverloadPolicy::kShedIncoming) {
     // Never waits: the caller sheds the incoming updates.
     return nullptr;
-  }
-  if (overload == OverloadPolicy::kShedOldest) {
-    // Ask the worker to make room by dropping the oldest queued chunk;
-    // the bounded wait below picks up the freed slot.
-    lane.drop_oldest.fetch_add(1, std::memory_order_release);
   }
   // Stall path (cold by construction -- the fast path above returned):
   // record how long the full ring blocked us, not merely that it did.
@@ -441,24 +434,6 @@ void IngestEngine::WorkerLoop(Shard* shard) {
     bool drained = false;
     for (size_t l = 0; l < n_lanes; ++l) {
       Lane& lane = *shard->lanes[l];
-      // kShedOldest requests first: drop the oldest queued chunk so the
-      // stalled producer's reserve succeeds without a sink call in the
-      // way.  An empty ring means the request is stale -- cancel it
-      // rather than let it eat a future chunk.
-      if (lane.drop_oldest.load(std::memory_order_acquire) > 0) {
-        UpdateChunk* victim = lane.ring.Front();
-        if (victim == nullptr) {
-          lane.drop_oldest.store(0, std::memory_order_release);
-        } else {
-          shard->shed_updates.fetch_add(victim->n,
-                                        std::memory_order_relaxed);
-          lane.ring.Pop();
-          shard->progress.fetch_add(1, std::memory_order_relaxed);
-          lane.drop_oldest.fetch_sub(1, std::memory_order_acq_rel);
-          drained = true;
-          continue;
-        }
-      }
       UpdateChunk* chunk = lane.ring.Front();
       if (chunk == nullptr) continue;
       drained = true;
@@ -580,7 +555,7 @@ void IngestEngine::AggregateStats() const {
     }
   }
   // Worker-side halves: applied counts, plus sheds the workers performed
-  // (oldest-chunk drops, poisoned-shard drains).
+  // (poisoned-shard drains).
   for (size_t i = 0; i < shards_.size(); ++i) {
     const uint64_t applied =
         shards_[i]->applied_updates.load(std::memory_order_relaxed);
@@ -770,15 +745,6 @@ EngineError IngestEngine::Close() {
   if (watchdog_.joinable()) watchdog_.join();
   SyncObsRegistry();
   return error();
-}
-
-void BroadcastStream(const Stream& stream, std::vector<BatchSink> sinks) {
-  IngestEngineOptions options;
-  options.shards = sinks.size();
-  options.policy = PartitionPolicy::kBroadcast;
-  IngestEngine engine(options, std::move(sinks));
-  engine.SubmitStream(stream);
-  engine.Close();
 }
 
 }  // namespace gstream

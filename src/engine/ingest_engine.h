@@ -52,9 +52,9 @@
 // policy* (OverloadPolicy below, docs/robustness.md).  kBlock (default)
 // spins + yields until the worker frees a slot -- the bit-exact path.
 // kDeadline bounds the wait by options.stall_budget_ns and makes Submit
-// return a typed SubmitResult instead of spinning forever.  kShedOldest /
-// kShedIncoming drop data instead of waiting, with per-shard shed counters
-// making `routed == applied + shed` an exact conservation invariant.
+// return a typed SubmitResult instead of spinning forever.  kShedIncoming
+// drops data instead of waiting, with per-shard shed counters making
+// `routed == applied + shed` an exact conservation invariant.
 // Stall counts and stall time are reported per producer and in the
 // aggregated stats() under every policy.
 //
@@ -110,12 +110,6 @@ enum class OverloadPolicy {
   // unconsumed (the caller owns the retry/drop decision).  Nothing is
   // shed by the engine itself.
   kDeadline,
-  // Prefer fresh data: ask the worker to drop the oldest queued chunk on
-  // the full lane, and wait up to stall_budget_ns for the slot; if the
-  // worker does not free one in time (e.g. it is wedged in a slow sink),
-  // shed the incoming updates instead.  Either way the loss lands in the
-  // shed counters.
-  kShedOldest,
   // Prefer queued data: drop the incoming updates immediately, never
   // wait.  The cheapest policy under sustained overload.
   kShedIncoming,
@@ -150,9 +144,9 @@ struct SubmitResult {
   // Updates the engine took ownership of: applied-or-shed, counted in
   // updates_submitted.  Always a prefix of the batch ([0, accepted)).
   uint64_t accepted = 0;
-  // Of `accepted`, updates this call shed synchronously (kShedIncoming,
-  // or kShedOldest falling back).  Chunks a worker drops *later* under
-  // kShedOldest are not visible here -- only in stats().updates_shed.
+  // Of `accepted`, updates this call shed (kShedIncoming).  Chunks a
+  // poisoned shard drops later are not visible here -- only in
+  // stats().updates_shed.
   uint64_t shed = 0;
   // kDeadline only: the stall budget ran out; updates[accepted..n) were
   // not consumed and remain the caller's.
@@ -183,7 +177,7 @@ struct IngestEngineOptions {
   // shards but not others would give the "independent repetitions"
   // different streams); the constructor CHECKs that.
   OverloadPolicy overload = OverloadPolicy::kBlock;
-  // Per-reserve wait bound for kDeadline / kShedOldest, in nanoseconds.
+  // Per-reserve wait bound for kDeadline, in nanoseconds.
   // Ignored under kBlock (unbounded) and kShedIncoming (never waits).
   uint64_t stall_budget_ns = 5'000'000;  // 5 ms
   // Watchdog deadline: a worker with queued chunks that advances no chunk
@@ -218,7 +212,7 @@ struct IngestStats {
   // it, and a resumed engine restarts it at zero.
   uint64_t producer_stall_ns = 0;
   // Updates dropped by the overload policy (producer-side incoming sheds
-  // plus worker-side oldest-chunk / poisoned-shard sheds).  Telemetry like
+  // plus worker-side poisoned-shard sheds).  Telemetry like
   // producer_stall_ns: never persisted, and identically zero under
   // kBlock on a healthy engine.
   uint64_t updates_shed = 0;
@@ -447,14 +441,6 @@ class IngestEngine {
     explicit Lane(size_t ring_chunks) : ring(ring_chunks) {}
     SpscRing<UpdateChunk> ring;
     alignas(64) std::atomic<bool> done{false};
-    // kShedOldest side-channel: the producer bumps this when it finds the
-    // ring full; the worker pops (without applying) one queued chunk per
-    // pending request, counting it shed, so the producer's reserve
-    // succeeds after at most one in-flight sink call.  Requests found
-    // with an empty ring are stale (the producer already got its slot)
-    // and are cancelled, so at most one extra chunk can be dropped per
-    // request -- a documented over-shed, never an under-count.
-    std::atomic<uint32_t> drop_oldest{0};
   };
 
   struct Shard {
@@ -565,14 +551,6 @@ class IngestEngine {
   EngineObs obs_;
   IngestStats obs_synced_;
 };
-
-// Runs every sink over the full stream concurrently (one worker per sink,
-// kBroadcast): each sink observes exactly the kStreamBatchSize chunk
-// sequence a sequential ProcessStream pass would feed it, so linear sinks
-// end bit-identical to their sequential selves.  This is the
-// "independent repetitions in parallel" pattern (GSumOptions /
-// OnePassHHOptions / TwoPassHHOptions parallel_ingest).
-void BroadcastStream(const Stream& stream, std::vector<BatchSink> sinks);
 
 }  // namespace gstream
 

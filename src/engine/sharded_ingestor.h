@@ -2,8 +2,8 @@
 // of IngestEngine, for any type with UpdateBatch and a fingerprint-guarded
 // MergeFrom.  SketchT need not be a LinearSketch, or copyable: move-only
 // mergeable units work too -- the whole recursive g-sum stack
-// (RecursiveGSum) shards through here via its Replicate()/MergeFrom pair,
-// exactly like a plain CountSketch.
+// (RecursiveGSum) and the top-level GSumEstimator shard through here via
+// their Replicate()/MergeFrom pairs, exactly like a plain CountSketch.
 //
 // The caller supplies a factory that builds one replica per shard; every
 // replica must be constructed from an equal-state Rng (same seed), so all
@@ -27,8 +27,9 @@
 //   ingest.Submit(updates, n);        // any number of times
 //   CountSketch& merged = ingest.Close();
 //
-// ProcessStreamSharded() wraps the whole lifecycle for a one-shot pass over
-// a Stream, the parallel counterpart of ProcessStream (linear_sketch.h).
+// ProcessStreamSharded() wraps the whole lifecycle -- every pass the unit
+// declares -- over a Stream, the parallel counterpart of ProcessStream
+// (linear_sketch.h).
 
 #ifndef GSTREAM_ENGINE_SHARDED_INGESTOR_H_
 #define GSTREAM_ENGINE_SHARDED_INGESTOR_H_
@@ -180,31 +181,56 @@ class ShardedIngestor {
 };
 
 // A factory that replicates an existing prototype into every shard -- the
-// pass-2 pattern for multi-pass algorithms, where each shard must start
+// later-pass pattern for multi-pass algorithms, where each shard must start
 // from the same frozen decode state (e.g. a two-pass heavy hitter's
-// candidate list after AdvancePass).  The prototype is captured by
-// reference and must outlive Open().  Requires a copyable SketchT;
-// move-only units expose an explicit deep copy instead (e.g.
-// RecursiveGSum::Replicate) that a hand-written factory lambda calls.
+// candidate list after AdvancePass).  Move-only units (RecursiveGSum,
+// GSumEstimator) are deep-copied through their Replicate(); everything
+// else is copied.  The prototype is captured by reference and must outlive
+// Open().
 template <typename SketchT>
 typename ShardedIngestor<SketchT>::Factory ReplicateFactory(
     const SketchT& prototype) {
-  return [&prototype](size_t /*shard*/) { return prototype; };
+  return [&prototype](size_t /*shard*/) -> SketchT {
+    if constexpr (requires { prototype.Replicate(); }) {
+      return prototype.Replicate();
+    } else {
+      return prototype;
+    }
+  };
 }
 
-// One-shot sharded pass over `stream`: the parallel counterpart of
-// ProcessStream.  Returns the merged sketch by value.
+// Sharded run of every pass `SketchT` declares over `stream`: the parallel
+// counterpart of ProcessStream, and the one way to shard an algorithm.
+// Pass 1 ingests into the factory's fresh same-seed replicas; a unit with
+// passes() > 1 is then advanced on the merged state, and each later pass
+// replicates that frozen state into every shard (ReplicateFactory) and
+// merges again.  Returns the merged unit by value.
+//
+// The factory must build fresh units: a pre-fed prototype would be
+// counted once per shard at the merge.  kBroadcast is refused for the same
+// reason -- it feeds every replica the whole stream, so the merge would
+// multiply every counter by the shard count (ShardedIngestor + Drain()
+// under kBroadcast, which never merges, stays legal).
 template <typename Factory,
           typename SketchT = std::decay_t<std::invoke_result_t<Factory, size_t>>>
 SketchT ProcessStreamSharded(const Stream& stream,
                              const IngestEngineOptions& options,
                              Factory&& make) {
-  ShardedIngestor<SketchT> ingest(options,
-                                  typename ShardedIngestor<SketchT>::Factory(
-                                      std::forward<Factory>(make)));
-  ingest.Open();
-  ingest.SubmitStream(stream);
-  return std::move(ingest.Close());
+  GSTREAM_CHECK(options.policy != PartitionPolicy::kBroadcast);
+  auto run_pass = [&](typename ShardedIngestor<SketchT>::Factory factory) {
+    ShardedIngestor<SketchT> ingest(options, std::move(factory));
+    ingest.Open();
+    ingest.SubmitStream(stream);
+    return SketchT(std::move(ingest.Close()));
+  };
+  SketchT merged = run_pass(std::forward<Factory>(make));
+  if constexpr (requires(const SketchT& unit) { unit.passes(); }) {
+    for (int pass = 1; pass < merged.passes(); ++pass) {
+      merged.AdvancePass();
+      merged = run_pass(ReplicateFactory(merged));
+    }
+  }
+  return merged;
 }
 
 }  // namespace gstream

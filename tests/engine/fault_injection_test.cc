@@ -353,33 +353,6 @@ TEST_F(FaultInjectionTest, ShedIncomingAccountsEveryDrop) {
   ExpectConservation(stats);
 }
 
-TEST_F(FaultInjectionTest, ShedOldestAccountsEveryDrop) {
-  std::vector<BatchSink> sinks;
-  sinks.push_back([](const Update*, size_t) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  });
-  IngestEngineOptions options;
-  options.shards = 1;
-  options.ring_chunks = 2;
-  options.chunk_updates = 32;
-  options.overload = OverloadPolicy::kShedOldest;
-  options.stall_budget_ns = 500'000;  // 0.5 ms
-  IngestEngine engine(options, std::move(sinks));
-
-  const Stream stream = MakeTurnstileStream(406);
-  const SubmitResult result = engine.SubmitStream(stream);
-  EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.accepted, stream.length());
-  EXPECT_TRUE(engine.Close().ok());
-  const IngestStats& stats = engine.stats();
-  EXPECT_EQ(stats.updates_submitted, stream.length());
-  EXPECT_GT(stats.updates_shed, 0u);
-  // Worker-side oldest-chunk drops are visible in the aggregate but not in
-  // the synchronous result; conservation covers both kinds.
-  EXPECT_GE(stats.updates_shed, result.shed);
-  ExpectConservation(stats);
-}
-
 TEST_F(FaultInjectionTest, BlockPolicyKeepsSubmitResultTrivial) {
   // The default policy's SubmitResult is the degenerate all-accepted one:
   // callers ignoring it (all pre-existing code) lose nothing.
@@ -606,8 +579,6 @@ TEST(OverloadPolicyTest, NamesAreStable) {
   // CLI/JSON surface (tools/chaos_ingest --policy=, bench ingest block).
   EXPECT_STREQ(OverloadPolicyName(OverloadPolicy::kBlock), "block");
   EXPECT_STREQ(OverloadPolicyName(OverloadPolicy::kDeadline), "deadline");
-  EXPECT_STREQ(OverloadPolicyName(OverloadPolicy::kShedOldest),
-               "shed-oldest");
   EXPECT_STREQ(OverloadPolicyName(OverloadPolicy::kShedIncoming),
                "shed-incoming");
   EXPECT_STREQ(EngineErrorCodeName(EngineErrorCode::kNone), "none");

@@ -529,11 +529,11 @@ TEST(IngestEngineTest, GnpRecursiveStackShardedBitIdenticalToSequential) {
 }
 
 TEST(IngestEngineTest, GSumEstimatorShardedProcessMatchesSequential) {
-  // GSumOptions-driven whole-stack sharding, one- and two-pass: Process()
-  // with parallel_ingest shards every repetition's full recursive stack
+  // The whole estimator as a shardable unit, one- and two-pass:
+  // ProcessStreamSharded runs every repetition's full recursive stack
   // across the engine (pass 2 replicating the frozen candidate tables),
   // and in the no-pruning regime the median estimate is bit-identical to
-  // the sequential batched run at every shard count under both policies.
+  // the sequential Process() at every shard count under both policies.
   Rng workload_rng(217);
   StreamShapeOptions shape;
   shape.churn_pairs = 200;
@@ -552,11 +552,15 @@ TEST(IngestEngineTest, GSumEstimatorShardedProcessMatchesSequential) {
     for (const PartitionPolicy policy : kMergePolicies) {
       for (const size_t shards :
            {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-        options.parallel_ingest = true;
-        options.ingest_shards = shards;
-        options.ingest_policy = policy;
-        GSumEstimator parallel(MakePower(2.0), w.stream.domain(), options);
-        const double par = parallel.Process(w.stream);
+        IngestEngineOptions engine_options;
+        engine_options.shards = shards;
+        engine_options.policy = policy;
+        const GSumEstimator parallel = ProcessStreamSharded(
+            w.stream, engine_options, [&](size_t) {
+              return GSumEstimator(MakePower(2.0), w.stream.domain(),
+                                   options);
+            });
+        const double par = parallel.Estimate();
         EXPECT_DOUBLE_EQ(seq, par)
             << "passes " << passes << " policy " << static_cast<int>(policy)
             << " shards " << shards;
@@ -566,42 +570,56 @@ TEST(IngestEngineTest, GSumEstimatorShardedProcessMatchesSequential) {
   }
 }
 
-TEST(IngestEngineDeathTest, GSumShardedProcessRejectsPreFedState) {
-  // Whole-stack sharding replicates the stacks' current state into every
-  // shard, so updates fed incrementally before Process() would be counted
-  // once per shard at the fold -- the fresh-estimator precondition is
-  // checked, not silently violated.
+TEST(IngestEngineDeathTest, ProcessStreamShardedRejectsBroadcastPolicy) {
+  // Broadcast feeds every replica the full stream, so the merge would
+  // multiply every counter by the shard count; the one sharded driver
+  // refuses it for every unit, plain sketch and whole estimator alike.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  GSumOptions options;
-  options.repetitions = 1;
-  options.parallel_ingest = true;
-  ASSERT_DEATH(
-      {
-        GSumEstimator estimator(MakePower(2.0), 1 << 10, options);
-        estimator.Update(7, 100);  // pre-fed incremental state
-        Stream tiny(1 << 10);
-        tiny.Append(1, 1);
-        estimator.Process(tiny);
-      },
-      "GSTREAM_CHECK");
+  IngestEngineOptions options;
+  options.shards = 2;
+  options.policy = PartitionPolicy::kBroadcast;
+  Stream tiny(1 << 10);
+  tiny.Append(1, 1);
+  ASSERT_DEATH(ProcessStreamSharded(tiny, options,
+                                    [](size_t) {
+                                      Rng rng(kSeed);
+                                      return CountSketch(
+                                          CountSketchOptions{3, 64}, rng);
+                                    }),
+               "kBroadcast");
+  GSumOptions gsum_options;
+  gsum_options.repetitions = 1;
+  ASSERT_DEATH(ProcessStreamSharded(tiny, options,
+                                    [&](size_t) {
+                                      return GSumEstimator(MakePower(2.0),
+                                                           1 << 10,
+                                                           gsum_options);
+                                    }),
+               "kBroadcast");
 }
 
-TEST(IngestEngineDeathTest, GSumShardedProcessRejectsBroadcastPolicy) {
-  // Broadcast would feed every whole-stack replica the full stream and the
-  // close-time fold would multiply counts; Process() must refuse.
+TEST(IngestEngineDeathTest, GSumEstimatorMergeRejectsDifferentSeed) {
+  // Different seeds draw different subsamplers, so the level partitions
+  // disagree and the per-rep stack merge must refuse.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   GSumOptions options;
-  options.repetitions = 1;
-  options.parallel_ingest = true;
-  options.ingest_policy = PartitionPolicy::kBroadcast;
-  ASSERT_DEATH(
-      {
-        GSumEstimator estimator(MakePower(2.0), 1 << 10, options);
-        Stream tiny(1 << 10);
-        tiny.Append(1, 1);
-        estimator.Process(tiny);
-      },
-      "GSTREAM_CHECK");
+  options.repetitions = 3;
+  GSumEstimator a(MakePower(2.0), 1 << 10, options);
+  options.seed += 1;
+  const GSumEstimator b(MakePower(2.0), 1 << 10, options);
+  ASSERT_DEATH(a.MergeFrom(b), "subsampler_.Fingerprint\\(\\)");
+}
+
+TEST(IngestEngineDeathTest, GSumEstimatorMergeRejectsDifferentRepetitions) {
+  // Same seed, so the shared repetitions would merge; the count must
+  // still agree or the median would mix unmerged repetitions.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  GSumOptions options;
+  options.repetitions = 3;
+  GSumEstimator a(MakePower(2.0), 1 << 10, options);
+  options.repetitions = 5;
+  const GSumEstimator b(MakePower(2.0), 1 << 10, options);
+  ASSERT_DEATH(a.MergeFrom(b), "reps_.size\\(\\)");
 }
 
 TEST(IngestEngineTest, ExactFrequencySketchShardedBitIdenticalToSequential) {
@@ -641,11 +659,14 @@ TEST(IngestEngineTest, OnePassHHShardedBitIdenticalToSequential) {
 
   for (const PartitionPolicy policy : kMergePolicies) {
     for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      options.parallel_ingest = true;
-      options.ingest_shards = shards;
-      options.ingest_policy = policy;
+      IngestEngineOptions engine_options;
+      engine_options.shards = shards;
+      engine_options.policy = policy;
       const OnePassHeavyHitter sharded =
-          ProcessOnePassHH(options, kSeed, stream);
+          ProcessStreamSharded(stream, engine_options, [&](size_t) {
+            Rng rng(kSeed);  // same seed per shard => shared hashes
+            return OnePassHeavyHitter(options, rng);
+          });
       EXPECT_EQ(sharded.tracker().sketch().counters(),
                 sequential.tracker().sketch().counters())
           << "policy=" << static_cast<int>(policy) << " shards=" << shards;
@@ -678,11 +699,14 @@ TEST(IngestEngineTest, TwoPassHHShardedCoverIdenticalToSequential) {
 
   for (const PartitionPolicy policy : kMergePolicies) {
     for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      options.parallel_ingest = true;
-      options.ingest_shards = shards;
-      options.ingest_policy = policy;
+      IngestEngineOptions engine_options;
+      engine_options.shards = shards;
+      engine_options.policy = policy;
       const TwoPassHeavyHitter sharded =
-          ProcessTwoPassHH(options, kSeed, w.stream);
+          ProcessStreamSharded(w.stream, engine_options, [&](size_t) {
+            Rng rng(kSeed);  // same seed per shard => shared hashes
+            return TwoPassHeavyHitter(options, rng);
+          });
       EXPECT_EQ(sharded.tracker().sketch().counters(),
                 sequential.tracker().sketch().counters());
       ASSERT_EQ(sharded.candidate_ids(), sequential.candidate_ids())
@@ -715,9 +739,13 @@ TEST(IngestEngineTest, TwoPassHHShardedFindsPlantedHeaviesUnderPruning) {
   TwoPassHHOptions options;
   options.count_sketch = {5, 1024};
   options.candidates = 16;
-  options.parallel_ingest = true;
-  options.ingest_shards = 4;
-  const TwoPassHeavyHitter sharded = ProcessTwoPassHH(options, kSeed, w.stream);
+  IngestEngineOptions engine_options;
+  engine_options.shards = 4;
+  const TwoPassHeavyHitter sharded =
+      ProcessStreamSharded(w.stream, engine_options, [&](size_t) {
+        Rng rng(kSeed);
+        return TwoPassHeavyHitter(options, rng);
+      });
   const GCover cover = sharded.Cover(*MakePower(2.0));
   for (const ItemId heavy : {ItemId{2000}, ItemId{2001}, ItemId{2002}}) {
     bool found = false;

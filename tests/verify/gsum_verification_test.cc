@@ -6,8 +6,9 @@
 // pruning regime, where whole-stack sharding is only statistically (not
 // bit-) equivalent: over >= 12 seeds each of Zipfian and
 // adversarial-deletion turnstile streams, half run sequentially and half
-// through whole-stack sharded ingestion (GSumOptions::parallel_ingest,
-// alternating partition policies and shard counts 2..8),
+// through whole-stack sharded ingestion (ProcessStreamSharded over the
+// whole GSumEstimator, alternating partition policies and shard counts
+// 2..8),
 //
 //   (1) ACCURACY: the median relative error per (family, ingest mode)
 //       bucket stays within the configured eps target -- the operating
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "core/gsum.h"
+#include "engine/sharded_ingestor.h"
 #include "gfunc/catalog.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
@@ -97,14 +99,19 @@ void RunFamily(Family family, ModeStats& sequential, ModeStats& engine_fed) {
     options.repetitions = 5;
     options.ams = {32, 5};
     options.seed = seed;
+    double estimate = 0.0;
     if (sharded) {
-      options.parallel_ingest = true;
-      options.ingest_shards = 2 + (s / 2) % 7;  // 2..8
-      options.ingest_policy = (s % 4 == 1) ? PartitionPolicy::kHashItem
+      IngestEngineOptions engine_options;
+      engine_options.shards = 2 + (s / 2) % 7;  // 2..8
+      engine_options.policy = (s % 4 == 1) ? PartitionPolicy::kHashItem
                                            : PartitionPolicy::kRoundRobinChunks;
+      estimate = ProcessStreamSharded(w.stream, engine_options, [&](size_t) {
+                   return GSumEstimator(g, w.stream.domain(), options);
+                 }).Estimate();
+    } else {
+      GSumEstimator estimator(g, w.stream.domain(), options);
+      estimate = estimator.Process(w.stream);
     }
-    GSumEstimator estimator(g, w.stream.domain(), options);
-    const double estimate = estimator.Process(w.stream);
     const double error = RelativeError(estimate, truth);
 
     ModeStats& stats = sharded ? engine_fed : sequential;

@@ -19,7 +19,7 @@
 //       measured failure rate is reported against the configured kDelta.
 //
 // Half the seeds run through the sharded ingestion engine
-// (parallel_ingest), so the statistical guarantees are exercised on the
+// (ProcessStreamSharded), so the statistical guarantees are exercised on the
 // engine-fed path too, not just the sequential one.
 
 #include <gtest/gtest.h>
@@ -31,6 +31,7 @@
 
 #include "core/one_pass_hh.h"
 #include "core/two_pass_hh.h"
+#include "engine/sharded_ingestor.h"
 #include "gfunc/catalog.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
@@ -99,6 +100,19 @@ Workload MakeFamilyWorkload(Family family, uint64_t seed) {
   std::abort();  // unreachable: all Family values handled above
 }
 
+// Every pass of a heavy hitter sharded through the ingestion engine
+// (round-robin chunks) across same-seed replicas.
+template <typename HH, typename Options>
+HH ShardedHH(const Options& options, uint64_t seed, const Stream& stream,
+             size_t shards) {
+  IngestEngineOptions engine_options;
+  engine_options.shards = shards;
+  return ProcessStreamSharded(stream, engine_options, [&](size_t) {
+    Rng rng(seed);
+    return HH(options, rng);
+  });
+}
+
 int64_t TrueFrequency(const FrequencyMap& freq, ItemId item) {
   const auto it = freq.find(item);
   return it == freq.end() ? 0 : it->second;
@@ -120,9 +134,9 @@ void RunFamily(Family family, SuiteStats& stats) {
     TwoPassHHOptions two_pass;
     two_pass.count_sketch = {5, 1024};
     two_pass.candidates = 32;
-    two_pass.parallel_ingest = sharded;
-    two_pass.ingest_shards = 3;
-    const TwoPassHeavyHitter hh2 = ProcessTwoPassHH(two_pass, seed, w.stream);
+    const TwoPassHeavyHitter hh2 =
+        sharded ? ShardedHH<TwoPassHeavyHitter>(two_pass, seed, w.stream, 3)
+                : ProcessTwoPassHH(two_pass, seed, w.stream);
     std::unordered_set<ItemId> covered2;
     for (const GCoverEntry& e : hh2.Cover(*g)) {
       covered2.insert(e.item);
@@ -146,9 +160,9 @@ void RunFamily(Family family, SuiteStats& stats) {
     one_pass.candidates = 32;
     one_pass.epsilon = 0.25;
     one_pass.h_envelope = 1.0;
-    one_pass.parallel_ingest = sharded;
-    one_pass.ingest_shards = 3;
-    const OnePassHeavyHitter hh1 = ProcessOnePassHH(one_pass, seed, w.stream);
+    const OnePassHeavyHitter hh1 =
+        sharded ? ShardedHH<OnePassHeavyHitter>(one_pass, seed, w.stream, 3)
+                : ProcessOnePassHH(one_pass, seed, w.stream);
     const int64_t radius = hh1.PruningRadius();
     const double err_bound = 4.0 * std::sqrt(
         f2_true / static_cast<double>(one_pass.count_sketch.buckets));
@@ -240,9 +254,8 @@ TEST(HHVerificationTest, ShardedDecodeRecallMatchesSequential) {
       TwoPassHHOptions options;
       options.count_sketch = {5, 1024};
       options.candidates = 32;
-      options.parallel_ingest = true;
-      options.ingest_shards = shards;
-      const TwoPassHeavyHitter hh = ProcessTwoPassHH(options, seed, w.stream);
+      const TwoPassHeavyHitter hh =
+          ShardedHH<TwoPassHeavyHitter>(options, seed, w.stream, shards);
       std::unordered_set<ItemId> covered;
       for (const GCoverEntry& e : hh.Cover(*g)) covered.insert(e.item);
       for (const auto& [item, value] : true_heavy) {

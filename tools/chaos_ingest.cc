@@ -20,7 +20,7 @@
 //     (worker-stalled / sink-exception) or a shed-capable policy's
 //     counters -- never silent loss.
 //
-// `--policy=block|deadline|shed-oldest|shed-incoming` selects the overload
+// `--policy=block|deadline|shed-incoming` selects the overload
 // policy (broadcast is excluded by construction: it requires kBlock and is
 // pinned in tests/engine/multi_producer_test.cc).  `--list-sites` dumps the
 // enumerable fault-site catalog after one engine construction and exits --
@@ -87,7 +87,6 @@ Flags ParseFlags(int argc, char** argv) {
       // Spellings match OverloadPolicyName().
       if (v == "block") f.policy = OverloadPolicy::kBlock;
       else if (v == "deadline") f.policy = OverloadPolicy::kDeadline;
-      else if (v == "shed-oldest") f.policy = OverloadPolicy::kShedOldest;
       else if (v == "shed-incoming") f.policy = OverloadPolicy::kShedIncoming;
       else { std::fprintf(stderr, "chaos_ingest: unknown --policy=%s\n", v.c_str()); std::exit(2); }
     } else {

@@ -10,23 +10,10 @@
 //     the kernel layer pinned to the scalar reference tier
 //     (ForceIsaTier), so the number is comparable across hosts and to the
 //     pre-SIMD trajectory;
-//   * batched_simd -- the same batched path under CPUID dispatch for the
-//     hash kernels but with the scatter/gather table entries pinned to
-//     the scalar references (ForceScalarScatter) -- exactly what this
-//     variant measured before the vector scatter kernels existed, so the
-//     series stays comparable across PRs;
-//   * batched_scatter -- fully dispatched (the production default,
-//     recorded as workload.isa_tier): per-entry winners, currently the
-//     scalar scatter loop + the tier's native vector gather, chosen from
-//     measurement (docs/simd.md).
-// A conflict-sensitivity sweep reruns the CountSketch batched pair on
-// zipf 0.8/1.1/1.4 streams (count_sketch/scatter_zipf* variants) with the
-// native vector scatter force-published: higher skew means more duplicate
-// buckets per SIMD block, and the sweep documents what the vpconflictq
-// path measures there -- the evidence behind the per-entry winner choice.
-// count_sketch/decode{,_scalar} isolates the gather_signed decode the
-// same way.
-// plus the end-to-end one-pass g-sum pipeline (single vs batched), the
+//   * batched_simd -- the same batched path under CPUID dispatch (the
+//     production default, recorded as workload.isa_tier);
+// plus the CountSketch EstimateAll decode (count_sketch/decode), the
+// end-to-end one-pass g-sum pipeline (single vs batched), the
 // one-pass heavy hitter sequential vs engine-fed (`one_pass_hh/batched`
 // vs `one_pass_hh/sharded{1,4}`, exercising the candidate-union merge),
 // and, for CountSketch, the sharded ingestion engine at 1/2/4/8 worker
@@ -277,35 +264,6 @@ BenchResult MeasureScalarTier(obs::Histogram* hist, const std::string& name,
   return result;
 }
 
-// Runs `fn` under CPUID dispatch but with the scatter/gather table entries
-// pinned to the scalar reference kernels.  This is the exact configuration
-// `batched_simd` measured before the vector scatter kernels existed (SIMD
-// hashing, scalar scatter), so that series keeps its meaning and the new
-// `batched_scatter` variants isolate what scatter/gather dispatch buys.
-template <typename Fn>
-BenchResult MeasureScalarScatter(obs::Histogram* hist, const std::string& name,
-                                 size_t updates, size_t repeats, Fn&& fn) {
-  simd::ForceScatterDispatch(simd::ScatterDispatch::kScalar);
-  BenchResult result =
-      MeasureBatched(hist, name, updates, repeats, std::forward<Fn>(fn));
-  simd::ForceScatterDispatch(simd::ScatterDispatch::kDefault);
-  return result;
-}
-
-// Runs `fn` with the tier's native vector scatter/gather kernels published
-// even where default dispatch picks the scalar winner -- the knob behind
-// the conflict-sensitivity sweep, which exists to document what the
-// vpconflictq scatter path actually measures under rising skew.
-template <typename Fn>
-BenchResult MeasureVectorScatter(obs::Histogram* hist, const std::string& name,
-                                 size_t updates, size_t repeats, Fn&& fn) {
-  simd::ForceScatterDispatch(simd::ScatterDispatch::kVector);
-  BenchResult result =
-      MeasureBatched(hist, name, updates, repeats, std::forward<Fn>(fn));
-  simd::ForceScatterDispatch(simd::ScatterDispatch::kDefault);
-  return result;
-}
-
 Stream MakeZipfStream(size_t updates, double zipf, Rng& rng) {
   std::vector<double> cdf(kItems);
   double total = 0.0;
@@ -478,7 +436,6 @@ int Run(int argc, char** argv) {
   const size_t ams_updates = 2000000 / divisor;
   const size_t gnp_updates = 1000000 / divisor;
   const size_t gsum_updates = 200000 / divisor;
-  const size_t sweep_updates = 2000000 / divisor;
 
   Rng stream_rng(0xbe9c);
   std::fprintf(stderr, "generating %zu-update Zipfian stream...\n",
@@ -516,10 +473,9 @@ int Run(int argc, char** argv) {
     CountSketch cs(CountSketchOptions{5, 1024}, rng);
     return DriveSingle(cs, stream);
   }));
-  // One shared body per batched/batched_simd/batched_scatter triple: the
-  // speedup keys and the CI assertions rest on the variants running
-  // *identical* code under different kernel configurations, so the
-  // identity is kept structural.
+  // One shared body per batched/batched_simd pair: the speedup keys and
+  // the CI assertions rest on the variants running *identical* code under
+  // different kernel tiers, so the identity is kept structural.
   const auto run_cs_batched = [&] {
     Rng rng(1);
     CountSketch cs(CountSketchOptions{5, 1024}, rng);
@@ -527,10 +483,7 @@ int Run(int argc, char** argv) {
   };
   report.Add(MeasureScalarTier(sketch_batch_ns, "count_sketch/batched",
                                stream.length(), repeats, run_cs_batched));
-  report.Add(MeasureScalarScatter(sketch_batch_ns,
-                                  "count_sketch/batched_simd",
-                                  stream.length(), repeats, run_cs_batched));
-  report.Add(MeasureBatched(sketch_batch_ns, "count_sketch/batched_scatter",
+  report.Add(MeasureBatched(sketch_batch_ns, "count_sketch/batched_simd",
                             stream.length(), repeats, run_cs_batched));
 
   // Sharded ingestion engine scaling (1/2/4/8 workers, round-robin chunks,
@@ -638,9 +591,7 @@ int Run(int argc, char** argv) {
   };
   report.Add(MeasureScalarTier(sketch_batch_ns, "count_min/batched",
                                stream.length(), repeats, run_cm_batched));
-  report.Add(MeasureScalarScatter(sketch_batch_ns, "count_min/batched_simd",
-                                  stream.length(), repeats, run_cm_batched));
-  report.Add(MeasureBatched(sketch_batch_ns, "count_min/batched_scatter",
+  report.Add(MeasureBatched(sketch_batch_ns, "count_min/batched_simd",
                             stream.length(), repeats, run_cm_batched));
 
   // AMS (16 x 5 estimators).
@@ -662,49 +613,10 @@ int Run(int argc, char** argv) {
   report.Add(MeasureScalarTier(sketch_batch_ns, "ams/batched",
                                ams_stream.length(), repeats,
                                run_ams_batched));
-  report.Add(MeasureScalarScatter(sketch_batch_ns, "ams/batched_simd",
-                                  ams_stream.length(), repeats,
-                                  run_ams_batched));
-  // AMS has no scatter pass (the fused estimator-major kernel reduces in
-  // registers), so batched_scatter is a deliberate perf-neutrality
-  // control: it must track batched_simd to within noise.
-  report.Add(MeasureBatched(sketch_batch_ns, "ams/batched_scatter",
+  report.Add(MeasureBatched(sketch_batch_ns, "ams/batched_simd",
                             ams_stream.length(), repeats, run_ams_batched));
 
-  // Conflict-sensitivity sweep: the CountSketch batched pair on zipf
-  // 0.8 / 1.1 / 1.4 streams of equal length.  Heavier skew concentrates
-  // updates on few items, which after bucket hashing means duplicate
-  // indices inside one SIMD block -- the case the AVX-512 vpconflictq
-  // fold pays for.  scatter_zipfZ publishes the tier's native *vector*
-  // scatter kernels; the _scalar twin pins scalar scatter under the same
-  // SIMD hashing, so the per-zipf ratio isolates the vector scatter
-  // sequence under rising conflict pressure.  On measured AVX-512
-  // hardware every cell loses (the reason default dispatch picks the
-  // scalar scatter winner; see docs/simd.md) -- the sweep keeps that
-  // decision honest PR over PR.
-  for (const double z : {0.8, 1.1, 1.4}) {
-    Rng sweep_rng(0x5eed + static_cast<uint64_t>(z * 10));
-    const Stream sweep_stream = MakeZipfStream(sweep_updates, z, sweep_rng);
-    char ztag[16];
-    std::snprintf(ztag, sizeof(ztag), "%.1f", z);
-    const auto run_sweep = [&] {
-      Rng rng(1);
-      CountSketch cs(CountSketchOptions{5, 1024}, rng);
-      return DriveBatched(cs, sweep_stream);
-    };
-    report.Add(MeasureScalarScatter(
-        sketch_batch_ns,
-        std::string("count_sketch/scatter_zipf") + ztag + "_scalar",
-        sweep_stream.length(), repeats, run_sweep));
-    report.Add(MeasureVectorScatter(
-        sketch_batch_ns, std::string("count_sketch/scatter_zipf") + ztag,
-        sweep_stream.length(), repeats, run_sweep));
-  }
-
-  // The decode gather: EstimateAll over large probe batches, scalar
-  // gather vs the dispatched vector gather (the one scatter/gather entry
-  // whose vector kernel *wins* on measured hardware, so default dispatch
-  // keeps it native).
+  // The decode: EstimateAll over large probe batches under dispatch.
   {
     Rng rng(1);
     CountSketch cs(CountSketchOptions{5, 1024}, rng);
@@ -723,8 +635,6 @@ int Run(int argc, char** argv) {
       return static_cast<size_t>(sink & 1) + cs.SpaceBytes();
     };
     const size_t decode_probes = probes.size() * decode_rounds;
-    report.Add(MeasureScalarScatter(nullptr, "count_sketch/decode_scalar",
-                                    decode_probes, repeats, run_decode));
     report.Add(MeasureBatched(nullptr, "count_sketch/decode", decode_probes,
                               repeats, run_decode));
   }
@@ -885,25 +795,6 @@ int Run(int argc, char** argv) {
                     "count_min/batched_simd", "count_min/batched");
   report.AddSpeedup("ams_batched_simd_vs_batched", "ams/batched_simd",
                     "ams/batched");
-  // Vector scatter vs scalar scatter, identical SIMD hashing in both: the
-  // tentpole ratio of the scatter-kernel work.  The CI floor is 0.95x --
-  // a dispatched scatter that *loses* to the scalar loop means the
-  // per-tier winner selection regressed.
-  report.AddSpeedup("count_sketch_batched_scatter_vs_batched_simd",
-                    "count_sketch/batched_scatter",
-                    "count_sketch/batched_simd");
-  report.AddSpeedup("count_min_batched_scatter_vs_batched_simd",
-                    "count_min/batched_scatter", "count_min/batched_simd");
-  report.AddSpeedup("ams_batched_scatter_vs_batched_simd",
-                    "ams/batched_scatter", "ams/batched_simd");
-  for (const char* ztag : {"0.8", "1.1", "1.4"}) {
-    report.AddSpeedup(
-        std::string("count_sketch_scatter_zipf") + ztag + "_vs_scalar",
-        std::string("count_sketch/scatter_zipf") + ztag,
-        std::string("count_sketch/scatter_zipf") + ztag + "_scalar");
-  }
-  report.AddSpeedup("count_sketch_decode_vs_scalar", "count_sketch/decode",
-                    "count_sketch/decode_scalar");
   // Engine overhead ratios compare like with like: the sharded workers run
   // the dispatched kernels, so the denominator is batched_simd -- and the
   // key names say so (the pre-SIMD *_vs_batched series ended with PR 4;

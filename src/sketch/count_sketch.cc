@@ -81,12 +81,10 @@ void CountSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
   // L1-resident block, (1) deinterleave the chunk and precompute the
   // shared per-item field powers, then per row (2) evaluate the row's
   // 4-wise polynomial lane-parallel and reduce to buckets, and (3)
-  // scatter the signed deltas through the dispatched scatter kernel
-  // (conflict-detected gather/scatter on AVX-512).  All staging lives in
-  // stack arrays (6 x 512 x 8 B), every tier produces the same canonical
-  // hashes, and duplicate-bucket folds commute under int64 wraparound, so
-  // the counters are bit-identical to the sequential Update loop under
-  // any dispatch.
+  // scatter the signed deltas into the row's counters.  All staging
+  // lives in stack arrays (6 x 512 x 8 B), and every tier produces the
+  // same canonical hashes, so the counters are bit-identical to the
+  // sequential Update loop under any dispatch.
   const simd::SimdOps& ops = simd::Ops();
   const size_t b = options_.buckets;
   const size_t rows = options_.rows;

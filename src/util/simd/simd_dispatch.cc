@@ -36,14 +36,12 @@ bool CpuSupports(IsaTier tier) {
     case IsaTier::kAvx2:
       return __builtin_cpu_supports("avx2");
     case IsaTier::kAvx512:
-      // The kAvx512 tier is compiled with f/dq/vl/ifma/cd (vpmullq needs
-      // DQ, vpmadd52 needs IFMA, the conflict-detected scatter needs CD);
-      // hosts missing any of them fall back to AVX2.
+      // The kAvx512 tier is compiled with f/dq/vl/ifma (vpmullq needs DQ,
+      // vpmadd52 needs IFMA); hosts missing any of them fall back to AVX2.
       return __builtin_cpu_supports("avx512f") &&
              __builtin_cpu_supports("avx512dq") &&
              __builtin_cpu_supports("avx512vl") &&
-             __builtin_cpu_supports("avx512ifma") &&
-             __builtin_cpu_supports("avx512cd");
+             __builtin_cpu_supports("avx512ifma");
   }
   return false;
 #else
@@ -96,34 +94,9 @@ std::atomic<const SimdOps*> g_ops{nullptr};
 std::atomic<int> g_tier{0};
 std::once_flag g_init_once;
 
-// Scatter/gather dispatch policy state: the tier tables carry native
-// vector kernels, and SetTier publishes a copy with the scatter/gather
-// entries resolved per the active policy.  Under kDefault the winners are
-// per-entry, from measurement on AVX-512 hardware (see docs/simd.md): the
-// scalar loop for both scatters (vpscatterqq + vpconflictq is microcoded
-// and loses at every conflict level, L1-resident or cache-missing) and
-// the tier's native kernel for gather_signed (vpgatherqq wins the
-// decode).  g_hybrid is only written inside SetTier, which is documented
-// as not concurrent with running kernels (same contract as ForceIsaTier),
-// so the plain struct is safe.
-ScatterDispatch g_scatter_dispatch = ScatterDispatch::kDefault;
-SimdOps g_hybrid;
-
 void SetTier(IsaTier tier) {
-  const SimdOps* table = TierOps(tier);
-  if (tier != IsaTier::kScalar &&
-      g_scatter_dispatch != ScatterDispatch::kVector) {
-    g_hybrid = *table;
-    const SimdOps* scalar = GetScalarOps();
-    g_hybrid.scatter_add = scalar->scatter_add;
-    g_hybrid.scatter_add_signed = scalar->scatter_add_signed;
-    if (g_scatter_dispatch == ScatterDispatch::kScalar) {
-      g_hybrid.gather_signed = scalar->gather_signed;
-    }
-    table = &g_hybrid;
-  }
   g_tier.store(static_cast<int>(tier), std::memory_order_relaxed);
-  g_ops.store(table, std::memory_order_release);
+  g_ops.store(TierOps(tier), std::memory_order_release);
 }
 
 void EnsureInit() {
@@ -169,12 +142,6 @@ bool ForceIsaTier(IsaTier tier) {
 void ClearForcedIsaTier() {
   EnsureInit();
   SetTier(ApplyEnvOverride(DetectBestTier()));
-}
-
-void ForceScatterDispatch(ScatterDispatch policy) {
-  EnsureInit();
-  g_scatter_dispatch = policy;
-  SetTier(ActiveIsaTier());
 }
 
 }  // namespace simd

@@ -7,7 +7,8 @@
 // signed deltas into counters.  The first two are data-parallel across the
 // items of a chunk -- the coefficients are loop-invariant per row, and
 // Mersenne-61 arithmetic is exact in 64-bit lanes -- so this layer lifts
-// them into an ISA-dispatched function table:
+// them into an ISA-dispatched function table (the scatter stays a scalar
+// loop in every tier):
 //
 //   * kScalar  -- the reference tier, built from the util/hash.h primitives
 //                 verbatim.  Always available; the other tiers must agree
@@ -124,27 +125,19 @@ struct SimdOps {
 
   // counters[idx[i]] += delta[i] for i < n (the Count-Min counter update).
   // idx values must be in-range for `counters`; duplicate indices within
-  // the batch fold correctly in any order -- int64 wraparound addition is
-  // commutative and associative, so every fold order produces the bits of
-  // the sequential loop.  The AVX-512 tier resolves in-register duplicates
-  // with vpconflictq + a logarithmic masked prefix-accumulate before one
-  // gather/add/scatter per 8 lanes (docs/simd.md).  `counters` should be
-  // 64-byte aligned (the sketches allocate via util/aligned.h) so lane
-  // groups never split cache lines.
+  // the batch fold in stream order.  Every tier points this entry (and the
+  // two below) at the simd_scalar_ref.h loop: vector scatter/gather kernels
+  // were built and measured losing (docs/simd.md).
   void (*scatter_add)(int64_t* counters, const uint32_t* idx,
                       const int64_t* delta, size_t n);
 
   // Identical contract to scatter_add, fed by eval4_bucket's signed-delta
-  // output (the CountSketch counter update).  A separate table entry so
-  // per-tier dispatch may pick different winners for the signed and
-  // unsigned consumers.
+  // output (the CountSketch counter update).
   void (*scatter_add_signed)(int64_t* counters, const uint32_t* idx,
                              const int64_t* sd, size_t n);
 
   // out[i] = counters[idx[i]] * sign[i] with sign[i] in {+1, -1} -- the
-  // estimate-side decode (CountSketch EstimateAllInto).  Vector tiers
-  // apply the sign with a blend/negate, which equals the multiply exactly
-  // for sign in {+1, -1}; other sign values are out of contract.
+  // estimate-side decode (CountSketch EstimateAllInto).
   void (*gather_signed)(const int64_t* counters, const uint32_t* idx,
                         const int64_t* sign, size_t n, int64_t* out);
 };
@@ -168,27 +161,6 @@ bool ForceIsaTier(IsaTier tier);
 
 // Restores CPUID-based dispatch (still honoring GSTREAM_FORCE_ISA if set).
 void ClearForcedIsaTier();
-
-// Scatter/gather dispatch policy.  The vector tiers carry native
-// gather/scatter kernels in their tables, but on measured hardware
-// (Skylake-class AVX-512) the microcoded vpscatterqq + vpconflictq
-// sequence loses to the store-forwarded scalar loop at every conflict
-// level, while vector gathers win the decode -- so default dispatch picks
-// per-entry winners: scalar scatter_add/scatter_add_signed, native
-// gather_signed (docs/simd.md has the measurements).  kScalar pins all
-// three entries to the scalar references (the pre-vector-scatter shape of
-// `batched_simd`, used by the bench for series continuity); kVector
-// publishes the tier's native vector kernels for all three (used by the
-// conflict-storm tests and the bench's conflict-sensitivity sweep so the
-// vpconflictq path stays pinned and honestly measured even though default
-// dispatch does not select it).
-enum class ScatterDispatch : int { kDefault = 0, kScalar = 1, kVector = 2 };
-
-// Republishes the active table under `policy` (hash/bucket kernels keep
-// their tier).  Like ForceIsaTier, not safe to call concurrently with
-// running kernels; intended between runs.  kDefault on startup; the
-// policy survives ForceIsaTier/ClearForcedIsaTier until reset.
-void ForceScatterDispatch(ScatterDispatch policy);
 
 // "scalar", "avx2", "avx512".
 const char* IsaTierName(IsaTier tier);

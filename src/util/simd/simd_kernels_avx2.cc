@@ -277,57 +277,6 @@ int64_t Avx2Eval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
   return z;
 }
 
-// AVX2 has no scatter instruction and no conflict detection, so the
-// scatter kernels are the scalar accumulation with the dependency chains
-// interleaved 4-wide (independent counters overlap in the store buffer; a
-// within-group duplicate is handled by the sequential order) plus a
-// software prefetch of the bucket lines one group ahead -- the win over
-// the plain loop comes from hiding counter-line misses on ranges past L1.
-void Avx2ScatterAddImpl(int64_t* counters, const uint32_t* idx,
-                        const int64_t* delta, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 4) {
-    __builtin_prefetch(counters + idx[i + 4], 1, 3);
-    __builtin_prefetch(counters + idx[i + 5], 1, 3);
-    __builtin_prefetch(counters + idx[i + 6], 1, 3);
-    __builtin_prefetch(counters + idx[i + 7], 1, 3);
-    counters[idx[i]] += delta[i];
-    counters[idx[i + 1]] += delta[i + 1];
-    counters[idx[i + 2]] += delta[i + 2];
-    counters[idx[i + 3]] += delta[i + 3];
-  }
-  for (; i < n; ++i) counters[idx[i]] += delta[i];
-}
-
-void Avx2ScatterAdd(int64_t* counters, const uint32_t* idx,
-                    const int64_t* delta, size_t n) {
-  Avx2ScatterAddImpl(counters, idx, delta, n);
-}
-
-void Avx2ScatterAddSigned(int64_t* counters, const uint32_t* idx,
-                          const int64_t* sd, size_t n) {
-  Avx2ScatterAddImpl(counters, idx, sd, n);
-}
-
-void Avx2GatherSigned(const int64_t* counters, const uint32_t* idx,
-                      const int64_t* sign, size_t n, int64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vidx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    const __m256i g = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(counters), vidx, 8);
-    // sign in {+1, -1}: m = all-ones where sign < 0; (g ^ m) - m negates
-    // exactly those lanes, matching the scalar multiply bit-for-bit.
-    const __m256i s = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(sign + i));
-    const __m256i m = _mm256_cmpgt_epi64(_mm256_setzero_si256(), s);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_sub_epi64(_mm256_xor_si256(g, m), m));
-  }
-  ScalarGatherSigned(counters, idx + i, sign + i, n - i, out + i);
-}
-
 void Avx2Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
                        unsigned bit, uint64_t* masks) {
   const __m256i A0 = _mm256_set1_epi64x(static_cast<long long>(a0));
@@ -347,12 +296,16 @@ void Avx2Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
 }  // namespace
 
 const SimdOps* GetAvx2Ops() {
+  const SimdOps& scalar = *GetScalarOps();
   static const SimdOps ops = {
       &Avx2PrepareBatch,   &Avx2PrepareBatch2, &Avx2FieldPowers,
       &Avx2Eval4Row,       &Avx2Eval2Row,      &Avx2FastRange,
       &Avx2Eval4Bucket,    &Avx2Eval2Bucket,   &Avx2Eval4SignedSum,
-      &Avx2Eval2ParityOr,  &Avx2ScatterAdd,    &Avx2ScatterAddSigned,
-      &Avx2GatherSigned,
+      &Avx2Eval2ParityOr,
+      // The counter scatters and the decode gather are the scalar tier's
+      // own kernels (docs/simd.md: the vector versions lost).  Taken from
+      // the scalar table so this ISA-flagged file emits no copy of them.
+      scalar.scatter_add, scalar.scatter_add_signed, scalar.gather_signed,
   };
   return &ops;
 }

@@ -1,8 +1,6 @@
 // The kAvx512 dispatch tier: 8 x 64-bit lanes built on the AVX-512 IFMA
-// 52-bit multiply-add units (vpmadd52lo/hi.uq), plus conflict-detected
-// counter scatter/gather (vpconflictq + vpgatherqq/vpscatterqq).  Runtime
-// dispatch requires avx512f + avx512dq + avx512vl + avx512ifma + avx512cd
-// (simd_dispatch.cc).
+// 52-bit multiply-add units (vpmadd52lo/hi.uq).  Runtime dispatch requires
+// avx512f + avx512dq + avx512vl + avx512ifma (simd_dispatch.cc).
 //
 // Radix-52 accumulation.  Field elements (and their lazy representatives,
 // all < 2^63) are split on the fly into two 52-bit limbs, v = vL + 2^52 vH
@@ -313,92 +311,6 @@ int64_t Avx512Eval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2,
   return z;
 }
 
-// --- Scatter/gather kernels (requires avx512cd for vpconflictq/vplzcntq) --
-//
-// One 8-lane group of counters[idx[i]] += delta[i]: detect in-register
-// duplicate buckets with vpconflictq, fold each duplicate group's deltas
-// into per-lane prefix sums by pointer jumping (log2(8) = 3 masked
-// permute/add rounds, and zero rounds in the conflict-free common case),
-// then one gather + add + scatter.  The scatter's documented write order
-// (lowest lane first, so the highest lane of any duplicate set wins)
-// makes the last occurrence -- which holds the full group sum after the
-// prefix fold -- the surviving write.  int64 wraparound addition is
-// commutative and associative, so the result is bit-identical to the
-// sequential scalar loop no matter how lanes fold.
-inline void ScatterAddLanes(int64_t* counters, __m512i vidx, __m512i vdelta) {
-  const __m512i conf = _mm512_conflict_epi64(vidx);
-  __m512i vals = vdelta;
-  if (_mm512_test_epi64_mask(conf, conf)) {
-    // perm[i] = index of the nearest earlier lane with the same bucket
-    // (the highest set bit of the conflict mask), or -1 for group heads.
-    __m512i perm = _mm512_sub_epi64(_mm512_set1_epi64(63),
-                                    _mm512_lzcnt_epi64(conf));
-    const __m512i minus1 = _mm512_set1_epi64(-1);
-    __mmask8 todo = _mm512_cmpgt_epi64_mask(perm, minus1);
-    // Pointer jumping: each round, every unfinished lane pulls its
-    // predecessor's partial sum and jumps its pointer two steps back, so
-    // covered prefix length doubles -- at most 3 rounds for 8 lanes.
-    do {
-      const __m512i pulled = _mm512_maskz_permutexvar_epi64(todo, perm, vals);
-      vals = _mm512_add_epi64(vals, pulled);
-      perm = _mm512_mask_permutexvar_epi64(perm, todo, perm, perm);
-      todo = _mm512_mask_cmpgt_epi64_mask(todo, perm, minus1);
-    } while (todo);
-  }
-  const __m512i cur = _mm512_i64gather_epi64(vidx, counters, 8);
-  _mm512_i64scatter_epi64(counters, vidx, _mm512_add_epi64(cur, vals), 8);
-}
-
-void Avx512ScatterAddImpl(int64_t* counters, const uint32_t* idx,
-                          const int64_t* delta, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    if (i + 16 <= n) {
-      // Pull the next group's bucket lines toward L1 while this group's
-      // gather/scatter executes; a no-op cost when the rows already fit.
-      __builtin_prefetch(counters + idx[i + 8], 1, 3);
-      __builtin_prefetch(counters + idx[i + 9], 1, 3);
-      __builtin_prefetch(counters + idx[i + 10], 1, 3);
-      __builtin_prefetch(counters + idx[i + 11], 1, 3);
-      __builtin_prefetch(counters + idx[i + 12], 1, 3);
-      __builtin_prefetch(counters + idx[i + 13], 1, 3);
-      __builtin_prefetch(counters + idx[i + 14], 1, 3);
-      __builtin_prefetch(counters + idx[i + 15], 1, 3);
-    }
-    const __m512i vidx = _mm512_cvtepu32_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i)));
-    ScatterAddLanes(counters, vidx, _mm512_loadu_si512(delta + i));
-  }
-  for (; i < n; ++i) counters[idx[i]] += delta[i];
-}
-
-void Avx512ScatterAdd(int64_t* counters, const uint32_t* idx,
-                      const int64_t* delta, size_t n) {
-  Avx512ScatterAddImpl(counters, idx, delta, n);
-}
-
-void Avx512ScatterAddSigned(int64_t* counters, const uint32_t* idx,
-                            const int64_t* sd, size_t n) {
-  Avx512ScatterAddImpl(counters, idx, sd, n);
-}
-
-void Avx512GatherSigned(const int64_t* counters, const uint32_t* idx,
-                        const int64_t* sign, size_t n, int64_t* out) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i vidx = _mm512_cvtepu32_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i)));
-    const __m512i g = _mm512_i64gather_epi64(vidx, counters, 8);
-    // sign in {+1, -1}: negate exactly the negative-sign lanes, which
-    // equals the scalar multiply bit-for-bit.
-    const __m512i s = _mm512_loadu_si512(sign + i);
-    const __mmask8 neg = _mm512_cmpgt_epi64_mask(_mm512_setzero_si512(), s);
-    const __m512i negated = _mm512_sub_epi64(_mm512_setzero_si512(), g);
-    _mm512_storeu_si512(out + i, _mm512_mask_blend_epi64(neg, g, negated));
-  }
-  ScalarGatherSigned(counters, idx + i, sign + i, n - i, out + i);
-}
-
 void Avx512Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
                          size_t n, unsigned bit, uint64_t* masks) {
   const CoeffSplit A1 = SplitCoeff(a1);
@@ -417,12 +329,16 @@ void Avx512Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
 }  // namespace
 
 const SimdOps* GetAvx512Ops() {
+  const SimdOps& scalar = *GetScalarOps();
   static const SimdOps ops = {
       &Avx512PrepareBatch,   &Avx512PrepareBatch2, &Avx512FieldPowers,
       &Avx512Eval4Row,       &Avx512Eval2Row,      &Avx512FastRange,
       &Avx512Eval4Bucket,    &Avx512Eval2Bucket,   &Avx512Eval4SignedSum,
-      &Avx512Eval2ParityOr,  &Avx512ScatterAdd,    &Avx512ScatterAddSigned,
-      &Avx512GatherSigned,
+      &Avx512Eval2ParityOr,
+      // The counter scatters and the decode gather are the scalar tier's
+      // own kernels (docs/simd.md: the vector versions lost).  Taken from
+      // the scalar table so this ISA-flagged file emits no copy of them.
+      scalar.scatter_add, scalar.scatter_add_signed, scalar.gather_signed,
   };
   return &ops;
 }

@@ -105,10 +105,8 @@ inline void ScalarEval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
   }
 }
 
-// The scatter/gather reference kernels define the semantics the vector
-// tiers must reproduce: sequential stream-order accumulation (any fold
-// order is bit-identical anyway -- int64 wraparound addition commutes) and
-// multiply-by-sign decode.
+// The counter scatter/gather kernels of every tier: sequential stream-order
+// accumulation and multiply-by-sign decode.
 
 inline void ScalarScatterAdd(int64_t* counters, const uint32_t* idx,
                              const int64_t* delta, size_t n) {

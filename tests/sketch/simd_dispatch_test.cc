@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -49,12 +48,9 @@ class SimdDispatchTest : public ::testing::TestWithParam<IsaTier> {
                    << " not available on this build/host";
     }
   }
-  // Restore CPUID dispatch and the default scatter policy so later tests
-  // see the production configuration.
-  void TearDown() override {
-    simd::ForceScatterDispatch(simd::ScatterDispatch::kDefault);
-    simd::ClearForcedIsaTier();
-  }
+  // Restore CPUID dispatch so later tests see the production
+  // configuration.
+  void TearDown() override { simd::ClearForcedIsaTier(); }
 };
 
 TEST_P(SimdDispatchTest, ForceAndClearRoundTrip) {
@@ -272,97 +268,23 @@ TEST_P(SimdDispatchTest, MergePinsHoldUnderForcedTier) {
   EXPECT_EQ(merged_estimates, estimates);
 }
 
-// Conflict-storm pins for the scatter/gather kernels.  The AVX-512 tier's
-// native scatter resolves duplicate buckets inside a lane group with a
-// vpconflictq-driven combine, so the adversarial patterns are exactly the
-// ones where every lane collides: one repeated key, two alternating keys,
-// and duplicate runs spanning whole kSimdBlock batches.  int64 wraparound
-// addition commutes, so every tier must land bit-identically on the
-// scalar loop.  ForceScatterDispatch(kVector) publishes the native vector
-// kernels -- default dispatch picks the scalar scatter winner (see
-// docs/simd.md), which would make this test vacuously scalar-vs-scalar.
-TEST_P(SimdDispatchTest, ScatterKernelsMatchScalarOnConflictStorms) {
-  ASSERT_TRUE(simd::ForceIsaTier(GetParam()));
-  simd::ForceScatterDispatch(simd::ScatterDispatch::kVector);
-  const simd::SimdOps& ops = simd::Ops();
-  Rng rng(0xc0f1);
-  const size_t kCounters = 1024;
-
-  struct Pattern {
-    const char* name;
-    size_t n;
-    std::function<uint32_t(size_t)> index_of;
-  };
-  const std::vector<Pattern> patterns = {
-      {"all_one_key", 517, [](size_t) { return 7u; }},
-      {"two_alternating", 517,
-       [](size_t i) { return (i & 1) ? 3u : 900u; }},
-      {"block_duplicate_runs", simd::kSimdBlock,
-       [](size_t i) { return static_cast<uint32_t>((i / 16) % 8); }},
-      {"lane_group_pairs", 64,
-       [](size_t i) { return static_cast<uint32_t>(i / 2); }},
-      {"skewed_random", 517, [&rng](size_t) {
-         return static_cast<uint32_t>(rng.UniformInt(0, 15));
-       }}};
-
-  for (const Pattern& p : patterns) {
-    std::vector<uint32_t> idx(p.n);
-    std::vector<int64_t> delta(p.n), sd(p.n), sign(p.n);
-    for (size_t i = 0; i < p.n; ++i) {
-      idx[i] = p.index_of(i);
-      delta[i] = static_cast<int64_t>(rng.UniformInt(-1000, 1000));
-      sign[i] = (rng.UniformInt(0, 1) == 0) ? 1 : -1;
-      sd[i] = delta[i] * sign[i];
-    }
-
-    std::vector<int64_t> got(kCounters, 0), want(kCounters, 0);
-    ops.scatter_add(got.data(), idx.data(), delta.data(), p.n);
-    simd::ScalarScatterAdd(want.data(), idx.data(), delta.data(), p.n);
-    EXPECT_EQ(got, want) << "scatter_add pattern " << p.name;
-
-    std::fill(got.begin(), got.end(), 0);
-    std::fill(want.begin(), want.end(), 0);
-    ops.scatter_add_signed(got.data(), idx.data(), sd.data(), p.n);
-    simd::ScalarScatterAddSigned(want.data(), idx.data(), sd.data(), p.n);
-    EXPECT_EQ(got, want) << "scatter_add_signed pattern " << p.name;
-
-    std::vector<int64_t> gout(p.n, 0), rout(p.n, 0);
-    ops.gather_signed(want.data(), idx.data(), sign.data(), p.n,
-                      gout.data());
-    simd::ScalarGatherSigned(want.data(), idx.data(), sign.data(), p.n,
-                             rout.data());
-    EXPECT_EQ(gout, rout) << "gather_signed pattern " << p.name;
-  }
-
-  // Wraparound fold order: deltas near the int64 extremes overflow inside
-  // a duplicate group; the contract is wraparound equality, not saturation.
-  {
-    const size_t n = 32;
-    std::vector<uint32_t> idx(n, 5);
-    std::vector<int64_t> delta(n);
-    for (size_t i = 0; i < n; ++i) {
-      delta[i] = (i & 1) ? std::numeric_limits<int64_t>::max()
-                         : std::numeric_limits<int64_t>::min() + 7;
-    }
-    std::vector<int64_t> got(kCounters, 0), want(kCounters, 0);
-    ops.scatter_add(got.data(), idx.data(), delta.data(), n);
-    simd::ScalarScatterAdd(want.data(), idx.data(), delta.data(), n);
-    EXPECT_EQ(got, want) << "wraparound duplicate fold";
-  }
-}
-
-// Whole-sketch conflict storms: streams whose batches are exactly the
-// adversarial duplicate patterns, pinned batch == single under the forced
-// tier with the native vector kernels published.  This drives the
-// conflict loop through the real sketch scatter passes (CountSketch
-// signed, Count-Min unsigned) rather than raw arrays.
+// Whole-sketch conflict storms: streams whose batches are adversarial
+// duplicate-bucket patterns, pinned batch == single under the forced tier.
+// This drives every duplicate fold through the real sketch scatter passes
+// (CountSketch signed, Count-Min unsigned) and the duplicate-probe decode.
 TEST_P(SimdDispatchTest, SketchConflictStormBatchSinglePin) {
   ASSERT_TRUE(simd::ForceIsaTier(GetParam()));
-  simd::ForceScatterDispatch(simd::ScatterDispatch::kVector);
   Rng srng(0x5701);
   std::vector<Update> ups;
-  // One hot key for a full block, then two alternating keys, then runs of
-  // kSimdBlock duplicates of rotating keys, then a skewed-random coda.
+  // Deltas at the int64 extremes on one key first, while every counter is
+  // still zero: each partial sum stays in range, so the duplicate fold is
+  // exact.  Then one hot key for a full block, two alternating keys, runs
+  // of kSimdBlock duplicates of rotating keys, and a skewed-random coda.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  for (size_t i = 0; i < 32; ++i) {
+    ups.push_back(Update{5, (i & 1) ? kMax : kMin + 7});
+  }
   for (size_t i = 0; i < simd::kSimdBlock; ++i) {
     ups.push_back(Update{42, (i & 1) ? int64_t{3} : int64_t{-2}});
   }

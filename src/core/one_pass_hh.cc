@@ -1,8 +1,10 @@
 #include "core/one_pass_hh.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_set>
+#include <limits>
+#include <span>
 
 #include "util/logging.h"
 
@@ -23,8 +25,13 @@ void OnePassHeavyHitter::Update(ItemId item, int64_t delta) {
 }
 
 void OnePassHeavyHitter::UpdateBatch(const gstream::Update* updates, size_t n) {
-  tracker_.UpdateBatch(updates, n);
-  ams_.UpdateBatch(updates, n);
+  // Both components are linear, so each distinct item's net delta leaves
+  // them as the raw chunk would; the tracker's own coalesce then finds
+  // the chunk ascending and returns it after one scan.
+  const std::span<const gstream::Update> chunk =
+      CoalesceChunk(updates, n, &chunk_.buf);
+  tracker_.UpdateBatch(chunk.data(), chunk.size());
+  ams_.UpdateBatch(chunk.data(), chunk.size());
 }
 
 void OnePassHeavyHitter::AdvancePass() {
@@ -78,17 +85,28 @@ bool OnePassHeavyHitter::SurvivesPruning(const GFunction& g, int64_t v_hat,
     return std::fabs(g_hat - g_shift) <= epsilon * g_shift;
   };
   // Probe magnitudes: 1..8 exhaustively, then geometric up to E, then an
-  // even linear grid, then E itself.  Both signs each.
-  std::unordered_set<int64_t> magnitudes;
-  for (int64_t m = 1; m <= std::min<int64_t>(8, e); ++m) magnitudes.insert(m);
-  for (int64_t m = 16; m < e && magnitudes.size() < probe_points; m *= 2) {
-    magnitudes.insert(m);
+  // even linear grid, then E itself.  Both signs each.  That is at most
+  // 8 + 59 geometric (16 .. 2^62) + 15 linear (E / step < 16) + 1
+  // magnitudes, so they fit a stack array; sort + unique drops the
+  // repeats, and the test is an AND, so probing order does not matter.
+  std::array<int64_t, 8 + 59 + 15 + 1> magnitudes;
+  size_t count = 0;
+  for (int64_t m = 1; m <= std::min<int64_t>(8, e); ++m) {
+    magnitudes[count++] = m;
+  }
+  // Every magnitude so far is distinct, so `count` is the distinct count
+  // the probe budget caps.
+  for (int64_t m = 16; m < e && count < probe_points; m *= 2) {
+    magnitudes[count++] = m;
+    if (m > std::numeric_limits<int64_t>::max() / 2) break;
   }
   const int64_t step = std::max<int64_t>(1, e / 8);
-  for (int64_t m = step; m < e; m += step) magnitudes.insert(m);
-  magnitudes.insert(e);
-  for (const int64_t m : magnitudes) {
-    if (!stable_at(m) || !stable_at(-m)) return false;
+  for (int64_t m = step; m < e; m += step) magnitudes[count++] = m;
+  magnitudes[count++] = e;
+  std::sort(magnitudes.begin(), magnitudes.begin() + count);
+  const auto last = std::unique(magnitudes.begin(), magnitudes.begin() + count);
+  for (auto it = magnitudes.begin(); it != last; ++it) {
+    if (!stable_at(*it) || !stable_at(-*it)) return false;
   }
   return true;
 }

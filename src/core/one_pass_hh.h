@@ -24,6 +24,7 @@
 #include "core/heavy_hitters.h"
 #include "sketch/ams.h"
 #include "sketch/count_sketch.h"
+#include "util/scratch.h"
 
 namespace gstream {
 
@@ -88,6 +89,7 @@ class OnePassHeavyHitter : public GHeavyHitterSketch {
   OnePassHHOptions options_;
   CountSketchTopK tracker_;
   AmsSketch ams_;
+  Scratch<gstream::Update> chunk_;  // UpdateBatch's coalesced chunk
 };
 
 // Runs the full one-pass algorithm over `stream` as one sequential batched

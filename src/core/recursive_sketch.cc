@@ -1,6 +1,7 @@
 #include "core/recursive_sketch.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -67,6 +68,13 @@ void RecursiveGSum::Update(ItemId item, int64_t delta) {
 
 void RecursiveGSum::UpdateBatch(const gstream::Update* updates, size_t n) {
   if (n == 0) return;
+  // Coalesce once for the whole stack: routing is per item, so every
+  // level's sub-batch comes out coalesced (and ascending) too, and each
+  // level sketch sees each distinct item once.
+  const std::span<const gstream::Update> chunk =
+      CoalesceChunk(updates, n, &chunk_.buf);
+  updates = chunk.data();
+  n = chunk.size();
   const int max_level = levels();
   for (auto& batch : level_batches_) {
     batch.clear();  // capacity retained

@@ -35,6 +35,7 @@
 
 #include "core/heavy_hitters.h"
 #include "sketch/subsampler.h"
+#include "util/scratch.h"
 
 namespace gstream {
 
@@ -56,9 +57,10 @@ class RecursiveGSum {
   // Routes the update to every level whose sample contains the item.
   void Update(ItemId item, int64_t delta);
 
-  // Batched routing: classifies the chunk once, partitions it into reusable
-  // per-level buffers, and forwards each level's sub-batch through the
-  // level sketch's UpdateBatch.  Counter state matches the sequential loop
+  // Batched routing: coalesces the chunk once (CoalesceChunk), classifies
+  // each distinct item once, partitions the chunk into reusable per-level
+  // buffers, and forwards each level's sub-batch through the level
+  // sketch's UpdateBatch.  Counter state matches the sequential loop
   // exactly (linearity).
   void UpdateBatch(const gstream::Update* updates, size_t n);
 
@@ -111,6 +113,7 @@ class RecursiveGSum {
   // construction from the stream chunk size; UpdateBatch asserts they are
   // reused, never reallocated, in steady state.
   std::vector<std::vector<gstream::Update>> level_batches_;
+  Scratch<gstream::Update> chunk_;  // UpdateBatch's coalesced chunk
 };
 
 }  // namespace gstream

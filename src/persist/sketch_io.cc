@@ -512,18 +512,18 @@ struct SketchSerde {
   // --- CountSketchTopK -----------------------------------------------------
   static std::string WriteTopK(const CountSketchTopK& s) {
     const std::string sketch = WriteCountSketch(s.sketch_);
-    std::vector<std::pair<ItemId, int64_t>> candidates(s.candidates_.begin(),
-                                                       s.candidates_.end());
-    std::sort(candidates.begin(), candidates.end());
+    std::vector<CandidateTable::Entry> candidates = s.candidates_.entries();
+    std::sort(candidates.begin(), candidates.end(),
+              [](const auto& a, const auto& b) { return a.item < b.item; });
     ByteWriter w;
     BeginBlob(&w, SketchKind::kCountSketchTopK, s.Fingerprint(),
               8 + 8 + sketch.size() + 8 + EntryBytes(candidates.size()));
     w.PutU64(s.k());
     w.PutBlob(sketch);
     w.PutU64(candidates.size());
-    for (const auto& [item, estimate] : candidates) {
-      w.PutU64(item);
-      w.PutI64(estimate);
+    for (const CandidateTable::Entry& e : candidates) {
+      w.PutU64(e.item);
+      w.PutI64(e.estimate);
     }
     return FinishBlob(&w);
   }
@@ -545,20 +545,33 @@ struct SketchSerde {
     if (LoadStatus s = ReadCountSketch(inner, &sketch); !s.ok()) return s;
     uint64_t n = 0;
     if (!r.GetU64(&n)) return Truncated("topk candidate count");
+    // The writer emits at most 2k candidates, ids strictly ascending; any
+    // other list would not re-serialize to its own bytes (or would break
+    // the tracker's 2k bound), so it is refused rather than normalized.
+    if (n > 2 * k) {
+      return LoadStatus::Fail(LoadError::kDomainError,
+                              "topk candidate count " + std::to_string(n) +
+                                  " exceeds 2k = " + std::to_string(2 * k));
+    }
     if (n > r.remaining() / 16) return Truncated("topk candidates");
-    std::unordered_map<ItemId, int64_t> candidates;
-    candidates.reserve(static_cast<size_t>(n));
+    std::vector<CandidateTable::Entry> candidates(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n; ++i) {
-      uint64_t item = 0;
-      int64_t estimate = 0;
-      if (!r.GetU64(&item) || !r.GetI64(&estimate)) {
+      CandidateTable::Entry& e = candidates[i];
+      if (!r.GetU64(&e.item) || !r.GetI64(&e.estimate)) {
         return Truncated("topk candidates");
       }
-      candidates[item] = estimate;
+      if (i > 0 && e.item <= candidates[i - 1].item) {
+        return LoadStatus::Fail(
+            LoadError::kDomainError,
+            (e.item == candidates[i - 1].item
+                 ? "topk candidate id duplicated at entry "
+                 : "topk candidate ids out of ascending order at entry ") +
+                std::to_string(i));
+      }
     }
     if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
     dst->sketch_ = std::move(sketch);
-    dst->candidates_ = std::move(candidates);
+    dst->candidates_.Assign(std::move(candidates));
     return LoadStatus::Ok();
   }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdlib>
+#include <span>
 
 #include "util/logging.h"
 #include "util/simd/simd_dispatch.h"
@@ -22,12 +24,31 @@ T MedianInPlace(std::vector<T>& v) {
 
 // Strength order for candidate maintenance: larger |estimate| first, item
 // id as the total-order tiebreak so pruning is deterministic regardless of
-// hash-map iteration order.
-inline bool Stronger(const std::pair<int64_t, ItemId>& a,
-                     const std::pair<int64_t, ItemId>& b) {
-  if (a.first != b.first) return a.first > b.first;
-  return a.second < b.second;
+// the candidates' storage order.
+inline bool Stronger(const CandidateTable::Entry& a,
+                     const CandidateTable::Entry& b) {
+  const int64_t aa = std::llabs(a.estimate);
+  const int64_t bb = std::llabs(b.estimate);
+  if (aa != bb) return aa > bb;
+  return a.item < b.item;
 }
+
+// Keeps the k strongest of `entries` (under Stronger, a total order).
+void KeepStrongest(std::vector<CandidateTable::Entry>* entries, size_t k) {
+  if (entries->size() <= k) return;
+  std::nth_element(entries->begin(),
+                   entries->begin() + static_cast<ptrdiff_t>(k - 1),
+                   entries->end(), Stronger);
+  entries->resize(k);
+}
+
+// Unit deltas turn eval4_bucket's signed-delta output into the row sign
+// itself, so a gather applies the sign with one multiply.
+constexpr std::array<int64_t, simd::kSimdBlock> kOnes = [] {
+  std::array<int64_t, simd::kSimdBlock> ones{};
+  for (int64_t& v : ones) v = 1;
+  return ones;
+}();
 
 }  // namespace
 
@@ -109,6 +130,80 @@ void CountSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
   }
 }
 
+void CountSketch::UpdateBatchRecording(const gstream::Update* updates,
+                                       size_t n, uint32_t* bucket,
+                                       int64_t* sign) {
+  // UpdateBatch's block structure, with the row hash evaluated against
+  // unit deltas so eval4_bucket writes the bucket and the sign straight
+  // into the caller's arrays; the signed deltas are formed from them (mod
+  // 2^64, like the scatter) for the scatter.
+  const simd::SimdOps& ops = simd::Ops();
+  const size_t b = options_.buckets;
+  const size_t rows = options_.rows;
+  const uint64_t* d0 = hash_bank_.DegreeCoeffs(0);
+  const uint64_t* d1 = hash_bank_.DegreeCoeffs(1);
+  const uint64_t* d2 = hash_bank_.DegreeCoeffs(2);
+  const uint64_t* d3 = hash_bank_.DegreeCoeffs(3);
+  alignas(64) uint64_t xm[simd::kSimdBlock];
+  alignas(64) uint64_t x2[simd::kSimdBlock];
+  alignas(64) uint64_t x3[simd::kSimdBlock];
+  alignas(64) int64_t sd[simd::kSimdBlock];
+  alignas(64) int64_t delta[simd::kSimdBlock];
+  for (size_t base = 0; base < n; base += simd::kSimdBlock) {
+    const size_t m = std::min(simd::kSimdBlock, n - base);
+    ops.prepare_batch(updates + base, m, xm, x2, x3, delta);
+    for (size_t j = 0; j < rows; ++j) {
+      uint32_t* idx = bucket + j * n + base;
+      int64_t* s = sign + j * n + base;
+      ops.eval4_bucket(d0[j], d1[j], d2[j], d3[j], xm, x2, x3, kOnes.data(),
+                       b, m, idx, s);
+      for (size_t i = 0; i < m; ++i) {
+        sd[i] = static_cast<int64_t>(static_cast<uint64_t>(delta[i]) *
+                                     static_cast<uint64_t>(s[i]));
+      }
+      ops.scatter_add_signed(counters_.data() + j * b, idx, sd, m);
+    }
+  }
+}
+
+void CountSketch::EstimateRecordedInto(const uint32_t* bucket,
+                                       const int64_t* sign, size_t n,
+                                       int64_t* out) const {
+  const simd::SimdOps& ops = simd::Ops();
+  const size_t b = options_.buckets;
+  const size_t rows = options_.rows;
+  std::vector<int64_t>& staging = est_scratch_.buf;
+  if (staging.size() < rows * simd::kSimdBlock) {
+    staging.resize(rows * simd::kSimdBlock);
+  }
+  int64_t* vals = staging.data();
+  for (size_t base = 0; base < n; base += simd::kSimdBlock) {
+    const size_t m = std::min(simd::kSimdBlock, n - base);
+    for (size_t j = 0; j < rows; ++j) {
+      ops.gather_signed(counters_.data() + j * b, bucket + j * n + base,
+                        sign + j * n + base, m, vals + j * simd::kSimdBlock);
+    }
+    RowMediansInto(vals, m, out + base);
+  }
+}
+
+void CountSketch::RowMediansInto(const int64_t* vals, size_t m,
+                                 int64_t* out) const {
+  // Insertion sort per item: the rows are few, and the middle order
+  // statistic is the value MedianInPlace's nth_element selects.
+  const size_t rows = options_.rows;
+  int64_t* sorted = row_scratch_.data();
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < rows; ++j) {
+      const int64_t v = vals[j * simd::kSimdBlock + i];
+      size_t p = j;
+      for (; p > 0 && sorted[p - 1] > v; --p) sorted[p] = sorted[p - 1];
+      sorted[p] = v;
+    }
+    out[i] = sorted[rows / 2];
+  }
+}
+
 int64_t CountSketch::Estimate(ItemId item) const {
   uint64_t xm, x2, x3;
   FieldPowers3Lazy(item, &xm, &x2, &x3);
@@ -135,17 +230,11 @@ void CountSketch::EstimateAllInto(const ItemId* items, size_t n,
   const uint64_t* d1 = hash_bank_.DegreeCoeffs(1);
   const uint64_t* d2 = hash_bank_.DegreeCoeffs(2);
   const uint64_t* d3 = hash_bank_.DegreeCoeffs(3);
-  if (est_scratch_.size() < rows * simd::kSimdBlock) {
-    est_scratch_.resize(rows * simd::kSimdBlock);
+  std::vector<int64_t>& staging = est_scratch_.buf;
+  if (staging.size() < rows * simd::kSimdBlock) {
+    staging.resize(rows * simd::kSimdBlock);
   }
-  int64_t* vals = est_scratch_.data();
-  // Unit deltas turn eval4_bucket's signed-delta output into the row sign
-  // itself, so the gather applies the sign with one multiply.
-  static constexpr std::array<int64_t, simd::kSimdBlock> kOnes = [] {
-    std::array<int64_t, simd::kSimdBlock> ones{};
-    for (int64_t& v : ones) v = 1;
-    return ones;
-  }();
+  int64_t* vals = staging.data();
   alignas(64) uint64_t xm[simd::kSimdBlock];
   alignas(64) uint64_t x2[simd::kSimdBlock];
   alignas(64) uint64_t x3[simd::kSimdBlock];
@@ -160,12 +249,7 @@ void CountSketch::EstimateAllInto(const ItemId* items, size_t n,
       ops.gather_signed(counters_.data() + j * b, idx, sign, m,
                         vals + j * simd::kSimdBlock);
     }
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < rows; ++j) {
-        row_scratch_[j] = vals[j * simd::kSimdBlock + i];
-      }
-      out[base + i] = MedianInPlace(row_scratch_);
-    }
+    RowMediansInto(vals, m, out + base);
   }
 }
 
@@ -194,12 +278,60 @@ size_t CountSketch::SpaceBytes() const {
          sizeof(uint64_t) /* bucket range */;
 }
 
+CandidateTable::CandidateTable(size_t capacity)
+    : capacity_(capacity),
+      index_bits_(std::bit_width(2 * capacity - 1)) {}
+
+size_t CandidateTable::HomeSlot(ItemId item) const {
+  // Fibonacci hashing: the top index_bits_ bits of a multiplicative hash.
+  return static_cast<size_t>((item * 0x9e3779b97f4a7c15ULL) >>
+                             (64 - index_bits_));
+}
+
+void CandidateTable::BuildIndex() {
+  index_.buf.assign(size_t{1} << index_bits_, 0);
+  entries_.reserve(capacity_);
+  const size_t mask = index_.buf.size() - 1;
+  for (size_t pos = 0; pos < entries_.size(); ++pos) {
+    size_t slot = HomeSlot(entries_[pos].item);
+    while (index_.buf[slot] != 0) slot = (slot + 1) & mask;
+    index_.buf[slot] = static_cast<uint32_t>(pos + 1);
+  }
+}
+
+void CandidateTable::Upsert(ItemId item, int64_t estimate) {
+  if (index_.buf.empty()) BuildIndex();
+  const size_t mask = index_.buf.size() - 1;
+  for (size_t slot = HomeSlot(item);; slot = (slot + 1) & mask) {
+    const uint32_t pos = index_.buf[slot];
+    if (pos == 0) {
+      GSTREAM_CHECK_LT(entries_.size(), capacity_);
+      entries_.push_back(Entry{item, estimate});
+      index_.buf[slot] = static_cast<uint32_t>(entries_.size());
+      return;
+    }
+    if (entries_[pos - 1].item == item) {
+      entries_[pos - 1].estimate = estimate;
+      return;
+    }
+  }
+}
+
+void CandidateTable::Assign(std::vector<Entry> entries) {
+  GSTREAM_CHECK_LE(entries.size(), capacity_);
+  entries_ = std::move(entries);
+  index_.buf.clear();
+}
+
+void CandidateTable::KeepStrongest(size_t k) {
+  gstream::KeepStrongest(&entries_, k);
+  index_.buf.clear();
+}
+
 CountSketchTopK::CountSketchTopK(const CountSketchOptions& options, size_t k,
                                  Rng& rng)
-    : sketch_(options, rng), k_(k) {
+    : sketch_(options, rng), k_(k), candidates_(2 * k + 1) {
   GSTREAM_CHECK_GE(k, 1u);
-  candidates_.reserve(2 * k + 1);
-  prune_scratch_.reserve(2 * k + 1);
 }
 
 void CountSketchTopK::Update(ItemId item, int64_t delta) {
@@ -208,24 +340,24 @@ void CountSketchTopK::Update(ItemId item, int64_t delta) {
 }
 
 void CountSketchTopK::UpdateBatch(const gstream::Update* updates, size_t n) {
-  sketch_.UpdateBatch(updates, n);
-  // Refresh each distinct touched item once against the post-batch
-  // counters; estimates only get sharper than the mid-batch values the
-  // sequential loop would have seen.
-  touched_scratch_.clear();
-  for (size_t i = 0; i < n; ++i) touched_scratch_.push_back(updates[i].item);
-  std::sort(touched_scratch_.begin(), touched_scratch_.end());
-  touched_scratch_.erase(
-      std::unique(touched_scratch_.begin(), touched_scratch_.end()),
-      touched_scratch_.end());
-  // One batched decode for all touched items (the estimates depend only on
-  // the post-batch counters, so precomputing them preserves the exact
-  // insert-then-maybe-prune evolution of per-item Refresh calls).
-  estimate_scratch_.resize(touched_scratch_.size());
-  sketch_.EstimateAllInto(touched_scratch_.data(), touched_scratch_.size(),
-                          estimate_scratch_.data());
-  for (size_t i = 0; i < touched_scratch_.size(); ++i) {
-    candidates_[touched_scratch_[i]] = estimate_scratch_[i];
+  const std::span<const gstream::Update> chunk =
+      CoalesceChunk(updates, n, &chunk_.buf);
+  const size_t m = chunk.size();
+  const size_t cells = sketch_.rows() * m;
+  if (buckets_.buf.size() < cells) {
+    buckets_.buf.resize(cells);
+    signs_.buf.resize(cells);
+  }
+  if (estimates_.buf.size() < m) estimates_.buf.resize(m);
+  sketch_.UpdateBatchRecording(chunk.data(), m, buckets_.buf.data(),
+                               signs_.buf.data());
+  // Every touched item's estimate depends only on the post-chunk counters,
+  // so gathering them all first preserves the exact insert-then-maybe-
+  // prune evolution of per-item Refresh calls in ascending id order.
+  sketch_.EstimateRecordedInto(buckets_.buf.data(), signs_.buf.data(), m,
+                               estimates_.buf.data());
+  for (size_t i = 0; i < m; ++i) {
+    candidates_.Upsert(chunk[i].item, estimates_.buf[i]);
     if (candidates_.size() > 2 * k_) Prune();
   }
 }
@@ -236,34 +368,29 @@ void CountSketchTopK::MergeFrom(const CountSketchTopK& other) {
   // guarded); after this the inner sketch holds whole-stream counters.
   sketch_.MergeFrom(other.sketch_);
   // Union of the two candidate sets, deterministic order.
-  touched_scratch_.clear();
-  touched_scratch_.reserve(candidates_.size() + other.candidates_.size());
-  for (const auto& [item, est] : candidates_) touched_scratch_.push_back(item);
-  for (const auto& [item, est] : other.candidates_) {
-    touched_scratch_.push_back(item);
-  }
-  std::sort(touched_scratch_.begin(), touched_scratch_.end());
-  touched_scratch_.erase(
-      std::unique(touched_scratch_.begin(), touched_scratch_.end()),
-      touched_scratch_.end());
+  std::vector<ItemId>& ids = union_.buf;
+  ids.clear();
+  for (const auto& e : candidates_.entries()) ids.push_back(e.item);
+  for (const auto& e : other.candidates_.entries()) ids.push_back(e.item);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   // Re-estimate every union member against the merged counters.  Stale
   // per-shard estimates (computed against a shard's partial counters) are
   // discarded wholesale: only whole-stream estimates may decide pruning.
-  estimate_scratch_.resize(touched_scratch_.size());
-  sketch_.EstimateAllInto(touched_scratch_.data(), touched_scratch_.size(),
-                          estimate_scratch_.data());
-  candidates_.clear();
-  for (size_t i = 0; i < touched_scratch_.size(); ++i) {
-    candidates_[touched_scratch_[i]] = estimate_scratch_[i];
-  }
+  std::vector<int64_t>& estimates = estimates_.buf;
+  estimates.resize(ids.size());
+  sketch_.EstimateAllInto(ids.data(), ids.size(), estimates.data());
+  std::vector<CandidateTable::Entry> merged(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) merged[i] = {ids[i], estimates[i]};
   // Re-prune to the k strongest (|estimate| desc, item id tiebreak) -- the
   // same selection TopK() reports, so the retained set is exactly the top-k
   // of the candidate union under merged estimates.
-  if (candidates_.size() > k_) Prune();
+  KeepStrongest(&merged, k_);
+  candidates_.Assign(std::move(merged));
 }
 
 void CountSketchTopK::Refresh(ItemId item) {
-  candidates_[item] = sketch_.Estimate(item);
+  candidates_.Upsert(item, sketch_.Estimate(item));
   if (candidates_.size() <= 2 * k_) return;
   Prune();
 }
@@ -272,40 +399,23 @@ void CountSketchTopK::Prune() {
   // Amortized maintenance: let the set fill the [k, 2k] hysteresis band,
   // then one O(k) selection keeps the k strongest.  Each prune removes ~k
   // entries, so the per-update cost is O(1) amortized.
-  prune_scratch_.clear();
-  for (const auto& [item, est] : candidates_) {
-    prune_scratch_.emplace_back(std::llabs(est), item);
-  }
-  auto kth = prune_scratch_.begin() + static_cast<ptrdiff_t>(k_ - 1);
-  std::nth_element(prune_scratch_.begin(), kth, prune_scratch_.end(),
-                   Stronger);
-  const std::pair<int64_t, ItemId> cutoff = *kth;
-  for (auto it = candidates_.begin(); it != candidates_.end();) {
-    if (Stronger(cutoff, {std::llabs(it->second), it->first})) {
-      it = candidates_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  candidates_.KeepStrongest(k_);
 }
 
 std::vector<std::pair<ItemId, int64_t>> CountSketchTopK::TopK() const {
-  std::vector<std::pair<ItemId, int64_t>> out(candidates_.begin(),
-                                              candidates_.end());
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    const int64_t aa = std::llabs(a.second);
-    const int64_t bb = std::llabs(b.second);
-    if (aa != bb) return aa > bb;
-    return a.first < b.first;
-  });
-  if (out.size() > k_) out.resize(k_);
+  std::vector<CandidateTable::Entry> sorted = candidates_.entries();
+  std::sort(sorted.begin(), sorted.end(), Stronger);
+  if (sorted.size() > k_) sorted.resize(k_);
+  std::vector<std::pair<ItemId, int64_t>> out;
+  out.reserve(sorted.size());
+  for (const auto& e : sorted) out.emplace_back(e.item, e.estimate);
   return out;
 }
 
 std::vector<ItemId> CountSketchTopK::CandidateItems() const {
   std::vector<ItemId> items;
   items.reserve(candidates_.size());
-  for (const auto& [item, est] : candidates_) items.push_back(item);
+  for (const auto& e : candidates_.entries()) items.push_back(e.item);
   std::sort(items.begin(), items.end());
   return items;
 }

@@ -38,14 +38,13 @@
 #define GSTREAM_SKETCH_COUNT_SKETCH_H_
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "sketch/linear_sketch.h"
 #include "util/aligned.h"
 #include "util/hash.h"
 #include "util/random.h"
+#include "util/scratch.h"
 
 namespace gstream {
 
@@ -84,8 +83,21 @@ class CountSketch : public LinearSketch {
 
   // Allocation-free (steady-state) form of EstimateAll: writes n estimates
   // into `out`, item-major through the SIMD kernel layer -- the batched
-  // decode the top-k refresh and the candidate-union merge run on.
+  // decode the candidate-union merge runs on.
   void EstimateAllInto(const ItemId* items, size_t n, int64_t* out) const;
+
+  // UpdateBatch that also records where each update landed: row j's
+  // bucket and sign for update i go to bucket[j * n + i] and
+  // sign[j * n + i] (sign in {+1, -1}).  Counters are bit-identical to
+  // UpdateBatch.
+  void UpdateBatchRecording(const gstream::Update* updates, size_t n,
+                            uint32_t* bucket, int64_t* sign);
+
+  // Median-of-rows estimates of the n items whose buckets and signs
+  // UpdateBatchRecording recorded, against the current counters, without
+  // hashing again: out[i] is bit-identical to Estimate(updates[i].item).
+  void EstimateRecordedInto(const uint32_t* bucket, const int64_t* sign,
+                            size_t n, int64_t* out) const;
 
   // Per-row F2 estimate (sum of squared counters is unbiased for F2);
   // returns the median across rows.  Coarser than a dedicated AMS sketch
@@ -113,6 +125,9 @@ class CountSketch : public LinearSketch {
   // the fingerprint in the wire header).
   friend struct persist::SketchSerde;
 
+  // out[i] = median over rows j of vals[j * simd::kSimdBlock + i], i < m.
+  void RowMediansInto(const int64_t* vals, size_t m, int64_t* out) const;
+
   // H_j(item) for row j, given the item's precomputed field powers.
   uint64_t RowHash(size_t j, uint64_t xm, uint64_t x2, uint64_t x3) const {
     return Eval4Wise(hash_bank_.DegreeCoeffs(0)[j],
@@ -126,12 +141,51 @@ class CountSketch : public LinearSketch {
   AlignedI64Vector counters_;    // rows * buckets, row-major, 64B-aligned
   uint64_t hash_fingerprint_ = 0;  // guards MergeFrom
   // Reusable query scratch (median buffers and the rows x kSimdBlock
-  // staging of the batched decode); members so the steady-state query
+  // staging of the batched decodes); members so the steady-state query
   // paths never allocate.  The update path needs none: UpdateBatch blocks
   // through stack arrays.
   mutable std::vector<int64_t> row_scratch_;
-  mutable std::vector<int64_t> est_scratch_;
+  mutable Scratch<int64_t> est_scratch_;
   mutable std::vector<double> f2_scratch_;
+};
+
+// The top-k tracker's candidate set: (item, estimate) entries in a flat
+// vector plus an open-addressed index over them (linear probing, at most
+// half full at `capacity` entries).  The entries are the state; the index
+// is Scratch, rebuilt by the first Upsert after a copy, Assign or
+// KeepStrongest.  Entry order is unspecified: readers that need an order
+// sort.
+class CandidateTable {
+ public:
+  struct Entry {
+    ItemId item;
+    int64_t estimate;
+  };
+
+  explicit CandidateTable(size_t capacity);
+
+  size_t size() const { return entries_.size(); }
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  // Inserts `item` with `estimate`, or overwrites the estimate it has.
+  // A new item needs a free entry (size() < capacity).
+  void Upsert(ItemId item, int64_t estimate);
+
+  // Replaces every entry.  Items must be distinct, at most `capacity`.
+  void Assign(std::vector<Entry> entries);
+
+  // Keeps the k strongest entries: larger |estimate| first, item id as the
+  // total-order tiebreak, so the kept set never depends on entry order.
+  void KeepStrongest(size_t k);
+
+ private:
+  size_t HomeSlot(ItemId item) const;
+  void BuildIndex();
+
+  size_t capacity_;
+  int index_bits_;  // log2 of the index size
+  std::vector<Entry> entries_;
+  Scratch<uint32_t> index_;  // slot -> entry position + 1 (0 = empty)
 };
 
 // CountSketch plus a running top-k candidate tracker: after each update the
@@ -139,18 +193,28 @@ class CountSketch : public LinearSketch {
 // absolute value) are retained.  This is the classic streaming heavy-hitter
 // decode; with deletions an item whose estimate later collapses is evicted.
 //
-// Candidate maintenance is amortized: the set grows freely to 2k, then one
-// O(k) selection prunes it back to the k strongest -- O(1) amortized work
-// per update instead of the per-update linear eviction scan.
+// Candidate maintenance is amortized: the set (a flat CandidateTable of
+// capacity 2k + 1) grows freely to 2k, and the insert that takes it past
+// 2k triggers one O(k) selection back to the k strongest -- O(1) amortized
+// work per update instead of a per-update linear eviction scan.
+//
+// A chunk is coalesced first (CoalesceChunk: each distinct item once, net
+// delta, ascending), so the scatter hashes each distinct item once per row
+// and records its (bucket, sign) pairs; the refresh then gathers every
+// touched item's post-chunk estimate from those pairs instead of hashing
+// again, and upserts the items in ascending id order, pruning whenever
+// the table passes 2k.  Entries not yet refreshed keep their earlier
+// estimates into such a mid-chunk prune.  docs/engine.md ("Chunk
+// coalescing") argues why this is exact.
 class CountSketchTopK : public LinearSketch {
  public:
   CountSketchTopK(const CountSketchOptions& options, size_t k, Rng& rng);
 
   void Update(ItemId item, int64_t delta) override;
 
-  // Applies the whole batch to the underlying sketch first (bit-identical
+  // Coalesces the chunk, applies it to the underlying sketch (bit-identical
   // counters to the sequential loop), then refreshes each distinct touched
-  // item's estimate once.
+  // item's estimate once, against the post-chunk counters.
   void UpdateBatch(const gstream::Update* updates, size_t n) override;
 
   // Merges another tracker that processed a disjoint shard of the stream.
@@ -195,12 +259,15 @@ class CountSketchTopK : public LinearSketch {
   size_t k_;
   // Candidate -> current estimate.  Size capped at 2k (hysteresis band so
   // borderline items are not thrashed in and out).
-  std::unordered_map<ItemId, int64_t> candidates_;
-  // Reusable scratch for Prune (|estimate|, item), batch dedup, and the
-  // batched estimate refresh.
-  std::vector<std::pair<int64_t, ItemId>> prune_scratch_;
-  std::vector<ItemId> touched_scratch_;
-  std::vector<int64_t> estimate_scratch_;
+  CandidateTable candidates_;
+  // Per-chunk scratch: the coalesced chunk, the scatter's recorded
+  // buckets and signs (rows x distinct items), the refreshed estimates,
+  // and the merge's candidate union.
+  Scratch<gstream::Update> chunk_;
+  Scratch<uint32_t> buckets_;
+  Scratch<int64_t> signs_;
+  Scratch<int64_t> estimates_;
+  Scratch<ItemId> union_;
 };
 
 }  // namespace gstream

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -109,6 +110,18 @@ class Stream {
   uint64_t domain_;
   std::vector<Update> updates_;
 };
+
+// Coalesces a chunk into its net per-item deltas: ascending by item, each
+// item once, its deltas summed with uint64_t wraparound, and items whose
+// net delta is zero kept.  Returns `updates` itself when the chunk is
+// already strictly ascending (one O(n) scan, no copy), else a view of
+// `*scratch`.  A linear sketch fed the coalesced chunk ends in the same
+// state as one fed the raw chunk: its counters add s * delta, and addition
+// mod 2^64 is associative and commutative.  Keeping net-zero items keeps
+// the set of touched items, so a tracker that refreshes every touched item
+// after a chunk refreshes the same ones.
+std::span<const Update> CoalesceChunk(const Update* updates, size_t n,
+                                      std::vector<Update>* scratch);
 
 // Computes the exact frequency vector of `stream` (one scan).  Items whose
 // net frequency is zero are omitted.

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <unordered_set>
+#include <vector>
 
 #include "gfunc/catalog.h"
 #include "gfunc/envelope.h"
@@ -72,6 +75,67 @@ TEST(OnePassHHTest, IndicatorSurvivesAnyRadiusAboveIt) {
   EXPECT_TRUE(OnePassHeavyHitter::SurvivesPruning(*g, 1000, 500, 0.1, 24));
   // Radius that reaches 0 (where g drops to 0) fails the stability test.
   EXPECT_FALSE(OnePassHeavyHitter::SurvivesPruning(*g, 100, 200, 0.1, 24));
+}
+
+// The probe grid as a std::unordered_set, the form SurvivesPruning had
+// before its magnitudes moved to a stack array: the reference the
+// allocation-free version must agree with on every input.
+bool SurvivesPruningOnSetGrid(const GFunction& g, int64_t v_hat, int64_t e,
+                              double epsilon, size_t probe_points) {
+  if (e <= 0) return true;
+  const double g_hat = g.ValueAbs(v_hat);
+  auto stable_at = [&](int64_t y) {
+    const double g_shift = g.ValueAbs(v_hat + y);
+    return std::fabs(g_hat - g_shift) <= epsilon * g_shift;
+  };
+  std::unordered_set<int64_t> magnitudes;
+  for (int64_t m = 1; m <= std::min<int64_t>(8, e); ++m) magnitudes.insert(m);
+  for (int64_t m = 16; m < e && magnitudes.size() < probe_points; m *= 2) {
+    magnitudes.insert(m);
+  }
+  const int64_t step = std::max<int64_t>(1, e / 8);
+  for (int64_t m = step; m < e; m += step) magnitudes.insert(m);
+  magnitudes.insert(e);
+  for (const int64_t m : magnitudes) {
+    if (!stable_at(m) || !stable_at(-m)) return false;
+  }
+  return true;
+}
+
+TEST(OnePassHHTest, SurvivesPruningMatchesSetBasedGrid) {
+  const std::vector<GFunctionPtr> functions = {
+      MakePower(2.0), MakeSinModulated(), MakeSinLogModulated(),
+      MakeIndicator(), MakeX2Log(), MakeInversePoly(1.0)};
+  const double epsilons[] = {0.01, 0.1, 0.25, 0.5};
+  const size_t probe_budgets[] = {1, 4, 9, 24, 64, 200};
+  Rng rng(0x9a1e);
+  size_t survived = 0;
+  size_t pruned = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const GFunction& g = *functions[rng.NextUint64() % functions.size()];
+    // Log-uniform radius in [1, 4e18] (PruningRadius's cap), plus the
+    // small radii where the exhaustive and linear grids overlap.
+    const int64_t e =
+        trial % 4 == 0
+            ? static_cast<int64_t>(rng.NextUint64() % 40)
+            : static_cast<int64_t>(std::exp(rng.UniformDouble() *
+                                            std::log(4.0e18)));
+    const int64_t v_hat =
+        static_cast<int64_t>(std::exp(rng.UniformDouble() * std::log(1e15))) *
+        (rng.Bernoulli(0.5) ? 1 : -1);
+    const double epsilon = epsilons[rng.NextUint64() % std::size(epsilons)];
+    const size_t probes =
+        probe_budgets[rng.NextUint64() % std::size(probe_budgets)];
+    const bool want = SurvivesPruningOnSetGrid(g, v_hat, e, epsilon, probes);
+    ASSERT_EQ(OnePassHeavyHitter::SurvivesPruning(g, v_hat, e, epsilon, probes),
+              want)
+        << "v_hat=" << v_hat << " e=" << e << " epsilon=" << epsilon
+        << " probes=" << probes;
+    (want ? survived : pruned) += 1;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(survived, 100u);
+  EXPECT_GT(pruned, 100u);
 }
 
 TEST(OnePassHHTest, PruningRadiusPaperTermGoverns) {

@@ -5,13 +5,16 @@
 // valid blob's layout -- the envelope, the length-prefixed child blobs
 // (recursively) and, for a GCKP, the shard table -- and mutates one
 // semantic field at a time: child lengths, entry / staged / shard counts,
-// geometry words, and kind and version tags.  It then re-seals every
-// checksum innermost first, so the mutant reaches the parser behind the
-// checksum.  Mutants are drawn from SplitMix64 with a fixed budget.
+// geometry words, kind and version tags, and top-k candidate lists (a
+// duplicated id, two entries out of order, or more than 2k entries --
+// lists the writer never emits).  It then re-seals every checksum
+// innermost first, so the mutant reaches the parser behind the checksum.
+// Mutants are drawn from SplitMix64 with a fixed budget.
 //
-// The oracle: every mutant either loads and re-serializes to exactly its
-// own bytes, or fails with a named LoadError and a message and leaves the
-// destination bit-unchanged.
+// The oracle: every mutant either loads, re-serializes to exactly its own
+// bytes and keeps every top-k tracker within its 2k-candidate bound, or
+// fails with a named LoadError and a message and leaves the destination
+// bit-unchanged.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/gnp_sketch.h"
@@ -46,12 +50,20 @@ constexpr uint64_t kSeed = 0xf022ULL;
 // The layout walker.
 // ---------------------------------------------------------------------------
 
-enum class FieldClass { kVersion, kKind, kGeometry, kCount, kChildLength };
+enum class FieldClass {
+  kVersion,
+  kKind,
+  kGeometry,
+  kCount,
+  kChildLength,
+  kCandidateEntry,  // a top-k candidate list; `offset` is its count word
+};
 
 struct Field {
   size_t offset;
   size_t width;  // 4 or 8
   FieldClass cls;
+  size_t k_offset = 0;  // kCandidateEntry: the tracker's k word
 };
 
 // A checksummed envelope [begin, end); its checksum is the last 8 bytes.
@@ -107,8 +119,8 @@ class Walker {
   }
 
  private:
-  void Add(size_t offset, size_t width, FieldClass cls) {
-    map_.fields.push_back({offset, width, cls});
+  void Add(size_t offset, size_t width, FieldClass cls, size_t k_offset = 0) {
+    map_.fields.push_back({offset, width, cls, k_offset});
   }
 
   // A length-prefixed child blob at `pos`; returns the offset past it.
@@ -141,11 +153,14 @@ class Walker {
       case SketchKind::kExactFrequency:
         Add(pos, 8, FieldClass::kCount);
         break;
-      case SketchKind::kCountSketchTopK:
+      case SketchKind::kCountSketchTopK: {
+        const size_t k_offset = pos;
         geometry(1);
         pos = Child(pos, depth + 1);
         Add(pos, 8, FieldClass::kCount);
+        Add(pos, 8, FieldClass::kCandidateEntry, k_offset);
         break;
+      }
       case SketchKind::kExactHeavyHitter:
         Child(pos, depth + 1);
         break;
@@ -231,10 +246,75 @@ uint64_t MutateValue(const Field& field, uint64_t v, uint64_t& rng) {
   return out == v ? (v ^ 1) & mask : out;
 }
 
+// Inserts `extra` at offset `at`, grows every child length whose blob
+// encloses `at`, and re-seals every envelope (shifted or grown) -- a
+// mutant one size larger than its pristine blob.
+std::string Splice(std::string bytes, const WireMap& map, size_t at,
+                   std::string_view extra) {
+  const size_t n = extra.size();
+  std::vector<std::pair<size_t, uint64_t>> grown_lengths;
+  for (const Field& field : map.fields) {
+    if (field.cls != FieldClass::kChildLength) continue;
+    const uint64_t len = ReadLe(bytes, field.offset, 8);
+    if (field.offset + 8 <= at && at < field.offset + 8 + len) {
+      grown_lengths.emplace_back(field.offset, len + n);
+    }
+  }
+  bytes.insert(at, extra);
+  // Enclosing length words precede `at`, so their offsets do not move.
+  for (const auto& [offset, len] : grown_lengths) {
+    WriteLe(&bytes, offset, 8, len);
+  }
+  WireMap grown = map;
+  for (Seal& seal : grown.seals) {
+    if (seal.begin >= at) seal.begin += n;
+    if (seal.end > at) seal.end += n;
+  }
+  Reseal(grown, &bytes);
+  return bytes;
+}
+
+// A candidate list the writer never emits: entry i + 1 takes entry i's
+// id, entries i and i + 1 swap, or the list grows to 2k + 1 entries with
+// fresh ascending ids (the only choice for lists shorter than two).
+std::string CandidateMutant(std::string_view pristine, const WireMap& map,
+                            const Field& list, uint64_t& rng) {
+  std::string bytes(pristine);
+  const uint64_t count = ReadLe(bytes, list.offset, 8);
+  const size_t entries = list.offset + 8;
+  const uint64_t op = SplitMix64(rng) % 3;
+  if (count >= 2 && op < 2) {
+    const size_t a = entries + 16 * (SplitMix64(rng) % (count - 1));
+    const size_t b = a + 16;
+    if (op == 0) {
+      bytes.replace(b, 8, bytes, a, 8);
+    } else {
+      std::swap_ranges(bytes.begin() + static_cast<ptrdiff_t>(a),
+                       bytes.begin() + static_cast<ptrdiff_t>(b),
+                       bytes.begin() + static_cast<ptrdiff_t>(b));
+    }
+    Reseal(map, &bytes);
+    return bytes;
+  }
+  const uint64_t k = ReadLe(bytes, list.k_offset, 8);
+  uint64_t next =
+      count == 0 ? 0 : ReadLe(bytes, entries + 16 * (count - 1), 8) + 1;
+  std::string extra(16 * (2 * k + 1 - count), '\0');
+  for (size_t e = 0; e < extra.size(); e += 16, ++next) {
+    WriteLe(&extra, e, 8, next);
+    WriteLe(&extra, e + 8, 8, next * 3);
+  }
+  WriteLe(&bytes, list.offset, 8, 2 * k + 1);
+  return Splice(std::move(bytes), map, entries + 16 * count, extra);
+}
+
 // One mutant: a single field of `pristine` replaced, checksums re-sealed.
 std::string Mutant(std::string_view pristine, const WireMap& map,
                    uint64_t& rng) {
   const Field& field = map.fields[SplitMix64(rng) % map.fields.size()];
+  if (field.cls == FieldClass::kCandidateEntry) {
+    return CandidateMutant(pristine, map, field, rng);
+  }
   std::string bytes(pristine);
   const uint64_t v = ReadLe(bytes, field.offset, field.width);
   WriteLe(&bytes, field.offset, field.width, MutateValue(field, v, rng));
@@ -263,14 +343,40 @@ OnePassHeavyHitter MakeOnePass(uint64_t seed = kSeed) {
   return OnePassHeavyHitter(options, rng);
 }
 
+// The state a load must never produce even when the bytes round-trip:
+// every top-k tracker holds at most 2k candidates.
+bool WithinCapacity(const CountSketchTopK& s) {
+  return s.CandidateItems().size() <= 2 * s.k();
+}
+bool WithinCapacity(const OnePassHeavyHitter& s) {
+  return WithinCapacity(s.tracker());
+}
+bool WithinCapacity(const TwoPassHeavyHitter& s) {
+  return WithinCapacity(s.tracker());
+}
+bool WithinCapacity(const RecursiveGSum& s) {
+  for (int l = 0; l <= s.levels(); ++l) {
+    const auto* level =
+        dynamic_cast<const OnePassHeavyHitter*>(&s.level_sketch(l));
+    if (level != nullptr && !WithinCapacity(*level)) return false;
+  }
+  return true;
+}
+template <typename SketchT>
+bool WithinCapacity(const SketchT&) {
+  return true;
+}
+
 // A loader under test: `load` deserializes into a persistent same-seed
-// shell, `save` serializes it, and `reset` empties it again -- so a failed
-// load that half-commits the blob's state is visible.
+// shell, `save` serializes it, `bounded` checks its tracker bounds, and
+// `reset` empties it again -- so a failed load that half-commits the
+// blob's state is visible.
 struct Target {
   std::string name;
   std::string blob;
   std::function<LoadStatus(std::string_view)> load;
   std::function<std::string()> save;
+  std::function<bool()> bounded;
   std::function<void()> reset;
 };
 
@@ -283,6 +389,7 @@ Target MakeTarget(std::string name, MakeFn make, PrepFn prep) {
       std::move(name), SerializeSketch(original),
       [shell](std::string_view b) { return DeserializeSketch(b, shell.get()); },
       [shell] { return SerializeSketch(*shell); },
+      [shell] { return WithinCapacity(*shell); },
       [shell, make] { *shell = make(); }};
 }
 
@@ -370,6 +477,9 @@ void CheckOutcome(const Target& target, std::string_view mutant,
     ASSERT_EQ(target.save(), mutant)
         << target.name << " mutant " << index
         << " loaded but does not re-serialize to its own bytes";
+    ASSERT_TRUE(target.bounded())
+        << target.name << " mutant " << index
+        << " loaded a tracker with more than 2k candidates";
     target.reset();
     return;
   }
@@ -431,6 +541,7 @@ TEST(CheckpointFuzzTest, TwoShardMutantsDecodeAndRestoreOrFailCleanly) {
       "shard", "",
       [shell](std::string_view b) { return DeserializeSketch(b, shell.get()); },
       [shell] { return SerializeSketch(*shell); },
+      [shell] { return WithinCapacity(*shell); },
       [shell] { *shell = MakeOnePass(); }};
 
   uint64_t rng = 0xc4ec9017ULL;

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
+#include <map>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/gnp_sketch.h"
@@ -19,6 +25,7 @@
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
+#include "sketch/subsampler.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
 
@@ -250,6 +257,235 @@ TEST(BatchEquivalenceTest, GSumBatchedPipelineMatchesSequential) {
   const double a = sequential.Estimate();
   const double b = batched.Estimate();
   EXPECT_NEAR(a, b, 0.05 * std::abs(a) + 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Chunk coalescing.  UpdateBatch on a tracker, a one-pass heavy hitter and
+// a recursive stack coalesces each chunk (CoalesceChunk), scatters each
+// distinct item once and refreshes candidates from the scatter's recorded
+// hashes.  These pins hold the result to references built independently:
+// counters and AMS sums from per-update Update calls, candidate sets from
+// a std::map model of the documented refresh rule.
+// ---------------------------------------------------------------------------
+
+// The refresh rule, modeled on a std::map: after each chunk every distinct
+// touched item, in ascending id order, takes its post-chunk estimate, and
+// an insert that takes the set past 2k cuts it to the k strongest
+// (|estimate| desc, id asc).  Entries not yet refreshed keep their earlier
+// estimates into that cut.
+class RefreshModel {
+ public:
+  explicit RefreshModel(size_t k) : k_(k) {}
+
+  void AfterChunk(const std::vector<Update>& chunk, const CountSketch& post) {
+    std::set<ItemId> touched;
+    for (const Update& u : chunk) touched.insert(u.item);
+    for (const ItemId item : touched) {
+      set_[item] = post.Estimate(item);
+      if (set_.size() > 2 * k_) {
+        std::vector<std::pair<ItemId, int64_t>> ranked = Ranked();
+        ranked.resize(k_);
+        set_ = std::map<ItemId, int64_t>(ranked.begin(), ranked.end());
+      }
+    }
+  }
+
+  std::vector<ItemId> Items() const {
+    std::vector<ItemId> items;
+    for (const auto& [item, est] : set_) items.push_back(item);
+    return items;
+  }
+
+  std::vector<std::pair<ItemId, int64_t>> TopK() const {
+    std::vector<std::pair<ItemId, int64_t>> ranked = Ranked();
+    if (ranked.size() > k_) ranked.resize(k_);
+    return ranked;
+  }
+
+ private:
+  std::vector<std::pair<ItemId, int64_t>> Ranked() const {
+    std::vector<std::pair<ItemId, int64_t>> ranked(set_.begin(), set_.end());
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      if (std::llabs(a.second) != std::llabs(b.second)) {
+        return std::llabs(a.second) > std::llabs(b.second);
+      }
+      return a.first < b.first;
+    });
+    return ranked;
+  }
+
+  size_t k_;
+  std::map<ItemId, int64_t> set_;
+};
+
+// Deltas this close to the int64 limits still leave headroom for the small
+// counters the other chunks build (|counter| < 2^20).
+constexpr int64_t kNearMax = std::numeric_limits<int64_t>::max() - (1 << 20);
+constexpr int64_t kNearMin = std::numeric_limits<int64_t>::min() + (1 << 20);
+
+std::vector<Update> RandomChunk(Rng& rng, size_t n, uint64_t items) {
+  std::vector<Update> chunk(n);
+  for (Update& u : chunk) {
+    u.item = rng.NextUint64() % items;
+    u.delta = static_cast<int64_t>(rng.NextUint64() % 7) - 3;
+  }
+  return chunk;
+}
+
+// Chunks built to break a coalescing scatter, applied in order.
+std::vector<std::vector<Update>> AdversarialChunks() {
+  Rng rng(0xad5e);
+  std::vector<std::vector<Update>> chunks;
+  chunks.push_back({});           // n = 0
+  chunks.push_back({{77, 5}});    // n = 1
+  chunks.push_back(std::vector<Update>(512, Update{9, 3}));  // one item 512x
+  // +d and -d for item 40: its net delta is zero, yet it was touched and
+  // must still be refreshed into the candidates.
+  chunks.push_back({{40, 1000}, {12, 2}, {40, -1000}, {13, -1}});
+  // Items 500, 600, 700 carry deltas near the int64 limits, each cancelled
+  // right after it arrives (so the per-update references never overflow)
+  // with small items between.  The coalescer's sort may regroup a run of
+  // equal items in any order, so its partial sums can wrap mod 2^64.
+  std::vector<Update> wrap;
+  for (int r = 0; r < 8; ++r) {
+    const ItemId small = 1000 + static_cast<ItemId>(r % 3);
+    wrap.insert(wrap.end(), {{500, kNearMax}, {small, 1}, {500, -kNearMax},
+                             {600, kNearMin}, {small, -2}, {600, -kNearMin},
+                             {700, kNearMax}, {700, -kNearMax + 1}});
+  }
+  chunks.push_back(wrap);
+  chunks.push_back(RandomChunk(rng, 1500, 300));  // several SIMD blocks
+  std::vector<Update> ascending;
+  for (ItemId i = 0; i < 600; ++i) {
+    ascending.push_back({i, static_cast<int64_t>(i % 5) - 2});
+  }
+  chunks.push_back(ascending);
+  std::vector<Update> descending;
+  for (ItemId i = 800; i >= 100; i -= 7) descending.push_back({i, 1});
+  chunks.push_back(descending);
+  chunks.push_back(RandomChunk(rng, 1500, 2000));
+  chunks.push_back(RandomChunk(rng, 37, 40));
+  return chunks;
+}
+
+constexpr size_t kPinK = 4;  // 2k = 8: prunes fire mid-chunk
+const CountSketchOptions kPinSketch{5, 64};
+
+OnePassHHOptions PinLevelOptions() {
+  OnePassHHOptions options;
+  options.count_sketch = kPinSketch;
+  options.ams = AmsOptions{8, 3};
+  options.candidates = kPinK;
+  return options;
+}
+
+void ExpectTrackerMatches(const CountSketchTopK& batched,
+                          const CountSketch& reference,
+                          const RefreshModel& model) {
+  EXPECT_EQ(batched.sketch().counters(), reference.counters());
+  EXPECT_EQ(batched.CandidateItems(), model.Items());
+  EXPECT_EQ(batched.TopK(), model.TopK());
+}
+
+TEST(BatchEquivalenceTest, CoalescedTrackerMatchesPerUpdateAndRefreshModel) {
+  Rng r1(31), r2(31);
+  CountSketchTopK batched(kPinSketch, kPinK, r1);
+  CountSketch reference(kPinSketch, r2);
+  RefreshModel model(kPinK);
+  size_t index = 0;
+  for (const std::vector<Update>& chunk : AdversarialChunks()) {
+    SCOPED_TRACE(index++);
+    batched.UpdateBatch(chunk.data(), chunk.size());
+    for (const Update& u : chunk) reference.Update(u.item, u.delta);
+    model.AfterChunk(chunk, reference);
+    ExpectTrackerMatches(batched, reference, model);
+    if (index == 4) {
+      // The +d/-d chunk: item 40's net delta is zero, and it is refreshed.
+      const std::vector<ItemId> items = batched.CandidateItems();
+      EXPECT_TRUE(std::find(items.begin(), items.end(), 40u) != items.end());
+    }
+  }
+}
+
+TEST(BatchEquivalenceTest, CoalescedOnePassMatchesPerUpdateAndRefreshModel) {
+  Rng r1(32), r2(32);
+  OnePassHeavyHitter batched(PinLevelOptions(), r1);
+  OnePassHeavyHitter reference(PinLevelOptions(), r2);
+  RefreshModel model(kPinK);
+  size_t index = 0;
+  for (const std::vector<Update>& chunk : AdversarialChunks()) {
+    SCOPED_TRACE(index++);
+    batched.UpdateBatch(chunk.data(), chunk.size());
+    for (const Update& u : chunk) reference.Update(u.item, u.delta);
+    model.AfterChunk(chunk, reference.tracker().sketch());
+    ExpectTrackerMatches(batched.tracker(), reference.tracker().sketch(),
+                         model);
+    EXPECT_EQ(batched.ams().sums(), reference.ams().sums());
+  }
+}
+
+TEST(BatchEquivalenceTest, CoalescedRecursiveLevelsMatchPerUpdateReferences) {
+  // The stack draws its subsampler first, then one level per depth, from
+  // one Rng: the same draws rebuild the references level by level.
+  constexpr int kDepth = 4;
+  const GHeavyHitterFactory factory = [](int, Rng& rng) {
+    return std::make_unique<OnePassHeavyHitter>(PinLevelOptions(), rng);
+  };
+  Rng r1(33), r2(33);
+  RecursiveGSum batched(kDepth, factory, r1);
+  const NestedSubsampler subsampler(kDepth, r2);
+  std::vector<OnePassHeavyHitter> levels;
+  std::vector<RefreshModel> models;
+  for (int l = 0; l <= kDepth; ++l) {
+    levels.emplace_back(PinLevelOptions(), r2);
+    models.emplace_back(kPinK);
+  }
+  size_t index = 0;
+  for (const std::vector<Update>& chunk : AdversarialChunks()) {
+    SCOPED_TRACE(index++);
+    batched.UpdateBatch(chunk.data(), chunk.size());
+    for (int l = 0; l <= kDepth; ++l) {
+      SCOPED_TRACE(l);
+      std::vector<Update> routed;
+      for (const Update& u : chunk) {
+        if (std::min(subsampler.LevelOf(u.item), kDepth) >= l) {
+          routed.push_back(u);
+        }
+      }
+      OnePassHeavyHitter& reference = levels[static_cast<size_t>(l)];
+      for (const Update& u : routed) reference.Update(u.item, u.delta);
+      RefreshModel& model = models[static_cast<size_t>(l)];
+      model.AfterChunk(routed, reference.tracker().sketch());
+      const auto& level =
+          dynamic_cast<const OnePassHeavyHitter&>(batched.level_sketch(l));
+      ExpectTrackerMatches(level.tracker(), reference.tracker().sketch(),
+                           model);
+      EXPECT_EQ(level.ams().sums(), reference.ams().sums());
+    }
+  }
+}
+
+TEST(BatchEquivalenceTest, CopiedTrackerContinuesBitIdentically) {
+  // A copy carries the candidates but not the per-chunk scratch (the
+  // candidate index included); it must rebuild what it needs and continue
+  // exactly like the original.
+  const Stream stream = MakeTurnstileStream(114);
+  Rng r1(34);
+  CountSketchTopK original(kPinSketch, kPinK, r1);
+  const std::vector<Update>& ups = stream.updates();
+  const size_t half = ups.size() / 2;
+  for (size_t i = 0; i < half; i += 300) {
+    original.UpdateBatch(ups.data() + i, std::min<size_t>(300, half - i));
+  }
+  CountSketchTopK copy = original;
+  for (CountSketchTopK* t : {&original, &copy}) {
+    for (size_t i = half; i < ups.size(); i += 300) {
+      t->UpdateBatch(ups.data() + i, std::min<size_t>(300, ups.size() - i));
+    }
+  }
+  EXPECT_EQ(copy.sketch().counters(), original.sketch().counters());
+  EXPECT_EQ(copy.TopK(), original.TopK());
+  EXPECT_EQ(copy.CandidateItems(), original.CandidateItems());
 }
 
 }  // namespace

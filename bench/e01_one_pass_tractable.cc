@@ -1,4 +1,4 @@
-// Experiment E1 (DESIGN.md): Theorem 2, positive direction.
+// Experiment E1 (docs/experiments.md): Theorem 2, positive direction.
 //
 // Every 1-pass tractable catalog function reaches small relative error on
 // skewed turnstile streams with a sketch whose size is a tiny fraction of

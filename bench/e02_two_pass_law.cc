@@ -1,5 +1,5 @@
-// Experiment E2 (DESIGN.md): Theorem 3 vs Theorem 2 -- predictability is
-// needed in one pass but not in two.
+// Experiment E2 (docs/experiments.md): Theorem 3 vs Theorem 2 --
+// predictability is needed in one pass but not in two.
 //
 // Streams concentrate mass at scales where (2+sin x) x^2 and
 // (2+sin sqrt(x)) x^2 are locally volatile: a +-1 (resp. +-O(sqrt(x)))

@@ -1,4 +1,4 @@
-// Experiment E3 (DESIGN.md): the negative side of the zero-one laws.
+// Experiment E3 (docs/experiments.md): the negative side of the zero-one laws.
 //
 // For each intractable catalog function we realize the paper's
 // communication reduction as actual streams and run the real estimator as

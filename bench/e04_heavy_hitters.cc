@@ -1,4 +1,4 @@
-// Experiment E4 (DESIGN.md): the heavy-hitter reduction machinery of
+// Experiment E4 (docs/experiments.md): the heavy-hitter reduction machinery of
 // Section 3.1 / Lemma 18.
 //
 // For slow-jumping, slow-dropping g every (g, lambda)-heavy hitter is an

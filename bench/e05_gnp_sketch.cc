@@ -1,4 +1,4 @@
-// Experiment E5 (DESIGN.md): Proposition 54 -- the nearly periodic
+// Experiment E5 (docs/experiments.md): Proposition 54 -- the nearly periodic
 // function g_np escapes the zero-one law and is 1-pass tractable via its
 // bespoke modular sketch, while the generic Algorithm 2 route fails on it.
 //

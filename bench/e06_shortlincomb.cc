@@ -1,4 +1,4 @@
-// Experiment E6 (DESIGN.md): the ShortLinearCombination / (u,d)-DIST
+// Experiment E6 (docs/experiments.md): the ShortLinearCombination / (u,d)-DIST
 // problem (paper Appendix C, Theorems 48/51, Proposition 49).
 //
 // The family u = (2k+1, 2), d = 1 has minimal-combination norm q = k+1, so

@@ -1,4 +1,4 @@
-// Experiment E7 (DESIGN.md): the log-likelihood application (paper
+// Experiment E7 (docs/experiments.md): the log-likelihood application (paper
 // §1.1.1).
 //
 // Coordinates of the frequency vector are i.i.d. samples from a

@@ -1,4 +1,4 @@
-// Experiment E8 (DESIGN.md): Theorem 13's cost profile.
+// Experiment E8 (docs/experiments.md): Theorem 13's cost profile.
 //
 // The recursive sketch turns a heavy-hitter subroutine into a g-SUM
 // estimator at an O(log n) multiplicative space overhead (one subroutine

@@ -1,4 +1,5 @@
-// Experiment E9 (DESIGN.md): substrate micro-benchmarks (google-benchmark).
+// Experiment E9 (docs/experiments.md): substrate micro-benchmarks
+// (google-benchmark).
 //
 // Throughput of the primitive operations every experiment rests on:
 // k-wise hashing, CountSketch / Count-Min / AMS updates and queries,

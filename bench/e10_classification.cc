@@ -1,4 +1,4 @@
-// Experiment E10 (DESIGN.md): the "nearly all functions" table.
+// Experiment E10 (docs/experiments.md): the "nearly all functions" table.
 //
 // Runs the Definitions 6-8 property checkers and the Definition 9 nearly
 // periodic screen over the whole catalog on the deep probe domain, prints

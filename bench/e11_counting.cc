@@ -1,4 +1,4 @@
-// Experiment E11 (DESIGN.md): Appendix D.4 / Theorem 57 -- nearly
+// Experiment E11 (docs/experiments.md): Appendix D.4 / Theorem 57 -- nearly
 // periodic functions are vanishingly rare in the discretized model.
 //
 // Functions g : [M]_0 -> [M']_0 with g(0)=0, g(1)=M'.  Theorem 57 bounds

@@ -1,4 +1,4 @@
-// Experiment E12 (extension; DESIGN.md §4 addendum): Lemma 27 -- the
+// Experiment E12 (extension; docs/experiments.md): Lemma 27 -- the
 // multi-pass wall.
 //
 // Predictability failures are repaired by a second pass (E2), but

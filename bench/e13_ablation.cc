@@ -1,5 +1,5 @@
-// Experiment E13 (extension): ablations of the design choices DESIGN.md
-// calls out.
+// Experiment E13 (extension): ablations of the design choices
+// docs/experiments.md lists.
 //
 //  (a) Pruning interval (core/one_pass_hh.cc): the paper term (eps/2H)
 //      sqrt(F2) vs the configured-sketch term sqrt(F2/b) vs their min

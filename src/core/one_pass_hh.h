@@ -15,8 +15,9 @@
 // that Theorem 2 turns into a lower bound.
 //
 // The "for all |y| <= E" stability test is evaluated on a probe grid of
-// geometric and linear offsets (both signs); see DESIGN.md's substitution
-// table for why this preserves behaviour for every catalog function.
+// geometric and linear offsets (both signs); see the finite-domain
+// substitutions in docs/experiments.md for why this preserves behaviour
+// for every catalog function.
 
 #ifndef GSTREAM_CORE_ONE_PASS_HH_H_
 #define GSTREAM_CORE_ONE_PASS_HH_H_

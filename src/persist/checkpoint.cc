@@ -132,13 +132,12 @@ LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image) {
   return LoadStatus::Ok();
 }
 
-bool SaveCheckpoint(const CheckpointImage& image, const std::string& path,
-                    WriteFault fault) {
+bool SaveCheckpoint(const CheckpointImage& image, const std::string& path) {
   obs::TraceSpan span("persist/save_checkpoint", "persist");
   obs::Registry& registry = obs::Registry::Get();
   obs::ScopedTimer timer(registry.GetHistogram("persist/ckpt_write_ns"));
   const std::string bytes = EncodeCheckpoint(image);
-  const bool ok = WriteFileAtomic(path, bytes, fault);
+  const bool ok = WriteFileAtomic(path, bytes);
   if (ok) {
     registry.GetCounter("persist/ckpt_saves")->Increment();
     registry.GetCounter("persist/ckpt_bytes_written")->Add(bytes.size());

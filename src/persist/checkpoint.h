@@ -77,9 +77,8 @@ std::string EncodeCheckpoint(const CheckpointImage& image);
 // RestoreIngestor feeds them to DeserializeSketch.
 LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image);
 
-// Encode + WriteFileAtomic (fault injectable for the torn-write tests).
-bool SaveCheckpoint(const CheckpointImage& image, const std::string& path,
-                    WriteFault fault = WriteFault::kNone);
+// Encode + WriteFileAtomic (its kAtomicWriteSites kill points included).
+bool SaveCheckpoint(const CheckpointImage& image, const std::string& path);
 
 // ReadFileBytes + Decode.
 LoadStatus LoadCheckpoint(const std::string& path, CheckpointImage* image);
@@ -111,19 +110,41 @@ CheckpointImage SnapshotIngestor(ShardedIngestor<SketchT>& ingest,
 }
 
 // Restores an image into a freshly Open()ed ingestor built from the
-// writer's factory and options.  On any failure (shard-count mismatch, a
-// shard blob rejecting the replica) the report names the shard and the
-// ingestor must be discarded; on success the caller resumes submitting at
-// image.cursor.
+// writer's factory and options.  On any failure (shard-count mismatch,
+// producer state no engine of this shape writes, a shard blob rejecting
+// the replica) the report names the field or shard and the ingestor must
+// be discarded; on success the caller resumes submitting at image.cursor.
 template <typename SketchT>
 LoadStatus RestoreIngestor(const CheckpointImage& image,
                            ShardedIngestor<SketchT>* ingest) {
-  if (image.shard_blobs.size() != ingest->replicas().size()) {
+  const size_t shards = ingest->replicas().size();
+  if (image.shard_blobs.size() != shards) {
     return LoadStatus::Fail(
         LoadError::kGeometryMismatch,
         "checkpoint has " + std::to_string(image.shard_blobs.size()) +
-            " shards, ingestor opened with " +
-            std::to_string(ingest->replicas().size()));
+            " shards, ingestor opened with " + std::to_string(shards));
+  }
+  // The checksum does not vouch for the producer state; check it before
+  // any replica is touched.  Only kHashItem stages, and never a full chunk.
+  const IngestProducerState& producer = image.producer;
+  if (producer.round_robin_next >= shards) {
+    return LoadStatus::Fail(
+        LoadError::kDomainError,
+        "round_robin_next " + std::to_string(producer.round_robin_next) +
+            " is past the last of " + std::to_string(shards) + " shards");
+  }
+  const IngestEngineOptions& options = ingest->engine_options();
+  const size_t max_staged = options.policy == PartitionPolicy::kHashItem
+                                ? options.chunk_updates - 1
+                                : 0;
+  for (size_t s = 0; s < producer.staged.size(); ++s) {
+    if (producer.staged[s].size() > max_staged) {
+      return LoadStatus::Fail(
+          LoadError::kDomainError,
+          "shard " + std::to_string(s) + " stages " +
+              std::to_string(producer.staged[s].size()) +
+              " updates, this ingestor at most " + std::to_string(max_staged));
+    }
   }
   for (size_t s = 0; s < image.shard_blobs.size(); ++s) {
     LoadStatus status =
@@ -143,8 +164,6 @@ struct CheckpointOptions {
   // chunk_updates so resumed chunk framing matches an uninterrupted run
   // (checked in RunWithCheckpoints).
   uint64_t interval_updates = 1 << 16;
-  // Injected into every checkpoint write (torn-write tests).
-  WriteFault fault = WriteFault::kNone;
 };
 
 // Feeds `stream` from update `start`, checkpointing every interval (and
@@ -171,7 +190,7 @@ uint64_t RunWithCheckpoints(
     ingest.Submit(updates + cursor, n);
     cursor += n;
     const CheckpointImage image = SnapshotIngestor(ingest, cursor);
-    if (!SaveCheckpoint(image, options.path, options.fault)) return cursor;
+    if (!SaveCheckpoint(image, options.path)) return cursor;
     if (after_checkpoint != nullptr && !after_checkpoint(cursor)) {
       return cursor;
     }

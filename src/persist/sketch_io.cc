@@ -21,6 +21,7 @@
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
 #include "util/aligned.h"
+#include "util/fault.h"
 #include "util/logging.h"
 
 namespace gstream {
@@ -923,29 +924,26 @@ bool FsyncParentDir(const std::string& path) {
 
 }  // namespace
 
-const char* WriteFaultName(WriteFault fault) {
-  switch (fault) {
-    case WriteFault::kNone: return "none";
-    case WriteFault::kCrashBeforeTmp: return "before-tmp";
-    case WriteFault::kCrashMidTmp: return "mid-tmp";
-    case WriteFault::kCrashBeforeRename: return "before-rename";
-    case WriteFault::kCrashBeforeDirFsync: return "before-dirsync";
-  }
-  return "unknown";
-}
-
-bool WriteFileAtomic(const std::string& path, std::string_view bytes,
-                     WriteFault fault) {
+bool WriteFileAtomic(const std::string& path, std::string_view bytes) {
+  // Kill-point handles are process-lifetime, fetched once.
+  static fault::FaultPoint* const kBeforeTmp =
+      fault::Registry::Get().GetPoint(kAtomicWriteSites[0]);
+  static fault::FaultPoint* const kMidTmp =
+      fault::Registry::Get().GetPoint(kAtomicWriteSites[1]);
+  static fault::FaultPoint* const kBeforeRename =
+      fault::Registry::Get().GetPoint(kAtomicWriteSites[2]);
+  static fault::FaultPoint* const kBeforeDirFsync =
+      fault::Registry::Get().GetPoint(kAtomicWriteSites[3]);
   obs::Registry& registry = obs::Registry::Get();
   obs::ScopedTimer timer(
       registry.GetHistogram("persist/atomic_write_ns"));
-  if (fault == WriteFault::kCrashBeforeTmp) return false;
+  if (kBeforeTmp->ShouldFire()) return false;
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
+  const bool crash_mid_tmp = kMidTmp->ShouldFire();
   const std::string_view to_write =
-      fault == WriteFault::kCrashMidTmp ? bytes.substr(0, bytes.size() / 2)
-                                        : bytes;
+      crash_mid_tmp ? bytes.substr(0, bytes.size() / 2) : bytes;
   size_t written = 0;
   while (written < to_write.size()) {
     const ssize_t n =
@@ -957,7 +955,7 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
     }
     written += static_cast<size_t>(n);
   }
-  if (fault == WriteFault::kCrashMidTmp) {
+  if (crash_mid_tmp) {
     // A crash mid-write: the tmp file holds a prefix, never fsynced, never
     // renamed.  The target path is untouched.
     ::close(fd);
@@ -966,13 +964,10 @@ bool WriteFileAtomic(const std::string& path, std::string_view bytes,
   const bool synced = FsyncFd(fd);
   ::close(fd);
   if (!synced) return false;
-  if (fault == WriteFault::kCrashBeforeRename) return false;
+  if (kBeforeRename->ShouldFire()) return false;
   if (::rename(tmp.c_str(), path.c_str()) != 0) return false;
-  // A crash here (after the rename, before the directory fsync) leaves the
-  // NEW complete file at `path`, but the rename may not survive a power
-  // cut -- the one phase where "return false" coexists with a loadable new
-  // image on the live filesystem.
-  if (fault == WriteFault::kCrashBeforeDirFsync) return false;
+  // The one phase where "return false" coexists with a loadable new image.
+  if (kBeforeDirFsync->ShouldFire()) return false;
   // Persist the rename: without the directory fsync a crash can roll the
   // directory entry back to the old file even though the data blocks of
   // the new one are on disk.

@@ -136,34 +136,23 @@ void DeserializeSketchOrDie(std::string_view blob, SketchT* dst) {
 // Crash-consistent file I/O.
 // ---------------------------------------------------------------------------
 
-// Kill points for the write-tmp-fsync-rename sequence, modeling a crash at
-// each phase; the torn-checkpoint tests inject every one and assert the
-// previous file version (or a clean absence) survives.  kNone is the
-// production path.
-enum class WriteFault {
-  kNone,            // full sequence: tmp write, fsync, rename, dir fsync
-  kCrashBeforeTmp,  // die before creating the tmp file
-  kCrashMidTmp,     // tmp holds a prefix of the bytes, no rename
-  kCrashBeforeRename,  // tmp complete and fsynced, rename never happens
-  // Rename succeeded but the parent directory was never fsynced: the NEW
-  // complete file is in place (and loadable), but the rename itself is
-  // not yet durable -- after a power cut the directory may still resolve
-  // to the old version.  Either way, never a torn mix.
-  kCrashBeforeDirFsync,
-};
-
-// Stable lowercase phase name ("none", "before-tmp", "mid-tmp",
-// "before-rename", "before-dirsync") -- the `--fault=` spelling of
-// tools/ckpt_ingest and the phase reported in its --stats=json output.
-const char* WriteFaultName(WriteFault fault);
+// Kill points of WriteFileAtomic, in sequence order: one util/fault.h site
+// per phase, modeling a crash there.  The phase (after the last '/') is
+// tools/ckpt_ingest's --fault= spelling.  before-tmp: no tmp file.
+// mid-tmp: tmp holds the first half of the bytes.  before-rename: tmp
+// complete and fsynced, no rename.  before-dirsync: the NEW complete file
+// is renamed into place, but the parent directory was never fsynced, so
+// after a power cut it may resolve to the old version.  Never a torn mix.
+inline constexpr const char* kAtomicWriteSites[] = {
+    "persist/atomic_write/before-tmp", "persist/atomic_write/mid-tmp",
+    "persist/atomic_write/before-rename", "persist/atomic_write/before-dirsync"};
 
 // Atomically replaces `path` with `bytes`: writes `path`.tmp, fsyncs it,
 // renames over `path`, and fsyncs the parent directory, so a crash at any
 // instant leaves either the old complete file or the new complete file --
-// never a torn mix.  Returns false on I/O error (and on any injected
-// fault, since the sequence did not complete).
-bool WriteFileAtomic(const std::string& path, std::string_view bytes,
-                     WriteFault fault = WriteFault::kNone);
+// never a torn mix.  Returns false on I/O error (and when a kill point
+// fires, since the sequence did not complete).
+bool WriteFileAtomic(const std::string& path, std::string_view bytes);
 
 // Reads a whole file; nullopt + status on open/read failure.
 std::optional<std::string> ReadFileBytes(const std::string& path,

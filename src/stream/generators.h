@@ -1,12 +1,12 @@
 // Synthetic workload generators.
 //
 // Every experiment in this repository runs on synthetic streams (the paper
-// evaluates nothing empirically; see DESIGN.md §1).  The generators below
-// cover the regimes the theory cares about: skewed (Zipf) frequency vectors
-// where heavy hitters exist, flat (uniform) vectors where nothing is heavy,
-// exact frequency histograms used by the lower-bound reductions, planted
-// heavy hitters, and turnstile insert/delete churn that exercises negative
-// deltas without changing the final frequency vector.
+// evaluates nothing empirically; see docs/experiments.md).  The generators
+// below cover the regimes the theory cares about: skewed (Zipf) frequency
+// vectors where heavy hitters exist, flat (uniform) vectors where nothing
+// is heavy, exact frequency histograms used by the lower-bound reductions,
+// planted heavy hitters, and turnstile insert/delete churn that exercises
+// negative deltas without changing the final frequency vector.
 
 #ifndef GSTREAM_STREAM_GENERATORS_H_
 #define GSTREAM_STREAM_GENERATORS_H_

@@ -261,9 +261,9 @@ std::optional<Stream> StreamFromText(const std::string& text,
 }
 
 bool SaveStream(const Stream& stream, const std::string& path) {
-  static fault::FaultPoint* const kWriteFault =
+  static fault::FaultPoint* const kWriteError =
       fault::Registry::Get().GetPoint("stream_io/write_error");
-  if (kWriteFault->ShouldFire()) return false;
+  if (kWriteError->ShouldFire()) return false;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   const bool ok = WriteText(stream, [f](const char* data, size_t size) {

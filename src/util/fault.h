@@ -5,10 +5,9 @@
 // be full, an I/O error in stream_io or the atomic-write path.  Sites are
 // registered lazily at first use (GetPoint) and are enumerable (Sites()),
 // so a chaos harness can discover every injectable failure in the build it
-// is driving -- no site exists only in someone's head.  This generalizes
-// the original `WriteFault` checkpoint kill-points (persist/sketch_io.h),
-// which remain as the explicit per-call phase selector for torn-write
-// tests; probabilistic schedules route through here.
+// is driving -- no site exists only in someone's head.  It is the one fault
+// mechanism: chaos schedules and the torn-write kill points of
+// WriteFileAtomic (persist/sketch_io.h's kAtomicWriteSites) alike.
 //
 // Determinism: Arm(seed, specs) derives one SplitMix64 key per site from
 // (seed, site name).  Each evaluation takes a per-site atomic index and

@@ -1,8 +1,8 @@
 // Robustness of the property checkers: the clear-cut catalog verdicts must
 // be stable across probe parameters (alpha, seed, random-pair budget, and
 // reasonable domain sizes).  These tests guard the finite-domain
-// instantiation of the asymptotic definitions (DESIGN.md substitution
-// table) against threshold brittleness.
+// instantiation of the asymptotic definitions (the finite-domain
+// substitutions in docs/experiments.md) against threshold brittleness.
 
 #include <gtest/gtest.h>
 
@@ -65,7 +65,7 @@ INSTANTIATE_TEST_SUITE_P(
     ProbeGrid, CheckerRobustness,
     // alpha below ~0.2 would need a deeper domain: x^2's adjacent-pair
     // violations of Def. 6 die out only at x ~ 4^{1/alpha}, which must sit
-    // below the persistence cutoff (DESIGN.md substitution table).
+    // below the persistence cutoff (docs/experiments.md).
     ::testing::Values(Probe{0.25, 0x5eed, 50000}, Probe{0.25, 7, 50000},
                       Probe{0.25, 0x5eed, 5000}, Probe{0.4, 0x5eed, 50000},
                       Probe{0.2, 99, 20000}),

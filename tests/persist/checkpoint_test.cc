@@ -15,12 +15,14 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sketch/count_sketch.h"
 #include "stream/generators.h"
+#include "util/fault.h"
 
 namespace gstream {
 namespace {
@@ -48,6 +50,18 @@ ShardedIngestor<CountSketchTopK> MakeIngestor(PartitionPolicy policy,
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
+}
+
+// The torn-write test arms atomic-write kill points on the process-wide
+// fault registry; TearDown disarms it, so no test inherits an armed site.
+class CheckpointTest : public ::testing::Test {
+ protected:
+  void TearDown() override { fault::Registry::Get().Disarm(); }
+};
+
+// Arms `site` (a kAtomicWriteSites entry) to fire on its next evaluation.
+void ArmOnce(const char* site) {
+  fault::Registry::Get().Arm(/*seed=*/0, {{site, 1.0, 0, /*max_fires=*/1}});
 }
 
 // Runs the whole stream with checkpointing enabled, never interrupted, and
@@ -111,18 +125,18 @@ void ResumeIsBitExact(PartitionPolicy policy) {
   std::remove(ckpt.path.c_str());
 }
 
-TEST(CheckpointTest, ResumeIsBitExactRoundRobin) {
+TEST_F(CheckpointTest, ResumeIsBitExactRoundRobin) {
   ResumeIsBitExact(PartitionPolicy::kRoundRobinChunks);
 }
 
 // kHashItem scatters per-update, so at almost every chunk boundary each
 // shard holds a reserved-but-uncommitted staging chunk; the checkpoint
 // must carry and re-stage those for the resumed framing to match.
-TEST(CheckpointTest, ResumeIsBitExactHashItemWithStagedChunks) {
+TEST_F(CheckpointTest, ResumeIsBitExactHashItemWithStagedChunks) {
   ResumeIsBitExact(PartitionPolicy::kHashItem);
 }
 
-TEST(CheckpointTest, ResumePreservesIngestStats) {
+TEST_F(CheckpointTest, ResumePreservesIngestStats) {
   CheckpointOptions ckpt;
   ckpt.interval_updates = 2 * kStreamBatchSize;
   ckpt.path = TempPath("ckpt_stats.gckp");
@@ -146,7 +160,7 @@ TEST(CheckpointTest, ResumePreservesIngestStats) {
   std::remove(ckpt.path.c_str());
 }
 
-TEST(CheckpointTest, RestoredStatsAgreeBetweenDecodedAndInProcessSnapshots) {
+TEST_F(CheckpointTest, RestoredStatsAgreeBetweenDecodedAndInProcessSnapshots) {
   // The GCKP wire format never persists producer_stall_ns or
   // shard_ring_highwater (wall-clock telemetry), while an in-process
   // snapshot carries live nonzero values.  RestoreProducerState must zero
@@ -204,7 +218,7 @@ TEST(CheckpointTest, RestoredStatsAgreeBetweenDecodedAndInProcessSnapshots) {
   EXPECT_EQ(in_process.shard_ring_highwater, std::vector<uint64_t>{0});
 }
 
-TEST(CheckpointTest, ImageEncodeDecodeRoundtrip) {
+TEST_F(CheckpointTest, ImageEncodeDecodeRoundtrip) {
   CheckpointImage image;
   image.cursor = 12345;
   image.producer.round_robin_next = 2;
@@ -231,7 +245,7 @@ TEST(CheckpointTest, ImageEncodeDecodeRoundtrip) {
   EXPECT_EQ(decoded.shard_blobs, image.shard_blobs);
 }
 
-TEST(CheckpointTest, DecoderRejectsCorruption) {
+TEST_F(CheckpointTest, DecoderRejectsCorruption) {
   CheckpointImage image;
   image.cursor = 42;
   image.producer.round_robin_next = 1;
@@ -272,7 +286,8 @@ TEST(CheckpointTest, DecoderRejectsCorruption) {
   }
 }
 
-TEST(CheckpointTest, TornWriteAtEveryPhaseKeepsPreviousCheckpoint) {
+TEST_F(CheckpointTest, TornWriteAtEveryPhaseKeepsPreviousCheckpoint) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with GSTREAM_FAULTS=OFF";
   const std::string path = TempPath("ckpt_torn.gckp");
   CheckpointImage v1;
   v1.cursor = 1024;
@@ -283,21 +298,22 @@ TEST(CheckpointTest, TornWriteAtEveryPhaseKeepsPreviousCheckpoint) {
 
   CheckpointImage v2 = v1;
   v2.cursor = 2048;
-  for (const WriteFault fault :
-       {WriteFault::kCrashBeforeTmp, WriteFault::kCrashMidTmp,
-        WriteFault::kCrashBeforeRename}) {
-    ASSERT_FALSE(SaveCheckpoint(v2, path, fault));
+  // The three phases before the rename.
+  for (const char* site : {kAtomicWriteSites[0], kAtomicWriteSites[1],
+                           kAtomicWriteSites[2]}) {
+    ArmOnce(site);
+    ASSERT_FALSE(SaveCheckpoint(v2, path));
     CheckpointImage loaded;
     const LoadStatus status = LoadCheckpoint(path, &loaded);
-    ASSERT_TRUE(status.ok())
-        << WriteFaultName(fault) << ": " << status.message;
+    ASSERT_TRUE(status.ok()) << site << ": " << status.message;
     EXPECT_EQ(loaded.cursor, v1.cursor) << "fault leaked a partial v2";
   }
   // before-dirsync is the one phase past the rename: the NEW complete
   // checkpoint is at `path` (the crash merely left its rename not yet
   // durable), so recovery resumes from v2, never from a torn mix.
   {
-    ASSERT_FALSE(SaveCheckpoint(v2, path, WriteFault::kCrashBeforeDirFsync));
+    ArmOnce(kAtomicWriteSites[3]);
+    ASSERT_FALSE(SaveCheckpoint(v2, path));
     CheckpointImage loaded;
     const LoadStatus status = LoadCheckpoint(path, &loaded);
     ASSERT_TRUE(status.ok()) << status.message;
@@ -314,7 +330,7 @@ TEST(CheckpointTest, TornWriteAtEveryPhaseKeepsPreviousCheckpoint) {
   std::remove((path + ".tmp").c_str());
 }
 
-TEST(CheckpointTest, RestoreRejectsShardCountMismatch) {
+TEST_F(CheckpointTest, RestoreRejectsShardCountMismatch) {
   const Stream stream = MakeTestStream();
   ShardedIngestor<CountSketchTopK> source =
       MakeIngestor(PartitionPolicy::kRoundRobinChunks);
@@ -337,7 +353,7 @@ TEST(CheckpointTest, RestoreRejectsShardCountMismatch) {
   two_shards.Drain();
 }
 
-TEST(CheckpointTest, RestoreRejectsWrongSeedReplicas) {
+TEST_F(CheckpointTest, RestoreRejectsWrongSeedReplicas) {
   const Stream stream = MakeTestStream();
   ShardedIngestor<CountSketchTopK> source =
       MakeIngestor(PartitionPolicy::kRoundRobinChunks);
@@ -355,6 +371,51 @@ TEST(CheckpointTest, RestoreRejectsWrongSeedReplicas) {
   EXPECT_EQ(status.error, LoadError::kFingerprintMismatch);
   EXPECT_NE(status.message.find("shard"), std::string::npos);
   other.Drain();
+}
+
+// A checkpoint is checksummed, not trusted: routing state the engine never
+// writes passes DecodeCheckpoint, so RestoreIngestor must reject it --
+// with a named error and before any replica is touched -- rather than let
+// the next Submit route past the last shard or CHECK-fail the restore.
+// `corrupt` edits a 2-shard `policy` image; the message must name `field`.
+void ExpectRestoreRejects(PartitionPolicy policy,
+                          const std::function<void(CheckpointImage*)>& corrupt,
+                          const std::string& field) {
+  const Stream stream = MakeTestStream();
+  ShardedIngestor<CountSketchTopK> source = MakeIngestor(policy);
+  source.Open(2);
+  source.Submit(stream.updates().data(), 2 * kStreamBatchSize);
+  CheckpointImage image = SnapshotIngestor(source, 2 * kStreamBatchSize);
+  source.Drain();
+  corrupt(&image);
+  ASSERT_TRUE(DecodeCheckpoint(EncodeCheckpoint(image), &image).ok());
+
+  ShardedIngestor<CountSketchTopK> fresh = MakeIngestor(policy);
+  fresh.Open(2);
+  const std::string untouched = SerializeSketch(fresh.replicas()[0]);
+  const LoadStatus status = RestoreIngestor(image, &fresh);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error, LoadError::kDomainError);
+  EXPECT_NE(status.message.find(field), std::string::npos) << status.message;
+  EXPECT_EQ(SerializeSketch(fresh.replicas()[0]), untouched);
+  fresh.Drain();
+}
+
+TEST_F(CheckpointTest, RestoreRejectsRoundRobinCursorPastShards) {
+  ExpectRestoreRejects(
+      PartitionPolicy::kRoundRobinChunks,
+      [](CheckpointImage* image) { image->producer.round_robin_next = 7; },
+      "round_robin_next 7");
+}
+
+TEST_F(CheckpointTest, RestoreRejectsOverlongStagedChunk) {
+  // A full chunk is committed, never staged.
+  ExpectRestoreRejects(
+      PartitionPolicy::kHashItem,
+      [](CheckpointImage* image) {
+        image->producer.staged[1].assign(kStreamBatchSize, Update{3, 1});
+      },
+      "shard 1");
 }
 
 }  // namespace

@@ -27,6 +27,8 @@
 #include <sstream>
 #include <string>
 
+#include "util/fault.h"
+
 namespace gstream {
 namespace {
 
@@ -92,6 +94,8 @@ TEST(KillResumeTest, SigkilledRunResumesBitExact) {
 }
 
 TEST(KillResumeTest, TornCheckpointWriteLeavesPreviousUsable) {
+  // --fault arms a fault site, and GSTREAM_FAULTS=OFF compiles them out.
+  if (!fault::kEnabled) GTEST_SKIP() << "built with GSTREAM_FAULTS=OFF";
   const std::string tool = ToolPath("ckpt_ingest");
   if (tool.empty()) GTEST_SKIP() << "ckpt_ingest not in cwd";
 
@@ -106,8 +110,8 @@ TEST(KillResumeTest, TornCheckpointWriteLeavesPreviousUsable) {
                        common + " > /dev/null"),
             0);
 
-  // Every checkpoint write tears mid-tmp: the feed stops at the first
-  // checkpoint attempt, leaving no checkpoint file (only a torn .tmp).
+  // The first checkpoint write tears mid-tmp and the feed stops there,
+  // leaving no checkpoint file (only a torn .tmp).
   const int torn =
       RunCommand(tool + " --ckpt=" + ckpt + " --out=" + out +
                  " --fault=mid-tmp" + common + " > /dev/null 2>&1");

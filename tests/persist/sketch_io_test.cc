@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
+#include "util/fault.h"
 
 namespace gstream {
 namespace {
@@ -91,6 +93,18 @@ RecursiveGSum MakeRecursive(uint64_t seed = kSeed) {
       rng);
 }
 
+// The torn-write tests arm atomic-write kill points on the process-wide
+// fault registry; TearDown disarms it, so no test inherits an armed site.
+class SketchIoTest : public ::testing::Test {
+ protected:
+  void TearDown() override { fault::Registry::Get().Disarm(); }
+};
+
+// Arms `site` (a kAtomicWriteSites entry) to fire on its next evaluation.
+void ArmOnce(const char* site) {
+  fault::Registry::Get().Arm(/*seed=*/0, {{site, 1.0, 0, /*max_fires=*/1}});
+}
+
 // A small deterministic turnstile stream.
 template <typename SketchT>
 void Feed(SketchT& sketch, uint64_t seed = 3, size_t n = 2000) {
@@ -141,7 +155,7 @@ void RoundtripCase(MakeFn make) {
   EXPECT_EQ(SerializeSketch(restored), blob);
 }
 
-TEST(SketchIoTest, RoundtripCountSketch) {
+TEST_F(SketchIoTest, RoundtripCountSketch) {
   RoundtripCase<CountSketch>(MakeCountSketch);
   // Behavioral spot check on top of the byte pin.
   CountSketch original = MakeCountSketch();
@@ -153,15 +167,15 @@ TEST(SketchIoTest, RoundtripCountSketch) {
   }
 }
 
-TEST(SketchIoTest, RoundtripCountMin) { RoundtripCase<CountMinSketch>(MakeCountMin); }
-TEST(SketchIoTest, RoundtripAms) { RoundtripCase<AmsSketch>(MakeAms); }
-TEST(SketchIoTest, RoundtripGnp) { RoundtripCase<GnpHeavyHitter>(MakeGnp); }
-TEST(SketchIoTest, RoundtripTopK) { RoundtripCase<CountSketchTopK>(MakeTopK); }
-TEST(SketchIoTest, RoundtripOnePassHH) {
+TEST_F(SketchIoTest, RoundtripCountMin) { RoundtripCase<CountMinSketch>(MakeCountMin); }
+TEST_F(SketchIoTest, RoundtripAms) { RoundtripCase<AmsSketch>(MakeAms); }
+TEST_F(SketchIoTest, RoundtripGnp) { RoundtripCase<GnpHeavyHitter>(MakeGnp); }
+TEST_F(SketchIoTest, RoundtripTopK) { RoundtripCase<CountSketchTopK>(MakeTopK); }
+TEST_F(SketchIoTest, RoundtripOnePassHH) {
   RoundtripCase<OnePassHeavyHitter>(MakeOnePass);
 }
 
-TEST(SketchIoTest, RoundtripExactFrequency) {
+TEST_F(SketchIoTest, RoundtripExactFrequency) {
   ExactFrequencySketch original;
   Feed(original);
   const std::string blob = SerializeSketch(original);
@@ -171,7 +185,7 @@ TEST(SketchIoTest, RoundtripExactFrequency) {
   EXPECT_EQ(restored.Frequencies(), original.Frequencies());
 }
 
-TEST(SketchIoTest, RoundtripExactHeavyHitter) {
+TEST_F(SketchIoTest, RoundtripExactHeavyHitter) {
   ExactHeavyHitterSketch original;
   Feed(original);
   const std::string blob = SerializeSketch(original);
@@ -180,7 +194,7 @@ TEST(SketchIoTest, RoundtripExactHeavyHitter) {
   EXPECT_EQ(SerializeSketch(restored), blob);
 }
 
-TEST(SketchIoTest, RoundtripTwoPassBothPasses) {
+TEST_F(SketchIoTest, RoundtripTwoPassBothPasses) {
   // Mid-pass-1 state.
   RoundtripCase<TwoPassHeavyHitter>(MakeTwoPass);
   // Frozen-candidates pass-2 state: the restored sketch must carry the
@@ -196,7 +210,7 @@ TEST(SketchIoTest, RoundtripTwoPassBothPasses) {
   EXPECT_EQ(restored.candidate_ids(), original.candidate_ids());
 }
 
-TEST(SketchIoTest, RoundtripRecursiveGSumStack) {
+TEST_F(SketchIoTest, RoundtripRecursiveGSumStack) {
   RecursiveGSum original = MakeRecursive();
   Feed(original);
   const std::string blob = SerializeSketch(original);
@@ -207,7 +221,7 @@ TEST(SketchIoTest, RoundtripRecursiveGSumStack) {
   EXPECT_EQ(restored.Fingerprint(), original.Fingerprint());
 }
 
-TEST(SketchIoTest, PolymorphicHeavyHitterDispatch) {
+TEST_F(SketchIoTest, PolymorphicHeavyHitterDispatch) {
   OnePassHeavyHitter original = MakeOnePass();
   Feed(original);
   const GHeavyHitterSketch& base = original;
@@ -229,7 +243,7 @@ TEST(SketchIoTest, PolymorphicHeavyHitterDispatch) {
 // The totality contract: corruption sweeps.
 // ---------------------------------------------------------------------------
 
-TEST(SketchIoTest, ByteFlipSweepFailsCleanlyAtEveryPosition) {
+TEST_F(SketchIoTest, ByteFlipSweepFailsCleanlyAtEveryPosition) {
   CountSketch original = MakeCountSketch();
   Feed(original);
   const std::string blob = SerializeSketch(original);
@@ -251,7 +265,7 @@ TEST(SketchIoTest, ByteFlipSweepFailsCleanlyAtEveryPosition) {
   }
 }
 
-TEST(SketchIoTest, TruncationSweepFailsCleanlyAtEveryLength) {
+TEST_F(SketchIoTest, TruncationSweepFailsCleanlyAtEveryLength) {
   CountSketch original = MakeCountSketch();
   Feed(original);
   const std::string blob = SerializeSketch(original);
@@ -266,7 +280,7 @@ TEST(SketchIoTest, TruncationSweepFailsCleanlyAtEveryLength) {
   }
 }
 
-TEST(SketchIoTest, NestedBlobTruncationSweep) {
+TEST_F(SketchIoTest, NestedBlobTruncationSweep) {
   // Composite blob (nested children): coarser sweep, exercising the
   // length-prefixed child framing paths.
   RecursiveGSum original = MakeRecursive();
@@ -282,7 +296,7 @@ TEST(SketchIoTest, NestedBlobTruncationSweep) {
   }
 }
 
-TEST(SketchIoTest, EmptyAndForeignBytesAreBadMagic) {
+TEST_F(SketchIoTest, EmptyAndForeignBytesAreBadMagic) {
   CountSketch dst = MakeCountSketch();
   ExpectLoadFails("", &dst, LoadError::kBadMagic);
   ExpectLoadFails("GSK", &dst, LoadError::kBadMagic);
@@ -296,7 +310,7 @@ TEST(SketchIoTest, EmptyAndForeignBytesAreBadMagic) {
 // Mismatch reasons: each incompatibility reports its own code.
 // ---------------------------------------------------------------------------
 
-TEST(SketchIoTest, VersionSkewIsReported) {
+TEST_F(SketchIoTest, VersionSkewIsReported) {
   CountSketch original = MakeCountSketch();
   Feed(original);
   std::string blob = SerializeSketch(original);
@@ -306,7 +320,7 @@ TEST(SketchIoTest, VersionSkewIsReported) {
   ExpectLoadFails(blob, &dst, LoadError::kVersionSkew);
 }
 
-TEST(SketchIoTest, TypeMismatchIsReported) {
+TEST_F(SketchIoTest, TypeMismatchIsReported) {
   CountMinSketch original = MakeCountMin();
   Feed(original);
   const std::string blob = SerializeSketch(original);
@@ -314,7 +328,7 @@ TEST(SketchIoTest, TypeMismatchIsReported) {
   ExpectLoadFails(blob, &dst, LoadError::kTypeMismatch);
 }
 
-TEST(SketchIoTest, FingerprintMismatchIsReported) {
+TEST_F(SketchIoTest, FingerprintMismatchIsReported) {
   CountSketch original = MakeCountSketch(kSeed);
   Feed(original);
   const std::string blob = SerializeSketch(original);
@@ -322,7 +336,7 @@ TEST(SketchIoTest, FingerprintMismatchIsReported) {
   ExpectLoadFails(blob, &dst, LoadError::kFingerprintMismatch);
 }
 
-TEST(SketchIoTest, GeometryMismatchIsReported) {
+TEST_F(SketchIoTest, GeometryMismatchIsReported) {
   CountSketch original = MakeCountSketch();
   Feed(original);
   const std::string blob = SerializeSketch(original);
@@ -331,7 +345,7 @@ TEST(SketchIoTest, GeometryMismatchIsReported) {
   ExpectLoadFails(blob, &dst, LoadError::kGeometryMismatch);
 }
 
-TEST(SketchIoTest, TrailingDataIsReported) {
+TEST_F(SketchIoTest, TrailingDataIsReported) {
   CountSketch original = MakeCountSketch();
   Feed(original);
   std::string blob = SerializeSketch(original);
@@ -345,7 +359,7 @@ TEST(SketchIoTest, TrailingDataIsReported) {
   ExpectLoadFails(blob, &dst, LoadError::kTrailingData);
 }
 
-TEST(SketchIoTest, DomainErrorIsReported) {
+TEST_F(SketchIoTest, DomainErrorIsReported) {
   TwoPassHeavyHitter original = MakeTwoPass();
   Feed(original);
   std::string blob = SerializeSketch(original);
@@ -400,7 +414,7 @@ TEST(SketchIoDeathTest, MergingFutureVersionBlobDies) {
 // Crash-consistent file I/O.
 // ---------------------------------------------------------------------------
 
-TEST(SketchIoTest, SaveLoadRoundtripThroughFile) {
+TEST_F(SketchIoTest, SaveLoadRoundtripThroughFile) {
   const std::string path = testing::TempDir() + "/sketch_io_roundtrip.gskb";
   CountSketch original = MakeCountSketch();
   Feed(original);
@@ -412,7 +426,7 @@ TEST(SketchIoTest, SaveLoadRoundtripThroughFile) {
   std::remove(path.c_str());
 }
 
-TEST(SketchIoTest, MissingFileIsIoError) {
+TEST_F(SketchIoTest, MissingFileIsIoError) {
   CountSketch dst = MakeCountSketch();
   const LoadStatus status =
       LoadSketch(testing::TempDir() + "/no_such_sketch.gskb", &dst);
@@ -420,7 +434,8 @@ TEST(SketchIoTest, MissingFileIsIoError) {
   EXPECT_EQ(status.error, LoadError::kIoError);
 }
 
-TEST(SketchIoTest, AtomicWriteSurvivesEveryInjectedFault) {
+TEST_F(SketchIoTest, AtomicWriteSurvivesEveryInjectedFault) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with GSTREAM_FAULTS=OFF";
   const std::string path = testing::TempDir() + "/sketch_io_atomic.gskb";
   CountSketch v1 = MakeCountSketch();
   Feed(v1, /*seed=*/3);
@@ -430,26 +445,24 @@ TEST(SketchIoTest, AtomicWriteSurvivesEveryInjectedFault) {
   CountSketch v2 = MakeCountSketch();
   Feed(v2, /*seed=*/9);
   const std::string v2_blob = SerializeSketch(v2);
-  for (const WriteFault fault :
-       {WriteFault::kCrashBeforeTmp, WriteFault::kCrashMidTmp,
-        WriteFault::kCrashBeforeRename, WriteFault::kCrashBeforeDirFsync}) {
+  for (const char* site : kAtomicWriteSites) {
     // Rewrite v1 so every phase starts from the same previous version
     // (the before-dirsync iteration, below, replaces the file).
     ASSERT_TRUE(WriteFileAtomic(path, v1_blob));
-    ASSERT_FALSE(WriteFileAtomic(path, v2_blob, fault));
+    ArmOnce(site);
+    ASSERT_FALSE(WriteFileAtomic(path, v2_blob));
     // A complete version survives a crash at any phase: the previous one
     // for the pre-rename phases; for before-dirsync the rename already
     // happened, so the NEW complete file is in place (merely not yet
     // durable against power loss) -- either way, never a torn mix.
     CountSketch restored = MakeCountSketch();
     const LoadStatus status = LoadSketch(path, &restored);
-    ASSERT_TRUE(status.ok())
-        << WriteFaultName(fault) << ": " << status.message;
+    ASSERT_TRUE(status.ok()) << site << ": " << status.message;
     const std::string restored_blob = SerializeSketch(restored);
-    if (fault == WriteFault::kCrashBeforeDirFsync) {
-      EXPECT_EQ(restored_blob, v2_blob) << WriteFaultName(fault);
+    if (site == kAtomicWriteSites[3]) {  // before-dirsync
+      EXPECT_EQ(restored_blob, v2_blob) << site;
     } else {
-      EXPECT_EQ(restored_blob, v1_blob) << WriteFaultName(fault);
+      EXPECT_EQ(restored_blob, v1_blob) << site;
     }
   }
   // The production path replaces it.
@@ -461,25 +474,27 @@ TEST(SketchIoTest, AtomicWriteSurvivesEveryInjectedFault) {
   std::remove((path + ".tmp").c_str());
 }
 
-TEST(SketchIoTest, WriteFaultNamesAreStable) {
-  // The names are a CLI/JSON surface (tools/ckpt_ingest --fault=,
-  // "fault_phase" in its --stats=json): renaming one is a breaking change.
-  EXPECT_STREQ(WriteFaultName(WriteFault::kNone), "none");
-  EXPECT_STREQ(WriteFaultName(WriteFault::kCrashBeforeTmp), "before-tmp");
-  EXPECT_STREQ(WriteFaultName(WriteFault::kCrashMidTmp), "mid-tmp");
-  EXPECT_STREQ(WriteFaultName(WriteFault::kCrashBeforeRename),
-               "before-rename");
-  EXPECT_STREQ(WriteFaultName(WriteFault::kCrashBeforeDirFsync),
-               "before-dirsync");
+TEST_F(SketchIoTest, AtomicWriteSiteNamesAreStable) {
+  // The phases are a CLI/JSON surface (tools/ckpt_ingest --fault=,
+  // "fault_phase" in its --stats=json), and the site names are what a
+  // chaos schedule arms: renaming one is a breaking change.
+  const std::vector<std::string> sites(std::begin(kAtomicWriteSites),
+                                       std::end(kAtomicWriteSites));
+  EXPECT_EQ(sites, (std::vector<std::string>{
+                       "persist/atomic_write/before-tmp",
+                       "persist/atomic_write/mid-tmp",
+                       "persist/atomic_write/before-rename",
+                       "persist/atomic_write/before-dirsync"}));
 }
 
-TEST(SketchIoTest, TornTmpWithoutPreviousVersionIsCleanAbsence) {
+TEST_F(SketchIoTest, TornTmpWithoutPreviousVersionIsCleanAbsence) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with GSTREAM_FAULTS=OFF";
   const std::string path = testing::TempDir() + "/sketch_io_torn.gskb";
   std::remove(path.c_str());
   CountSketch v1 = MakeCountSketch();
   Feed(v1);
-  ASSERT_FALSE(
-      WriteFileAtomic(path, SerializeSketch(v1), WriteFault::kCrashMidTmp));
+  ArmOnce(kAtomicWriteSites[1]);  // mid-tmp
+  ASSERT_FALSE(WriteFileAtomic(path, SerializeSketch(v1)));
   // No rename happened: the target path simply does not exist, and the torn
   // .tmp is never read by the loader.
   CountSketch dst = MakeCountSketch();

@@ -14,7 +14,9 @@
 // The oracle: every mutant either loads, re-serializes to exactly its own
 // bytes and keeps every top-k tracker within its 2k-candidate bound, or
 // fails with a named LoadError and a message and leaves the destination
-// bit-unchanged.
+// bit-unchanged.  A decoded GCKP mutant must also either restore into a
+// fresh ingestor under each partition policy that routes by producer state
+// and then take a chunk, or fail the restore with a named LoadError.
 
 #include <gtest/gtest.h>
 
@@ -106,7 +108,8 @@ class Walker {
   WireMap WalkCheckpoint() {
     map_.seals.push_back({0, bytes_.size(), 0});
     Add(4, 4, FieldClass::kVersion);
-    Add(8, 8, FieldClass::kCount);  // shards
+    Add(8, 8, FieldClass::kCount);   // shards
+    Add(24, 8, FieldClass::kCount);  // round-robin position
     const uint64_t shards = ReadLe(bytes_, 8, 8);
     // cursor, round-robin position, three stat words, per-shard counts.
     size_t pos = 16 + 5 * 8 + 8 * shards;
@@ -544,6 +547,9 @@ TEST(CheckpointFuzzTest, TwoShardMutantsDecodeAndRestoreOrFailCleanly) {
       [shell] { return WithinCapacity(*shell); },
       [shell] { *shell = MakeOnePass(); }};
 
+  std::vector<Update> chunk(kStreamBatchSize);
+  for (size_t j = 0; j < chunk.size(); ++j) chunk[j] = {j % 97, 1};
+
   uint64_t rng = 0xc4ec9017ULL;
   size_t decoded = 0;
   for (size_t i = 0; i < 5000; ++i) {
@@ -565,6 +571,26 @@ TEST(CheckpointFuzzTest, TwoShardMutantsDecodeAndRestoreOrFailCleanly) {
       const std::string before = shard.save();
       ASSERT_NO_FATAL_FAILURE(
           CheckOutcome(shard, blob, before, shard.load(blob), i));
+    }
+    // The restore path also validates the producer state, which the
+    // checksum does not: the round-robin cursor and the staged chunks.
+    for (const PartitionPolicy policy :
+         {PartitionPolicy::kRoundRobinChunks, PartitionPolicy::kHashItem}) {
+      IngestEngineOptions options;
+      options.policy = policy;
+      ShardedIngestor<OnePassHeavyHitter> ingest(
+          options, [](size_t) { return MakeOnePass(); });
+      ingest.Open(2);
+      const LoadStatus restored = RestoreIngestor(image, &ingest);
+      if (restored.ok()) {
+        ingest.Submit(chunk.data(), chunk.size());
+        ingest.Close();
+        continue;
+      }
+      ASSERT_NE(std::string(LoadErrorName(restored.error)), "unknown")
+          << "mutant " << i;
+      ASSERT_FALSE(restored.message.empty()) << "mutant " << i;
+      ingest.Drain();
     }
   }
   // Shard-internal mutations pass the outer decode and reach the shard

@@ -42,6 +42,7 @@
 
 #include "engine/ingest_engine.h"
 #include "engine/sharded_ingestor.h"
+#include "persist/sketch_io.h"
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
 #include "stream/generators.h"
@@ -104,7 +105,8 @@ CountSketch MakeReplica() {
 
 int ListSites(const Flags& f) {
   // Construct one engine so every engine site registers, plus touch the
-  // stream_io sites the same way the library does, then dump the catalog.
+  // stream_io and atomic-write sites the same way the library does, then
+  // dump the catalog.
   std::vector<BatchSink> sinks;
   for (size_t s = 0; s < f.shards; ++s) {
     sinks.push_back([](const Update*, size_t) {});
@@ -117,6 +119,9 @@ int ListSites(const Flags& f) {
   fault::Registry::Get().GetPoint("stream_io/open_error");
   fault::Registry::Get().GetPoint("stream_io/read_error");
   fault::Registry::Get().GetPoint("stream_io/write_error");
+  for (const char* site : kAtomicWriteSites) {
+    fault::Registry::Get().GetPoint(site);
+  }
   std::printf("fault sites (GSTREAM_FAULTS=%s):\n",
               fault::kEnabled ? "on" : "off");
   for (const fault::FaultSiteInfo& site : fault::Registry::Get().Sites()) {

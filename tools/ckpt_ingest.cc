@@ -18,13 +18,14 @@
 // run --resume  and pins the final blob byte-identical to an uninterrupted
 // run, which is the checkpoint/restart bit-exactness contract.
 //
-// `--fault=before-tmp|mid-tmp|before-rename|before-dirsync` injects a torn
-// checkpoint write at the chosen phase (the feed stops there, as if the
-// process died mid-write); a subsequent --resume must either load a
-// complete checkpoint (the previous one -- or, for before-dirsync, the new
-// one, since the rename already happened) or report a clean failure --
-// never parse garbage.  --stats=json reports the injected phase by name
-// ("fault_phase") alongside the obs snapshot.
+// `--fault=<phase>` arms the fault site persist/atomic_write/<phase>
+// (persist/sketch_io.h's kAtomicWriteSites) to fire once: the first
+// checkpoint write tears there and the feed stops, as if the process died
+// mid-write.  A subsequent --resume must either load a complete checkpoint
+// (the previous one -- or, for before-dirsync, the new one, since the
+// rename already happened) or report a clean failure -- never parse
+// garbage.  --stats=json reports the phase ("fault_phase").  An unknown
+// phase, or --fault in a GSTREAM_FAULTS=OFF build, exits 2.
 
 #include <csignal>
 #include <cstdint>
@@ -38,6 +39,7 @@
 #include "persist/sketch_io.h"
 #include "sketch/count_sketch.h"
 #include "stream/generators.h"
+#include "util/fault.h"
 #include "util/random.h"
 
 namespace gstream {
@@ -61,7 +63,7 @@ struct Flags {
   // --stats=json: dump the final process-wide metrics-registry snapshot
   // (obs JSON schema) to stdout after the run summary.
   bool stats_json = false;
-  WriteFault fault = WriteFault::kNone;
+  const char* fault_site = nullptr;  // the kAtomicWriteSites entry to arm
 };
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -95,12 +97,11 @@ Flags ParseFlags(int argc, char** argv) {
       else { std::fprintf(stderr, "ckpt_ingest: unknown --stats=%s\n", v.c_str()); std::exit(2); }
     }
     else if (ParseFlag(a, "--fault", &v)) {
-      // Spellings match WriteFaultName(), one per injectable phase.
-      if (v == "before-tmp") f.fault = WriteFault::kCrashBeforeTmp;
-      else if (v == "mid-tmp") f.fault = WriteFault::kCrashMidTmp;
-      else if (v == "before-rename") f.fault = WriteFault::kCrashBeforeRename;
-      else if (v == "before-dirsync") f.fault = WriteFault::kCrashBeforeDirFsync;
-      else { std::fprintf(stderr, "ckpt_ingest: unknown --fault=%s\n", v.c_str()); std::exit(2); }
+      if (!fault::kEnabled) { std::fprintf(stderr, "ckpt_ingest: --fault=%s: fault injection is compiled out (GSTREAM_FAULTS=OFF)\n", v.c_str()); std::exit(2); }
+      for (const char* site : kAtomicWriteSites) {
+        if (std::strrchr(site, '/') + 1 == v) f.fault_site = site;
+      }
+      if (f.fault_site == nullptr) { std::fprintf(stderr, "ckpt_ingest: unknown --fault=%s\n", v.c_str()); std::exit(2); }
     } else {
       std::fprintf(stderr, "ckpt_ingest: unknown flag %s\n", a);
       std::exit(2);
@@ -153,7 +154,9 @@ int Run(const Flags& f) {
   CheckpointOptions ckpt_options;
   ckpt_options.path = f.ckpt;
   ckpt_options.interval_updates = f.interval;
-  ckpt_options.fault = f.fault;
+  if (f.fault_site != nullptr) {
+    fault::Registry::Get().Arm(/*seed=*/0, {{f.fault_site, 1.0, 0, 1}});
+  }
 
   const uint64_t kill_after = f.kill_after;
   const uint64_t cursor = RunWithCheckpoints<CountSketchTopK>(
@@ -166,13 +169,14 @@ int Run(const Flags& f) {
         return true;
       });
   const auto print_stats_json = [&f] {
-    // One JSON object: the injected torn-write phase by name ("none" on a
+    // One JSON object: the armed torn-write phase by name ("none" on a
     // clean run) plus the process-wide metrics snapshot.  Printed on the
     // torn-write stop path too, so a harness driving --fault can pin the
     // phase from the same output it already parses.
     if (f.stats_json) {
       std::printf("{\"fault_phase\": \"%s\", \"obs\": %s}\n",
-                  WriteFaultName(f.fault),
+                  f.fault_site == nullptr ? "none"
+                                          : std::strrchr(f.fault_site, '/') + 1,
                   obs::CurrentSnapshotJson().c_str());
     }
   };

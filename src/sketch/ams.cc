@@ -4,27 +4,43 @@
 
 #include "util/logging.h"
 #include "util/simd/simd_dispatch.h"
+#include "util/simd/simd_scalar_ref.h"
 
 namespace gstream {
+namespace {
+
+size_t SignRows(const AmsOptions& options) {
+  const size_t total = std::max<size_t>(options.group_size * options.groups, 1);
+  return (total + AmsSketch::kSignsPerRow - 1) / AmsSketch::kSignsPerRow;
+}
+
+}  // namespace
 
 AmsSketch::AmsSketch(const AmsOptions& options, Rng& rng)
-    : options_(options),
-      sign_bank_(/*k=*/4, std::max<size_t>(options.group_size * options.groups, 1),
-                 rng) {
+    : options_(options), sign_bank_(/*k=*/4, SignRows(options), rng) {
   GSTREAM_CHECK_GE(options.group_size, 1u);
   GSTREAM_CHECK_GE(options.groups, 1u);
   const size_t total = options.group_size * options.groups;
+  // Draw and drop the coefficients of one 4-wise row per estimator past
+  // the bank, so every later draw from `rng` is what it would be if each
+  // estimator still had a row of its own.
+  for (size_t e = sign_bank_.rows(); e < total; ++e) {
+    for (int d = 0; d < 4; ++d) rng.UniformUint64(kMersenne61);
+  }
   sums_.assign(total, 0);
   GSTREAM_DCHECK(IsCacheLineAligned(sums_.data()));
   mean_scratch_.resize(options.groups);
-  uint64_t fp = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < total; ++i) {
-    fp = (fp ^ (sign_bank_.EvalRow(i, ReduceToField(1)) & 1)) *
-         0x100000001b3ULL;
-    fp = (fp ^ (sign_bank_.EvalRow(i, ReduceToField(0x9e3779b9)) & 1)) *
+  uint64_t fp = (0xcbf29ce484222325ULL ^ kSignsPerRow) * 0x100000001b3ULL;
+  for (size_t r = 0; r < sign_bank_.rows(); ++r) {
+    fp = (fp ^ sign_bank_.EvalRow(r, ReduceToField(1))) * 0x100000001b3ULL;
+    fp = (fp ^ sign_bank_.EvalRow(r, ReduceToField(0x9e3779b9))) *
          0x100000001b3ULL;
   }
   hash_fingerprint_ = fp;
+}
+
+size_t AmsSketch::RowSigns(size_t r) const {
+  return std::min(kSignsPerRow, sums_.size() - r * kSignsPerRow);
 }
 
 void AmsSketch::MergeFrom(const AmsSketch& other) {
@@ -41,19 +57,20 @@ void AmsSketch::Update(ItemId item, int64_t delta) {
   const uint64_t* c1 = sign_bank_.DegreeCoeffs(1);
   const uint64_t* c2 = sign_bank_.DegreeCoeffs(2);
   const uint64_t* c3 = sign_bank_.DegreeCoeffs(3);
-  for (size_t i = 0; i < sums_.size(); ++i) {
-    const uint64_t s = Eval4Wise(c0[i], c1[i], c2[i], c3[i], xm, x2, x3);
-    sums_[i] += (s & 1) ? delta : -delta;
+  for (size_t r = 0; r < sign_bank_.rows(); ++r) {
+    const uint64_t h = Eval4Wise(c0[r], c1[r], c2[r], c3[r], xm, x2, x3);
+    simd::ScalarBitSignedSums(&h, &delta, 1, RowSigns(r),
+                              sums_.data() + r * kSignsPerRow);
   }
 }
 
 void AmsSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
-  // Estimator-major over L1-resident blocks through the dispatched SIMD
-  // layer: the per-item field powers are computed once per block, then
-  // each estimator's fused eval4 + signed-accumulate kernel sweeps the
-  // block with its four coefficients broadcast across lanes.  int64
-  // wraparound addition is associative, so the per-block partial sums
-  // leave sums_ bit-identical to the sequential loop under any tier.
+  // Row-major over L1-resident blocks through the dispatched SIMD layer:
+  // the per-item field powers are computed once per block, each row's
+  // hashes once per block, and bit_signed_sums then signs all of the
+  // row's estimators from those words.  int64 wraparound addition is
+  // associative, so the per-block partial sums leave sums_ bit-identical
+  // to the sequential loop under any tier.
   const simd::SimdOps& ops = simd::Ops();
   const uint64_t* c0 = sign_bank_.DegreeCoeffs(0);
   const uint64_t* c1 = sign_bank_.DegreeCoeffs(1);
@@ -63,13 +80,14 @@ void AmsSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
   alignas(64) uint64_t x2[simd::kSimdBlock];
   alignas(64) uint64_t x3[simd::kSimdBlock];
   alignas(64) int64_t delta[simd::kSimdBlock];
+  alignas(64) uint64_t h[simd::kSimdBlock];
   for (size_t base = 0; base < n; base += simd::kSimdBlock) {
     const size_t m = std::min(simd::kSimdBlock, n - base);
     ops.prepare_batch(updates + base, m, xm, x2, x3, delta);
-    for (size_t e = 0; e < sums_.size(); ++e) {
-      sums_[e] +=
-          ops.eval4_signed_sum(c0[e], c1[e], c2[e], c3[e], xm, x2, x3,
-                               delta, m);
+    for (size_t r = 0; r < sign_bank_.rows(); ++r) {
+      ops.eval4_row(c0[r], c1[r], c2[r], c3[r], xm, x2, x3, m, h);
+      ops.bit_signed_sums(h, delta, m, RowSigns(r),
+                          sums_.data() + r * kSignsPerRow);
     }
   }
 }

@@ -65,7 +65,7 @@ struct SimdOps {
   // Deinterleaves a chunk of updates and precomputes the shared per-item
   // field powers: xm[i] lazy (<= p + 7), x2[i]/x3[i] lazy (< 2^63),
   // delta[i] = updates[i].delta.  The powers feed eval4_row /
-  // eval4_signed_sum of the same tier.
+  // eval4_bucket of the same tier.
   void (*prepare_batch)(const Update* updates, size_t n, uint64_t* xm,
                         uint64_t* x2, uint64_t* x3, int64_t* delta);
 
@@ -109,14 +109,12 @@ struct SimdOps {
   void (*eval2_bucket)(uint64_t a0, uint64_t a1, const uint64_t* xm,
                        uint64_t range, size_t n, uint32_t* idx);
 
-  // Returns sum_i (Eval4Wise(c0..c3, xm[i], x2[i], x3[i]) & 1 ? delta[i]
-  //                                                          : -delta[i])
-  // with int64 wraparound semantics identical to the sequential loop (the
-  // AMS estimator accumulation, fused so the hashes never hit memory).
-  int64_t (*eval4_signed_sum)(uint64_t c0, uint64_t c1, uint64_t c2,
-                              uint64_t c3, const uint64_t* xm,
-                              const uint64_t* x2, const uint64_t* x3,
-                              const int64_t* delta, size_t n);
+  // sums[j] += sum_i (((h[i] >> j) & 1) ? delta[i] : -delta[i]) for every
+  // j < count, 1 <= count <= 64, with int64 wraparound semantics identical
+  // to the sequential loop: bit j of each hash word signs estimator j (the
+  // AMS accumulation, sketch/ams.h).  Writes only sums[0, count).
+  void (*bit_signed_sums)(const uint64_t* h, const int64_t* delta, size_t n,
+                          size_t count, int64_t* sums);
 
   // masks[i] |= ((a1 * xm[i] + a0) mod p & 1) << bit, for bit < 64 -- the
   // g_np per-trial sampling indicator, packed one trial per bit.

@@ -245,36 +245,67 @@ void Avx2Eval2Bucket(uint64_t a0, uint64_t a1, const uint64_t* xm,
   ScalarEval2Bucket(a0, a1, xm + i, range, n - i, idx + i);
 }
 
-int64_t Avx2Eval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
-                           const uint64_t* xm, const uint64_t* x2,
-                           const uint64_t* x3, const int64_t* delta,
-                           size_t n) {
-  const __m256i C0 = _mm256_set1_epi64x(static_cast<long long>(c0));
-  const __m256i C1 = _mm256_set1_epi64x(static_cast<long long>(c1));
-  const __m256i C2 = _mm256_set1_epi64x(static_cast<long long>(c2));
-  const __m256i C3 = _mm256_set1_epi64x(static_cast<long long>(c3));
-  const __m256i one = _mm256_set1_epi64x(1);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i h = Eval4Lanes(C0, C1, C2, C3, Load(xm + i), Load(x2 + i),
-                                 Load(x3 + i));
-    // m = (h & 1) - 1: all-ones where the sign is -1, zero where +1;
-    // (d ^ m) - m negates exactly those lanes (two's complement identity).
-    const __m256i m = _mm256_sub_epi64(_mm256_and_si256(h, one), one);
-    const __m256i d = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(delta + i));
-    const __m256i sd = _mm256_sub_epi64(_mm256_xor_si256(d, m), m);
-    acc = _mm256_add_epi64(acc, sd);
+// bit_signed_sums, item-major: estimator j's signed sum is 2 P_j - D
+// (mod 2^64), with D the sum of every delta and P_j the sum over items
+// whose hash has bit j set.  P lives in kGroups registers of four
+// estimators each.  A variable left shift moves bit 4g + l of the
+// broadcast hash into lane l's sign bit, and blendv keeps the delta
+// exactly where that bit is set.  The last group is written under a lane
+// mask, so sums[count..] is never touched.
+template <size_t kGroups>
+void Avx2BitSignedSumsImpl(const uint64_t* h, const int64_t* delta, size_t n,
+                           size_t count, int64_t* sums) {
+  __m256i p[kGroups];
+  __m256i shift[kGroups];
+  for (size_t g = 0; g < kGroups; ++g) {
+    p[g] = _mm256_setzero_si256();
+    const long long top = 63 - 4 * static_cast<long long>(g);
+    shift[g] = _mm256_setr_epi64x(top, top - 1, top - 2, top - 3);
   }
-  // Lane sums + tail; int64 addition is associative under wraparound, so
-  // the total matches the sequential accumulation bit-for-bit.
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t z = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  z += ScalarEval4SignedSum(c0, c1, c2, c3, xm + i, x2 + i, x3 + i, delta + i,
-                            n - i);
-  return z;
+  uint64_t total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const __m256d d = _mm256_castsi256_pd(_mm256_set1_epi64x(delta[i]));
+    total += static_cast<uint64_t>(delta[i]);
+    const __m256i bits = _mm256_set1_epi64x(static_cast<long long>(h[i]));
+    for (size_t g = 0; g < kGroups; ++g) {
+      const __m256d sel = _mm256_blendv_pd(
+          _mm256_setzero_pd(), d,
+          _mm256_castsi256_pd(_mm256_sllv_epi64(bits, shift[g])));
+      p[g] = _mm256_add_epi64(p[g], _mm256_castpd_si256(sel));
+    }
+  }
+  const __m256i t = _mm256_set1_epi64x(static_cast<long long>(total));
+  for (size_t g = 0; g < kGroups; ++g) {
+    const long long left = static_cast<long long>(count - 4 * g);
+    const __m256i m = _mm256_cmpgt_epi64(_mm256_set1_epi64x(left),
+                                         _mm256_setr_epi64x(0, 1, 2, 3));
+    long long* out = reinterpret_cast<long long*>(sums + 4 * g);
+    const __m256i s = _mm256_maskload_epi64(out, m);
+    const __m256i z = _mm256_sub_epi64(_mm256_add_epi64(p[g], p[g]), t);
+    _mm256_maskstore_epi64(out, m, _mm256_add_epi64(s, z));
+  }
+}
+
+void Avx2BitSignedSums(const uint64_t* h, const int64_t* delta, size_t n,
+                       size_t count, int64_t* sums) {
+  switch ((count + 3) / 4) {
+    case 1: return Avx2BitSignedSumsImpl<1>(h, delta, n, count, sums);
+    case 2: return Avx2BitSignedSumsImpl<2>(h, delta, n, count, sums);
+    case 3: return Avx2BitSignedSumsImpl<3>(h, delta, n, count, sums);
+    case 4: return Avx2BitSignedSumsImpl<4>(h, delta, n, count, sums);
+    case 5: return Avx2BitSignedSumsImpl<5>(h, delta, n, count, sums);
+    case 6: return Avx2BitSignedSumsImpl<6>(h, delta, n, count, sums);
+    case 7: return Avx2BitSignedSumsImpl<7>(h, delta, n, count, sums);
+    case 8: return Avx2BitSignedSumsImpl<8>(h, delta, n, count, sums);
+    case 9: return Avx2BitSignedSumsImpl<9>(h, delta, n, count, sums);
+    case 10: return Avx2BitSignedSumsImpl<10>(h, delta, n, count, sums);
+    case 11: return Avx2BitSignedSumsImpl<11>(h, delta, n, count, sums);
+    case 12: return Avx2BitSignedSumsImpl<12>(h, delta, n, count, sums);
+    case 13: return Avx2BitSignedSumsImpl<13>(h, delta, n, count, sums);
+    case 14: return Avx2BitSignedSumsImpl<14>(h, delta, n, count, sums);
+    case 15: return Avx2BitSignedSumsImpl<15>(h, delta, n, count, sums);
+    case 16: return Avx2BitSignedSumsImpl<16>(h, delta, n, count, sums);
+  }
 }
 
 void Avx2Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
@@ -300,7 +331,7 @@ const SimdOps* GetAvx2Ops() {
   static const SimdOps ops = {
       &Avx2PrepareBatch,   &Avx2PrepareBatch2, &Avx2FieldPowers,
       &Avx2Eval4Row,       &Avx2Eval2Row,      &Avx2FastRange,
-      &Avx2Eval4Bucket,    &Avx2Eval2Bucket,   &Avx2Eval4SignedSum,
+      &Avx2Eval4Bucket,    &Avx2Eval2Bucket,   &Avx2BitSignedSums,
       &Avx2Eval2ParityOr,
       // The counter scatters and the decode gather are the scalar tier's
       // own kernels (docs/simd.md: the vector versions lost).  Taken from

@@ -282,33 +282,51 @@ void Avx512Eval2Bucket(uint64_t a0, uint64_t a1, const uint64_t* xm,
   ScalarEval2Bucket(a0, a1, xm + i, range, n - i, idx + i);
 }
 
-int64_t Avx512Eval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2,
-                             uint64_t c3, const uint64_t* xm,
-                             const uint64_t* x2, const uint64_t* x3,
-                             const int64_t* delta, size_t n) {
-  const CoeffSplit C1 = SplitCoeff(c1);
-  const CoeffSplit C2 = SplitCoeff(c2);
-  const CoeffSplit C3 = SplitCoeff(c3);
-  const __m512i one = _mm512_set1_epi64(1);
-  __m512i acc = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i h = Eval4Lanes(c0, C1, C2, C3, Load(xm + i), Load(x2 + i),
-                                 Load(x3 + i));
-    const __m512i d = _mm512_loadu_si512(delta + i);
-    const __mmask8 plus = _mm512_test_epi64_mask(h, one);
-    const __m512i neg = _mm512_sub_epi64(_mm512_setzero_si512(), d);
-    acc = _mm512_add_epi64(acc, _mm512_mask_blend_epi64(plus, neg, d));
+// bit_signed_sums, item-major: estimator j's signed sum is 2 P_j - D
+// (mod 2^64), with D the sum of every delta and P_j the sum over items
+// whose hash has bit j set.  P lives in kGroups registers of eight
+// estimators each; an item adds its broadcast delta to every estimator of
+// a group under the 8-bit mask of that group's hash bits.  The last group
+// is written under a lane mask, so sums[count..] is never touched.
+template <size_t kGroups>
+void Avx512BitSignedSumsImpl(const uint64_t* h, const int64_t* delta,
+                             size_t n, size_t count, int64_t* sums) {
+  __m512i p[kGroups];
+  for (size_t g = 0; g < kGroups; ++g) p[g] = _mm512_setzero_si512();
+  uint64_t total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const __m512i d = _mm512_set1_epi64(delta[i]);
+    total += static_cast<uint64_t>(delta[i]);
+    const uint64_t bits = h[i];
+    for (size_t g = 0; g < kGroups; ++g) {
+      p[g] = _mm512_mask_add_epi64(
+          p[g], _cvtu32_mask8(static_cast<uint32_t>(bits >> (8 * g))), p[g],
+          d);
+    }
   }
-  // Lane sums + tail; int64 addition is associative under wraparound, so
-  // the total matches the sequential accumulation bit-for-bit.
-  alignas(64) int64_t lanes[8];
-  _mm512_store_si512(lanes, acc);
-  int64_t z = 0;
-  for (const int64_t lane : lanes) z += lane;
-  z += ScalarEval4SignedSum(c0, c1, c2, c3, xm + i, x2 + i, x3 + i, delta + i,
-                            n - i);
-  return z;
+  const __m512i t = _mm512_set1_epi64(static_cast<long long>(total));
+  for (size_t g = 0; g < kGroups; ++g) {
+    const size_t left = count - 8 * g;
+    const __mmask8 m =
+        left >= 8 ? __mmask8{0xff} : _cvtu32_mask8((1u << left) - 1);
+    const __m512i s = _mm512_maskz_loadu_epi64(m, sums + 8 * g);
+    const __m512i z = _mm512_sub_epi64(_mm512_add_epi64(p[g], p[g]), t);
+    _mm512_mask_storeu_epi64(sums + 8 * g, m, _mm512_add_epi64(s, z));
+  }
+}
+
+void Avx512BitSignedSums(const uint64_t* h, const int64_t* delta, size_t n,
+                         size_t count, int64_t* sums) {
+  switch ((count + 7) / 8) {
+    case 1: return Avx512BitSignedSumsImpl<1>(h, delta, n, count, sums);
+    case 2: return Avx512BitSignedSumsImpl<2>(h, delta, n, count, sums);
+    case 3: return Avx512BitSignedSumsImpl<3>(h, delta, n, count, sums);
+    case 4: return Avx512BitSignedSumsImpl<4>(h, delta, n, count, sums);
+    case 5: return Avx512BitSignedSumsImpl<5>(h, delta, n, count, sums);
+    case 6: return Avx512BitSignedSumsImpl<6>(h, delta, n, count, sums);
+    case 7: return Avx512BitSignedSumsImpl<7>(h, delta, n, count, sums);
+    case 8: return Avx512BitSignedSumsImpl<8>(h, delta, n, count, sums);
+  }
 }
 
 void Avx512Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
@@ -333,7 +351,7 @@ const SimdOps* GetAvx512Ops() {
   static const SimdOps ops = {
       &Avx512PrepareBatch,   &Avx512PrepareBatch2, &Avx512FieldPowers,
       &Avx512Eval4Row,       &Avx512Eval2Row,      &Avx512FastRange,
-      &Avx512Eval4Bucket,    &Avx512Eval2Bucket,   &Avx512Eval4SignedSum,
+      &Avx512Eval4Bucket,    &Avx512Eval2Bucket,   &Avx512BitSignedSums,
       &Avx512Eval2ParityOr,
       // The counter scatters and the decode gather are the scalar tier's
       // own kernels (docs/simd.md: the vector versions lost).  Taken from

@@ -13,7 +13,7 @@ const SimdOps* GetScalarOps() {
   static const SimdOps ops = {
       &ScalarPrepareBatch,   &ScalarPrepareBatch2, &ScalarFieldPowers,
       &ScalarEval4Row,       &ScalarEval2Row,      &ScalarFastRange,
-      &ScalarEval4Bucket,    &ScalarEval2Bucket,   &ScalarEval4SignedSum,
+      &ScalarEval4Bucket,    &ScalarEval2Bucket,   &ScalarBitSignedSums,
       &ScalarEval2ParityOr,  &ScalarScatterAdd,    &ScalarScatterAddSigned,
       &ScalarGatherSigned,
   };

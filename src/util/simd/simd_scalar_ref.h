@@ -86,16 +86,18 @@ inline void ScalarEval2Bucket(uint64_t a0, uint64_t a1, const uint64_t* xm,
   }
 }
 
-inline int64_t ScalarEval4SignedSum(uint64_t c0, uint64_t c1, uint64_t c2,
-                                    uint64_t c3, const uint64_t* xm,
-                                    const uint64_t* x2, const uint64_t* x3,
-                                    const int64_t* delta, size_t n) {
-  int64_t z = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t s = Eval4Wise(c0, c1, c2, c3, xm[i], x2[i], x3[i]);
-    z += (s & 1) ? delta[i] : -delta[i];
+// Unsigned arithmetic: the int64 wraparound the contract names, with no
+// signed overflow when a delta is INT64_MIN.
+inline void ScalarBitSignedSums(const uint64_t* h, const int64_t* delta,
+                                size_t n, size_t count, int64_t* sums) {
+  for (size_t j = 0; j < count; ++j) {
+    uint64_t z = static_cast<uint64_t>(sums[j]);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t d = static_cast<uint64_t>(delta[i]);
+      z += ((h[i] >> j) & 1) ? d : 0 - d;
+    }
+    sums[j] = static_cast<int64_t>(z);
   }
-  return z;
 }
 
 inline void ScalarEval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,

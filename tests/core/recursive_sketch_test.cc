@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/one_pass_hh.h"
 #include "core/two_pass_hh.h"
 #include "gfunc/catalog.h"
 #include "stream/exact.h"
@@ -159,6 +160,42 @@ TEST(RecursiveSketchTest, PassesReflectSubroutine) {
   };
   RecursiveGSum two(2, factory, rng);
   EXPECT_EQ(two.passes(), 2);
+}
+
+// A stack shaped like the gsum_replay benchmark's (15 levels, CountSketch
+// 5x1024, AMS 32x5, 48 candidates).  Each level's AMS draws and drops the
+// coefficients its bit signs retired, so every level's tracker is drawn
+// from the Rng state it had when each estimator owned a 4-wise row; the
+// fingerprints were recorded from that layout.
+TEST(RecursiveSketchTest, AmsBitSignsLeaveLaterDrawsUnchanged) {
+  constexpr uint64_t kTrackerFingerprints[] = {
+      0xb189fff751424f97ULL, 0x56a2afefc5d68553ULL, 0xa32944a397e07c65ULL,
+      0x57708d24543f8d05ULL, 0x67de9711152b1048ULL, 0x31553c8937ae7d93ULL,
+      0x46b8324fd5ec7926ULL, 0x51df6e06ab925665ULL, 0xe5d341951c7d009fULL,
+      0x699ec2f8a01d08fdULL, 0x5e181d91bf48215bULL, 0xf6ff4e02db40a00bULL,
+      0xb258394776788e21ULL, 0xfcd1f9632dc74e25ULL, 0x2818a23bea8b2166ULL,
+      0x7a199bb81ed285a7ULL,
+  };
+  OnePassHHOptions level;
+  level.count_sketch = CountSketchOptions{5, 1024};
+  level.ams = AmsOptions{32, 5};
+  level.candidates = 48;
+  Rng rng(0x5eed);
+  const RecursiveGSum stack(
+      15,
+      [level](int, Rng& r) {
+        return std::make_unique<OnePassHeavyHitter>(level, r);
+      },
+      rng);
+  ASSERT_EQ(static_cast<size_t>(stack.levels()) + 1,
+            std::size(kTrackerFingerprints));
+  for (int l = 0; l <= stack.levels(); ++l) {
+    const auto& hh =
+        dynamic_cast<const OnePassHeavyHitter&>(stack.level_sketch(l));
+    EXPECT_EQ(hh.tracker().Fingerprint(), kTrackerFingerprints[l])
+        << "level " << l;
+  }
+  EXPECT_EQ(rng.NextUint64(), 0x65456e8ee9785c39ULL);
 }
 
 }  // namespace

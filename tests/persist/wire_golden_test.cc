@@ -194,18 +194,20 @@ void ExpectGolden(const Golden& want, std::string_view blob) {
 }
 
 // Version 2 (XXH64 trailer).  The version 1 table differed in every
-// digest and in no size.
+// digest and in no size.  The AMS bit signs (sketch/ams.h) changed the
+// ams, one_pass_hh and recursive_gsum digests (new fingerprints and sums)
+// and no size, so the version stayed 2.
 constexpr Golden kSketchGoldens[] = {
     {"count_sketch", 176, 0xce05fe79c078f50dULL},
     {"count_min", 176, 0xdb1de15eb6a9cff8ULL},
-    {"ams", 112, 0xb59e10ac4d36571cULL},
+    {"ams", 112, 0x11623fc37b8a1155ULL},
     {"gnp", 696, 0x308e423dea32b0a2ULL},
     {"exact_frequency", 648, 0x1b9f3ce50c17bdceULL},
     {"count_sketch_topk", 328, 0xc4afc9a01cf0fe63ULL},
     {"exact_heavy_hitter", 688, 0xb1d64170865baf8fULL},
-    {"one_pass_hh", 488, 0xa35323122b650cf2ULL},
+    {"one_pass_hh", 488, 0x379fa50b42f056ceULL},
     {"two_pass_hh", 444, 0xeb24afb0009f58e7ULL},
-    {"recursive_gsum", 1548, 0x84f6eaf11279dc2aULL},
+    {"recursive_gsum", 1548, 0x005c63a222000dddULL},
 };
 
 constexpr Golden kCheckpointGolden = {"gckp_two_shards", 512,
@@ -314,6 +316,32 @@ TEST(CheckpointGoldenTest, V2KeepsTheV1PayloadLayout) {
       EncodeCheckpoint(TinyImage(FromHex(kV1CountSketchHex)));
   EXPECT_EQ(ToHex(BodyAsVersion(v2, 1)),
             ToHex(BodyAsVersion(FromHex(kV1CheckpointHex), 1)));
+}
+
+// ---------------------------------------------------------------------------
+// A committed AMS blob from when each estimator had a 4-wise sign row of
+// its own: the "ams" golden's seed, geometry and stream.
+// ---------------------------------------------------------------------------
+
+constexpr std::string_view kRowSignAmsHex =
+    "47534b42020000000300000000000000a9c0bbe96431c2ae0400000000000000"
+    "02000000000000002c0000000000000000000000000000002a00000000000000"
+    "0400000000000000ccfffffffffffffff2fffffffffffffffcffffffffffffff"
+    "beffffffffffffff7081d78b919004d3";
+
+// The payload layout is unchanged, so the blob parses as far as the
+// fingerprint; the sign derivation is not, so a same-seed shell refuses
+// it instead of adding in sums signed by other hashes.
+TEST(SketchIoGoldenTest, RowSignAmsBlobIsFingerprintMismatch) {
+  Rng rng(kSeed);
+  AmsSketch dst(AmsOptions{4, 2}, rng);
+  Feed(dst);
+  const std::string before = SerializeSketch(dst);
+  const std::string old = FromHex(kRowSignAmsHex);
+  EXPECT_EQ(old.size(), before.size());
+  const LoadStatus status = DeserializeSketch(old, &dst);
+  EXPECT_EQ(status.error, LoadError::kFingerprintMismatch) << status.message;
+  EXPECT_EQ(SerializeSketch(dst), before);
 }
 
 // XXH64 reference values (seed 0), computed independently of this

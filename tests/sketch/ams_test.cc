@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <vector>
 
 #include "stream/exact.h"
 #include "stream/generators.h"
+#include "util/hash.h"
 
 namespace gstream {
 namespace {
@@ -70,9 +72,55 @@ TEST(AmsTest, TurnstileChurnDoesNotBias) {
 TEST(AmsTest, SpaceBytesAccounted) {
   Rng rng(4);
   AmsSketch ams(AmsOptions{16, 5}, rng);
-  // 80 counters + 80 sign hashes (4 words each).
+  // 80 counters + ceil(80 / 56) = 2 sign rows (4 words each).
   EXPECT_EQ(ams.SpaceBytes(),
-            80 * sizeof(int64_t) + 80 * 4 * sizeof(uint64_t));
+            80 * sizeof(int64_t) + 2 * 4 * sizeof(uint64_t));
+  Rng rng2(4);
+  AmsSketch wide(AmsOptions{32, 5}, rng2);
+  EXPECT_EQ(wide.SpaceBytes(),
+            160 * sizeof(int64_t) + 3 * 4 * sizeof(uint64_t));
+}
+
+// The constructor draws and drops the coefficients of the rows the bit
+// signs retired, so the draw after it is the one a sketch with one 4-wise
+// row per estimator left behind (the constants were recorded from that
+// layout).
+TEST(AmsTest, DrawsMatchOneRowPerEstimator) {
+  Rng wide(0xa115);
+  AmsSketch a(AmsOptions{32, 5}, wide);
+  EXPECT_EQ(wide.NextUint64(), 0x8b54539e64a610f8ULL);
+  Rng narrow(0xa115);
+  AmsSketch b(AmsOptions{16, 5}, narrow);
+  EXPECT_EQ(narrow.NextUint64(), 0xdef0625360bc2ae6ULL);
+}
+
+// The sign derivation itself: estimator e holds +delta exactly when bit
+// e % 56 of row e / 56's hash is set, with the rows drawn first from the
+// sketch's Rng.  Checked against an independently drawn bank, for a single
+// update and for a batch.
+TEST(AmsTest, SignsAreRowHashBits) {
+  constexpr size_t kEstimators = 32 * 5;
+  Rng bank_rng(6);
+  const KWiseHashBank bank(4, 3, bank_rng);
+  const ItemId items[] = {12345, 0, ~ItemId{0}};
+  std::vector<Update> batch;
+  std::vector<int64_t> want(kEstimators, 0);
+  for (size_t k = 0; k < std::size(items); ++k) {
+    const int64_t delta = static_cast<int64_t>(k) * 4 - 3;
+    batch.push_back({items[k], delta});
+    for (size_t e = 0; e < kEstimators; ++e) {
+      const uint64_t h = bank.EvalRow(e / AmsSketch::kSignsPerRow,
+                                      ReduceToField(items[k]));
+      want[e] += ((h >> (e % AmsSketch::kSignsPerRow)) & 1) ? delta : -delta;
+    }
+  }
+  Rng r1(6), r2(6);
+  AmsSketch single(AmsOptions{32, 5}, r1), batched(AmsOptions{32, 5}, r2);
+  for (const Update& u : batch) single.Update(u.item, u.delta);
+  batched.UpdateBatch(batch.data(), batch.size());
+  EXPECT_EQ(std::vector<int64_t>(single.sums().begin(), single.sums().end()),
+            want);
+  EXPECT_EQ(batched.sums(), single.sums());
 }
 
 TEST(AmsTest, DeterministicGivenSeed) {

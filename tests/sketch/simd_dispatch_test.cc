@@ -130,17 +130,54 @@ TEST_P(SimdDispatchTest, KernelOpsMatchScalarReference) {
     EXPECT_EQ(idx, ridx) << "range " << range;
   }
 
-  EXPECT_EQ(ops.eval4_signed_sum(c0, c1, c2, c3, xm.data(), x2.data(),
-                                 x3.data(), delta.data(), n),
-            simd::ScalarEval4SignedSum(c0, c1, c2, c3, rxm.data(), rx2.data(),
-                                       rx3.data(), delta.data(), n));
-
   std::vector<uint64_t> masks(n, 0), rmasks(n, 0);
   for (unsigned bit : {0u, 7u, 63u}) {
     ops.eval2_parity_or(c0, c1, xm.data(), n, bit, masks.data());
     simd::ScalarEval2ParityOr(c0, c1, rxm.data(), n, bit, rmasks.data());
   }
   EXPECT_EQ(masks, rmasks);
+}
+
+// The AMS accumulation against the scalar reference: every count the
+// kernel accepts (1..64, so every partial lane group), full 64-bit hash
+// words, blocks of 0, 1, 7 and 517 items, and deltas at the int64
+// extremes, where only wraparound arithmetic is exact.  A sentinel past
+// `count` must come back untouched.
+TEST_P(SimdDispatchTest, BitSignedSumsMatchScalarReference) {
+  ASSERT_TRUE(simd::ForceIsaTier(GetParam()));
+  const simd::SimdOps& ops = simd::Ops();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kSentinel = 0x5a5a5a5a5a5a5a5aLL;
+  Rng rng(0xb175);
+  const size_t n_max = 517;
+  std::vector<uint64_t> h(n_max);
+  std::vector<int64_t> small(n_max), extreme(n_max);
+  for (size_t i = 0; i < n_max; ++i) {
+    h[i] = rng.NextUint64();
+    small[i] = static_cast<int64_t>(rng.UniformInt(-5, 5));
+    const int64_t picks[] = {kMin, kMax, kMin + 1, -1, 1};
+    extreme[i] = picks[rng.UniformUint64(5)];
+  }
+  for (const std::vector<int64_t>* delta : {&small, &extreme}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, n_max}) {
+      for (size_t count = 1; count <= 64; ++count) {
+        SCOPED_TRACE(testing::Message() << "n " << n << " count " << count);
+        std::vector<int64_t> sums(count + 8, kSentinel), ref(count + 8);
+        for (size_t j = 0; j < count; ++j) {
+          sums[j] = static_cast<int64_t>(rng.NextUint64());
+        }
+        ref = sums;
+        ops.bit_signed_sums(h.data(), delta->data(), n, count, sums.data());
+        simd::ScalarBitSignedSums(h.data(), delta->data(), n, count,
+                                  ref.data());
+        ASSERT_EQ(sums, ref);
+        for (size_t j = count; j < sums.size(); ++j) {
+          ASSERT_EQ(sums[j], kSentinel);
+        }
+      }
+    }
+  }
 }
 
 // Whole-sketch states: counters, estimates, and fingerprints after a

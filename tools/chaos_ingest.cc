@@ -48,6 +48,7 @@
 #include "stream/generators.h"
 #include "util/fault.h"
 #include "util/random.h"
+#include "tool_common.h"
 
 namespace gstream {
 namespace {
@@ -64,13 +65,6 @@ struct Flags {
   bool list_sites = false;
   bool verbose = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
 
 Flags ParseFlags(int argc, char** argv) {
   Flags f;

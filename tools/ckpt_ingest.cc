@@ -1,7 +1,7 @@
 // Checkpointed sharded ingestion runner: the crash/restart integration
 // target.
 //
-// `--mode=run` regenerates the canonical stream from --stream-seed, opens a
+// The runner regenerates the canonical stream from --stream-seed, opens a
 // ShardedIngestor of same-seed CountSketchTopK replicas (the composite
 // sink whose candidate metadata observes chunk framing -- the hardest case
 // for bit-exact resume), and feeds it through RunWithCheckpoints: every
@@ -38,15 +38,14 @@
 #include "persist/checkpoint.h"
 #include "persist/sketch_io.h"
 #include "sketch/count_sketch.h"
-#include "stream/generators.h"
 #include "util/fault.h"
 #include "util/random.h"
+#include "tool_common.h"
 
 namespace gstream {
 namespace {
 
 struct Flags {
-  std::string mode = "run";
   std::string ckpt;
   std::string out;
   uint64_t seed = 42;
@@ -66,20 +65,12 @@ struct Flags {
   const char* fault_site = nullptr;  // the kAtomicWriteSites entry to arm
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
   std::string v;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (ParseFlag(a, "--mode", &v)) f.mode = v;
-    else if (ParseFlag(a, "--ckpt", &v)) f.ckpt = v;
+    if (ParseFlag(a, "--ckpt", &v)) f.ckpt = v;
     else if (ParseFlag(a, "--out", &v)) f.out = v;
     else if (ParseFlag(a, "--seed", &v)) f.seed = std::strtoull(v.c_str(), nullptr, 10);
     else if (ParseFlag(a, "--stream-seed", &v)) f.stream_seed = std::strtoull(v.c_str(), nullptr, 10);
@@ -110,21 +101,12 @@ Flags ParseFlags(int argc, char** argv) {
   return f;
 }
 
-Stream MakeCanonicalStream(const Flags& f) {
-  Rng rng(f.stream_seed);
-  StreamShapeOptions shape;
-  shape.churn_pairs = 2000;
-  Workload workload =
-      MakeZipfWorkload(f.domain, f.items, 1.1, 50000, shape, rng);
-  return std::move(workload.stream);
-}
-
 int Run(const Flags& f) {
   if (f.ckpt.empty() || f.out.empty()) {
     std::fprintf(stderr, "ckpt_ingest: --ckpt and --out required\n");
     return 2;
   }
-  const Stream stream = MakeCanonicalStream(f);
+  const Stream stream = MakeCanonicalStream(f.stream_seed, f.domain, f.items);
 
   IngestEngineOptions engine_options;
   engine_options.shards = f.shards;

@@ -37,6 +37,7 @@
 #include "sketch/count_sketch.h"
 #include "stream/stream.h"
 #include "util/random.h"
+#include "tool_common.h"
 
 namespace gstream {
 namespace {
@@ -55,13 +56,6 @@ struct Flags {
   uint64_t sketch_seed = 1;
   bool stats_json = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
 
 Flags ParseFlags(int argc, char** argv) {
   Flags f;

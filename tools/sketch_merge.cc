@@ -39,9 +39,9 @@
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
-#include "stream/generators.h"
 #include "stream/stream.h"
 #include "util/random.h"
+#include "tool_common.h"
 
 namespace gstream {
 namespace {
@@ -64,13 +64,6 @@ struct Flags {
   bool stats_json = false;
   std::vector<std::string> inputs;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
 
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
@@ -103,17 +96,6 @@ Flags ParseFlags(int argc, char** argv) {
   return f;
 }
 
-// The canonical stream every process of a job regenerates: Zipf with churn,
-// deterministic in --stream-seed.
-Stream MakeCanonicalStream(const Flags& f) {
-  Rng rng(f.stream_seed);
-  StreamShapeOptions shape;
-  shape.churn_pairs = 2000;
-  Workload workload =
-      MakeZipfWorkload(f.domain, f.items, 1.1, 50000, shape, rng);
-  return std::move(workload.stream);
-}
-
 // Feeds updates [begin, end) of the stream through UpdateBatch in
 // kStreamBatchSize chunks.
 template <typename SketchT>
@@ -133,7 +115,7 @@ int RunTyped(const Flags& f, MakeFn make) {
       std::fprintf(stderr, "sketch_merge: --out required\n");
       return 2;
     }
-    const Stream stream = MakeCanonicalStream(f);
+    const Stream stream = MakeCanonicalStream(f.stream_seed, f.domain, f.items);
     const size_t total = stream.length();
     size_t begin = 0, end = total;
     if (f.mode == "shard") {

@@ -1,7 +1,5 @@
 #include "persist/checkpoint.h"
 
-#include <cstring>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -9,10 +7,9 @@ namespace gstream {
 
 namespace {
 
-constexpr char kCheckpointMagic[4] = {'G', 'C', 'K', 'P'};
 // magic + version + shards + cursor + round_robin + three stat words.
-constexpr size_t kCheckpointHeaderBytes = 4 + 4 + 8 + 8 + 8 + 3 * 8;
-constexpr size_t kChecksumBytes = 8;
+constexpr persist::Envelope kCheckpointEnvelope = {
+    "GCKP", 4 + 4 + 8 + 8 + 8 + 3 * 8, kCheckpointFormatVersion, "checkpoint"};
 
 LoadStatus Truncated(const std::string& what) {
   return LoadStatus::Fail(LoadError::kTruncated,
@@ -25,15 +22,16 @@ std::string EncodeCheckpoint(const CheckpointImage& image) {
   const size_t shards = image.shard_blobs.size();
   GSTREAM_CHECK_EQ(image.producer.staged.size(), shards);
   GSTREAM_CHECK_EQ(image.producer.stats.shard_updates.size(), shards);
-  size_t total = kCheckpointHeaderBytes + 8 * shards + kChecksumBytes;
+  // The header, the shard counts and the checksum, then the records.
+  size_t total = kCheckpointEnvelope.header_bytes + 8 * shards + 8;
   for (const auto& staged : image.producer.staged) {
     total += 8 + 16 * staged.size();
   }
   for (const std::string& blob : image.shard_blobs) total += 8 + blob.size();
   persist::ByteWriter w;
   w.Reserve(total);
-  w.PutBytes(std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic)));
-  w.PutU32(kCheckpointFormatVersion);
+  w.PutBytes(kCheckpointEnvelope.magic);
+  w.PutU32(kCheckpointEnvelope.version);
   w.PutU64(shards);
   w.PutU64(image.cursor);
   w.PutU64(image.producer.round_robin_next);
@@ -49,42 +47,15 @@ std::string EncodeCheckpoint(const CheckpointImage& image) {
     }
   }
   for (const std::string& blob : image.shard_blobs) w.PutBlob(blob);
-  w.PutU64(persist::Checksum64(w.bytes()));
+  w.PutChecksum(0);
   return w.Take();
 }
 
 LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image) {
-  if (bytes.size() < sizeof(kCheckpointMagic) ||
-      std::memcmp(bytes.data(), kCheckpointMagic,
-                  sizeof(kCheckpointMagic)) != 0) {
-    return LoadStatus::Fail(LoadError::kBadMagic,
-                            "not a gstream checkpoint (bad magic)");
-  }
-  if (bytes.size() < kCheckpointHeaderBytes + kChecksumBytes) {
-    return Truncated("the header");
-  }
-  const std::string_view body = bytes.substr(0, bytes.size() - kChecksumBytes);
-  persist::ByteReader tail(bytes.substr(bytes.size() - kChecksumBytes));
-  uint64_t stored_checksum = 0;
-  tail.GetU64(&stored_checksum);
-  persist::ByteReader r(body);
-  std::string_view magic;
-  r.GetBytes(sizeof(kCheckpointMagic), &magic);
-  uint32_t version = 0;
-  r.GetU32(&version);
-  // A retired version carries another checksum, which cannot verify here:
-  // it is reported as version skew rather than as a corrupt file.
-  const bool retired = version >= 1 && version < kCheckpointFormatVersion;
-  if (!retired && persist::Checksum64(body) != stored_checksum) {
-    return LoadStatus::Fail(LoadError::kChecksumMismatch,
-                            "whole-file checksum mismatch (corrupt or torn "
-                            "checkpoint)");
-  }
-  if (version != kCheckpointFormatVersion) {
-    return LoadStatus::Fail(
-        LoadError::kVersionSkew,
-        "checkpoint version " + std::to_string(version) +
-            ", this build reads " + std::to_string(kCheckpointFormatVersion));
+  persist::ByteReader r{std::string_view()};
+  if (LoadStatus s = persist::OpenEnvelope(bytes, kCheckpointEnvelope, &r);
+      !s.ok()) {
+    return s;
   }
   CheckpointImage out;
   uint64_t shards = 0;

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,7 +22,6 @@
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
-#include "util/aligned.h"
 #include "util/fault.h"
 #include "util/logging.h"
 
@@ -110,11 +111,6 @@ void ByteWriter::PutU64(uint64_t v) {
 
 void ByteWriter::PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
 
-void ByteWriter::PutI64Array(const int64_t* values, size_t n) {
-  if (n == 0) return;
-  buf_.append(reinterpret_cast<const char*>(values), n * sizeof(int64_t));
-}
-
 void ByteWriter::PutBytes(std::string_view bytes) {
   buf_.append(bytes.data(), bytes.size());
 }
@@ -167,738 +163,604 @@ bool ByteReader::GetBlob(std::string_view* out) {
   if (len > remaining()) return false;
   return GetBytes(static_cast<size_t>(len), out);
 }
+void ByteWriter::PatchU64(size_t pos, uint64_t v) {
+  std::memcpy(buf_.data() + pos, &v, sizeof(v));
+}
+
+void ByteWriter::PutChecksum(size_t begin) {
+  PutU64(Checksum64(std::string_view(buf_).substr(begin)));
+}
+
+LoadStatus OpenEnvelope(std::string_view bytes, const Envelope& envelope,
+                        ByteReader* body) {
+  const std::string magic(envelope.magic);
+  if (!bytes.starts_with(magic)) {
+    return LoadStatus::Fail(LoadError::kBadMagic,
+                            "not a " + magic + " image (bad magic)");
+  }
+  if (bytes.size() < envelope.header_bytes + 8) {
+    return LoadStatus::Fail(LoadError::kTruncated,
+                            magic + " image ends inside its header");
+  }
+  const std::string_view payload = bytes.substr(0, bytes.size() - 8);
+  uint64_t stored_checksum = 0;
+  std::memcpy(&stored_checksum, bytes.data() + payload.size(), 8);
+  *body = ByteReader(payload.substr(magic.size()));
+  uint32_t version = 0;
+  body->GetU32(&version);
+  // A retired version carries another checksum, which cannot verify here:
+  // it is reported as version skew rather than as corrupt bytes.
+  const bool retired = version >= 1 && version < envelope.version;
+  if (!retired && Checksum64(payload) != stored_checksum) {
+    return LoadStatus::Fail(LoadError::kChecksumMismatch,
+                            "whole-image checksum mismatch (corrupt or torn " +
+                                magic + " bytes)");
+  }
+  if (version != envelope.version) {
+    return LoadStatus::Fail(
+        LoadError::kVersionSkew,
+        std::string(envelope.noun) + " version " + std::to_string(version) +
+            ", this build reads " + std::to_string(envelope.version));
+  }
+  return LoadStatus::Ok();
+}
+
+}  // namespace persist
 
 namespace {
 
-constexpr char kBlobMagic[4] = {'G', 'S', 'K', 'B'};
-// magic + version + kind + flags + fingerprint.
-constexpr size_t kBlobHeaderBytes = 4 + 4 + 4 + 4 + 8;
-constexpr size_t kChecksumBytes = 8;
+// Indexed by SketchKind tag; tag 0 names no kind.
+constexpr const char* kKindNames[] = {
+    nullptr, "count_sketch", "count_min", "ams", "gnp", "exact_frequency",
+    "count_sketch_topk", "exact_heavy_hitter", "one_pass_hh", "two_pass_hh",
+    "recursive_gsum"};
 
-const char* KindName(SketchKind kind) {
-  switch (kind) {
-    case SketchKind::kCountSketch: return "count_sketch";
-    case SketchKind::kCountMin: return "count_min";
-    case SketchKind::kAms: return "ams";
-    case SketchKind::kGnp: return "gnp";
-    case SketchKind::kExactFrequency: return "exact_frequency";
-    case SketchKind::kCountSketchTopK: return "count_sketch_topk";
-    case SketchKind::kExactHeavyHitter: return "exact_heavy_hitter";
-    case SketchKind::kOnePassHH: return "one_pass_hh";
-    case SketchKind::kTwoPassHH: return "two_pass_hh";
-    case SketchKind::kRecursiveGSum: return "recursive_gsum";
-  }
-  return "unknown";
-}
-
-LoadStatus Truncated(const std::string& what) {
-  return LoadStatus::Fail(LoadError::kTruncated,
-                          "blob ends inside " + what);
-}
-
-// Starts a blob of `payload_bytes` kind-specific bytes: reserves the
-// exact blob size and writes the header (the checksum is appended by
-// FinishBlob over everything written so far).
-void BeginBlob(ByteWriter* w, SketchKind kind, uint64_t fingerprint,
-               size_t payload_bytes) {
-  w->Reserve(kBlobHeaderBytes + payload_bytes + kChecksumBytes);
-  w->PutBytes(std::string_view(kBlobMagic, sizeof(kBlobMagic)));
-  w->PutU32(kSketchFormatVersion);
-  w->PutU32(static_cast<uint32_t>(kind));
-  w->PutU32(0);  // flags, reserved
-  w->PutU64(fingerprint);
-}
-
-std::string FinishBlob(ByteWriter* w) {
-  w->PutU64(Checksum64(w->bytes()));
-  return w->Take();
-}
-
-// Validates the envelope (magic, length, checksum, version, kind) and
-// positions `reader` at the payload; the payload region excludes the
-// trailing checksum, so a fully-consumed reader means no trailing bytes.
-LoadStatus OpenBlob(std::string_view blob, SketchKind want_kind,
-                    ByteReader* reader, uint64_t* fingerprint) {
-  if (blob.size() < sizeof(kBlobMagic) ||
-      std::memcmp(blob.data(), kBlobMagic, sizeof(kBlobMagic)) != 0) {
-    return LoadStatus::Fail(LoadError::kBadMagic,
-                            "not a gstream sketch blob (bad magic)");
-  }
-  if (blob.size() < kBlobHeaderBytes + kChecksumBytes) {
-    return Truncated("the blob header");
-  }
-  const std::string_view body = blob.substr(0, blob.size() - kChecksumBytes);
-  ByteReader tail(blob.substr(blob.size() - kChecksumBytes));
-  uint64_t stored_checksum = 0;
-  tail.GetU64(&stored_checksum);
-  *reader = ByteReader(body);
-  std::string_view magic;
-  reader->GetBytes(sizeof(kBlobMagic), &magic);
-  uint32_t version = 0, kind = 0, flags = 0;
-  reader->GetU32(&version);
-  // A retired version carries another checksum, which cannot verify here:
-  // it is reported as version skew rather than as corrupt bytes.
-  const bool retired = version >= 1 && version < kSketchFormatVersion;
-  if (!retired && Checksum64(body) != stored_checksum) {
-    return LoadStatus::Fail(LoadError::kChecksumMismatch,
-                            "whole-blob checksum mismatch (corrupt bytes)");
-  }
-  if (version != kSketchFormatVersion) {
-    return LoadStatus::Fail(
-        LoadError::kVersionSkew,
-        "format version " + std::to_string(version) + ", this build reads " +
-            std::to_string(kSketchFormatVersion));
-  }
-  reader->GetU32(&kind);
-  reader->GetU32(&flags);
-  reader->GetU64(fingerprint);
-  if (kind != static_cast<uint32_t>(want_kind)) {
-    return LoadStatus::Fail(
-        LoadError::kTypeMismatch,
-        std::string("blob holds ") +
-            KindName(static_cast<SketchKind>(kind)) + ", destination is " +
-            KindName(want_kind));
-  }
-  return LoadStatus::Ok();
-}
-
-LoadStatus GeometryMismatch(const std::string& what, uint64_t got,
-                            uint64_t want) {
-  return LoadStatus::Fail(LoadError::kGeometryMismatch,
-                          what + " " + std::to_string(got) +
-                              " in blob, destination has " +
-                              std::to_string(want));
-}
-
-LoadStatus FingerprintMismatch() {
-  return LoadStatus::Fail(
-      LoadError::kFingerprintMismatch,
-      "sketch fingerprint differs from the destination's (different seed "
-      "or randomness)");
-}
-
-LoadStatus ExpectDrained(const ByteReader& reader) {
-  if (reader.remaining() != 0) {
-    return LoadStatus::Fail(LoadError::kTrailingData,
-                            std::to_string(reader.remaining()) +
-                                " trailing bytes after the payload");
-  }
-  return LoadStatus::Ok();
-}
-
-// Wire bytes of `n` i64 counters, or of `n` (u64, i64) entries.
-constexpr size_t CounterBytes(size_t n) { return 8 * n; }
-constexpr size_t EntryBytes(size_t n) { return 16 * n; }
-
-// Reads counters into `out`; `out` arrives pre-sized to the destination
-// geometry, so a corrupt length cannot drive allocation.  Templated over
-// the vector type: sketch counter arrays use the 64-byte-aligned
-// allocator (util/aligned.h), and the transactional temporaries below
-// must match the destination's type to move-assign on commit.
-template <typename Vec>
-LoadStatus ReadCounters(ByteReader* reader, const char* what, Vec* out) {
-  if (!reader->GetI64Array(out->data(), out->size())) return Truncated(what);
-  return LoadStatus::Ok();
-}
+bool NamesKind(uint32_t tag) { return tag != 0 && tag < std::size(kKindNames); }
 
 }  // namespace
 
-// Friend of every sketch: restores private counter/candidate state after
-// the envelope, geometry, and fingerprint checks pass.  Every Read method
-// parses into temporaries and commits only on full success, so a failed
-// load leaves the destination bit-identical to its prior state.
+const char* SketchKindName(SketchKind kind) {
+  const auto tag = static_cast<uint32_t>(kind);
+  return NamesKind(tag) ? kKindNames[tag] : "unknown";
+}
+
+namespace persist {
+namespace {
+
+std::string NameOf(SketchKind kind) { return SketchKindName(kind); }
+
+LoadStatus Truncated(const std::string& what) {
+  return LoadStatus::Fail(LoadError::kTruncated, "blob ends inside " + what);
+}
+
+[[noreturn]] void AbortUnknownHeavyHitter() {
+  std::fprintf(stderr,
+               "sketch_io: the wire format knows no such GHeavyHitterSketch "
+               "subclass\n");
+  std::abort();
+}
+
+// `S` is `T` or `const T`: a declaration serves the writer and the reader.
+template <typename S, typename T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
+
+// A (u64, i64) wire entry: a tracker candidate or an exact frequency.
+using Entry = CandidateTable::Entry;
+
+}  // namespace
+
+// Declares sketch type T's state: KindOf maps T to its wire tag, and the
+// Visit body that follows lists T's payload in wire order.
+#define GSTREAM_SKETCH_STATE(T, tag)                                      \
+  static constexpr SketchKind KindOf(const T&) { return SketchKind::tag; } \
+  static void Visit(auto& v, Is<T> auto& s)
+
+// Friend of every sketch.  Each kind declares once, in wire order, what it
+// puts on the wire; one Writer and one Reader walk those declarations, so
+// no kind has a writer or reader of its own.  Fingerprint(), MergeFrom and
+// SpaceBytes stay in the sketch classes (docs/persistence.md says why).
 struct SketchSerde {
-  // --- CountSketch ---------------------------------------------------------
-  static std::string WriteCountSketch(const CountSketch& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kCountSketch, s.Fingerprint(),
-              16 + CounterBytes(s.counters_.size()));
-    w.PutU64(s.rows());
-    w.PutU64(s.buckets());
-    w.PutI64Array(s.counters_.data(), s.counters_.size());
-    return FinishBlob(&w);
+  class Writer;
+  class Reader;
+
+  // --- The declarations.  Visit lists the payload in wire order:
+  //   Geometry         u64 words that must equal the destination's;
+  //   FingerprintWord  a u64 that must equal it, checked with the envelope's
+  //                    fingerprint;
+  //   Counters         an i64 array sized by the geometry, copied in bulk;
+  //   Entries,         a u64 count, then (u64, i64) entries sorted by item;
+  //   Candidates
+  //   Children         nested blobs, each a length-prefixed envelope;
+  //   Pass, Tabulation the two-pass state;
+  //   Levels           the stack's (u32 kind tag, blob) levels.
+
+  GSTREAM_SKETCH_STATE(CountSketch, kCountSketch) {
+    v.Geometry("rows", s.options_.rows);
+    v.Geometry("buckets", s.options_.buckets);
+    v.Counters(s.counters_);
   }
 
-  static LoadStatus ReadCountSketch(std::string_view blob, CountSketch* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kCountSketch, &r, &fp);
-        !s.ok()) {
-      return s;
-    }
-    uint64_t rows = 0, buckets = 0;
-    if (!r.GetU64(&rows) || !r.GetU64(&buckets)) {
-      return Truncated("count_sketch geometry");
-    }
-    if (rows != dst->rows()) return GeometryMismatch("rows", rows, dst->rows());
-    if (buckets != dst->buckets()) {
-      return GeometryMismatch("buckets", buckets, dst->buckets());
-    }
-    if (fp != dst->Fingerprint()) return FingerprintMismatch();
-    AlignedI64Vector counters(dst->counters_.size());
-    if (LoadStatus s = ReadCounters(&r, "count_sketch counters", &counters);
-        !s.ok()) {
-      return s;
-    }
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->counters_ = std::move(counters);
-    return LoadStatus::Ok();
+  GSTREAM_SKETCH_STATE(CountMinSketch, kCountMin) {
+    v.Geometry("rows", s.options_.rows);
+    v.Geometry("buckets", s.options_.buckets);
+    v.Counters(s.counters_);
   }
 
-  // --- CountMinSketch ------------------------------------------------------
-  static std::string WriteCountMin(const CountMinSketch& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kCountMin, s.Fingerprint(),
-              16 + CounterBytes(s.counters_.size()));
-    w.PutU64(s.options_.rows);
-    w.PutU64(s.options_.buckets);
-    w.PutI64Array(s.counters_.data(), s.counters_.size());
-    return FinishBlob(&w);
+  GSTREAM_SKETCH_STATE(AmsSketch, kAms) {
+    v.Geometry("group_size", s.options_.group_size);
+    v.Geometry("groups", s.options_.groups);
+    v.Counters(s.sums_);
   }
 
-  static LoadStatus ReadCountMin(std::string_view blob, CountMinSketch* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kCountMin, &r, &fp);
-        !s.ok()) {
-      return s;
-    }
-    uint64_t rows = 0, buckets = 0;
-    if (!r.GetU64(&rows) || !r.GetU64(&buckets)) {
-      return Truncated("count_min geometry");
-    }
-    if (rows != dst->options_.rows) {
-      return GeometryMismatch("rows", rows, dst->options_.rows);
-    }
-    if (buckets != dst->options_.buckets) {
-      return GeometryMismatch("buckets", buckets, dst->options_.buckets);
-    }
-    if (fp != dst->Fingerprint()) return FingerprintMismatch();
-    AlignedI64Vector counters(dst->counters_.size());
-    if (LoadStatus s = ReadCounters(&r, "count_min counters", &counters);
-        !s.ok()) {
-      return s;
-    }
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->counters_ = std::move(counters);
-    return LoadStatus::Ok();
+  GSTREAM_SKETCH_STATE(GnpHeavyHitter, kGnp) {
+    v.Geometry("substreams", s.options_.substreams);
+    v.Geometry("trials", s.options_.trials);
+    v.Geometry("id_bits", static_cast<uint64_t>(s.options_.id_bits));
+    v.Counters(s.counters_);
   }
 
-  // --- AmsSketch -----------------------------------------------------------
-  static std::string WriteAms(const AmsSketch& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kAms, s.Fingerprint(),
-              16 + CounterBytes(s.sums_.size()));
-    w.PutU64(s.options_.group_size);
-    w.PutU64(s.options_.groups);
-    w.PutI64Array(s.sums_.data(), s.sums_.size());
-    return FinishBlob(&w);
+  GSTREAM_SKETCH_STATE(ExactFrequencySketch, kExactFrequency) {
+    v.Entries(s.freq_);
   }
 
-  static LoadStatus ReadAms(std::string_view blob, AmsSketch* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kAms, &r, &fp); !s.ok()) {
-      return s;
-    }
-    uint64_t group_size = 0, groups = 0;
-    if (!r.GetU64(&group_size) || !r.GetU64(&groups)) {
-      return Truncated("ams geometry");
-    }
-    if (group_size != dst->options_.group_size) {
-      return GeometryMismatch("group_size", group_size,
-                              dst->options_.group_size);
-    }
-    if (groups != dst->options_.groups) {
-      return GeometryMismatch("groups", groups, dst->options_.groups);
-    }
-    if (fp != dst->Fingerprint()) return FingerprintMismatch();
-    AlignedI64Vector sums(dst->sums_.size());
-    if (LoadStatus s = ReadCounters(&r, "ams sums", &sums); !s.ok()) return s;
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->sums_ = std::move(sums);
-    return LoadStatus::Ok();
+  GSTREAM_SKETCH_STATE(CountSketchTopK, kCountSketchTopK) {
+    v.Geometry("k", s.k_);
+    v.Children(s.sketch_);
+    v.Candidates(s.candidates_, 2 * s.k_);
   }
 
-  // --- GnpHeavyHitter ------------------------------------------------------
-  static std::string WriteGnp(const GnpHeavyHitter& s) {
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kGnp, s.Fingerprint(),
-              24 + CounterBytes(s.counters_.size()));
-    w.PutU64(s.options_.substreams);
-    w.PutU64(s.options_.trials);
-    w.PutU64(static_cast<uint64_t>(s.options_.id_bits));
-    w.PutI64Array(s.counters_.data(), s.counters_.size());
-    return FinishBlob(&w);
+  GSTREAM_SKETCH_STATE(ExactHeavyHitterSketch, kExactHeavyHitter) {
+    v.Children(s.freq_);
   }
 
-  static LoadStatus ReadGnp(std::string_view blob, GnpHeavyHitter* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kGnp, &r, &fp); !s.ok()) {
-      return s;
-    }
-    uint64_t substreams = 0, trials = 0, id_bits = 0;
-    if (!r.GetU64(&substreams) || !r.GetU64(&trials) || !r.GetU64(&id_bits)) {
-      return Truncated("gnp geometry");
-    }
-    if (substreams != dst->options_.substreams) {
-      return GeometryMismatch("substreams", substreams,
-                              dst->options_.substreams);
-    }
-    if (trials != dst->options_.trials) {
-      return GeometryMismatch("trials", trials, dst->options_.trials);
-    }
-    if (id_bits != static_cast<uint64_t>(dst->options_.id_bits)) {
-      return GeometryMismatch("id_bits", id_bits,
-                              static_cast<uint64_t>(dst->options_.id_bits));
-    }
-    if (fp != dst->Fingerprint()) return FingerprintMismatch();
-    std::vector<int64_t> counters(dst->counters_.size());
-    if (LoadStatus s = ReadCounters(&r, "gnp counters", &counters); !s.ok()) {
-      return s;
-    }
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->counters_ = std::move(counters);
-    return LoadStatus::Ok();
+  GSTREAM_SKETCH_STATE(OnePassHeavyHitter, kOnePassHH) {
+    v.Children(s.tracker_, s.ams_);
   }
 
-  // --- ExactFrequencySketch ------------------------------------------------
-  static std::string WriteExactFrequency(const ExactFrequencySketch& s) {
-    // Sorted by item so equal states serialize to identical bytes (the
-    // in-memory map order is not deterministic).
-    std::vector<std::pair<ItemId, int64_t>> entries(s.freq_.begin(),
-                                                    s.freq_.end());
-    std::sort(entries.begin(), entries.end());
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kExactFrequency, /*fingerprint=*/0,
-              8 + EntryBytes(entries.size()));
-    w.PutU64(entries.size());
-    for (const auto& [item, value] : entries) {
-      w.PutU64(item);
-      w.PutI64(value);
-    }
-    return FinishBlob(&w);
+  GSTREAM_SKETCH_STATE(TwoPassHeavyHitter, kTwoPassHH) {
+    v.Pass(s.current_pass_);
+    v.Children(s.tracker_);
+    v.Tabulation(s.candidate_ids_, s.exact_counts_);
   }
 
-  static LoadStatus ReadExactFrequency(std::string_view blob,
-                                       ExactFrequencySketch* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kExactFrequency, &r, &fp);
-        !s.ok()) {
-      return s;
+  GSTREAM_SKETCH_STATE(RecursiveGSum, kRecursiveGSum) {
+    v.FingerprintWord(s.subsampler_.Fingerprint());
+    v.Geometry("levels", s.sketches_.size());
+    v.Levels(s.sketches_);
+  }
+
+#undef GSTREAM_SKETCH_STATE
+
+  // --- Walking them.
+
+  static uint64_t FingerprintOf(const auto& sketch) {
+    if constexpr (requires { sketch.Fingerprint(); }) {
+      return sketch.Fingerprint();
     }
-    if (fp != 0) return FingerprintMismatch();
+    return 0;  // exact frequencies hash nothing
+  }
+
+  // The one dispatch over GHeavyHitterSketch: calls `fn` with `sketch` as
+  // its concrete type; false for a subclass no SketchKind names.
+  template <typename Base>
+  static bool AsWireType(Base& sketch, auto fn) {
+    return [&]<typename... Ts>(std::type_identity<Ts>...) {
+      return (... || [&] {
+        using T = std::conditional_t<std::is_const_v<Base>, const Ts, Ts>;
+        T* concrete = dynamic_cast<T*>(&sketch);
+        if (concrete != nullptr) fn(*concrete);
+        return concrete != nullptr;
+      }());
+    }(std::type_identity<OnePassHeavyHitter>{},
+      std::type_identity<TwoPassHeavyHitter>{},
+      std::type_identity<GnpHeavyHitter>{},
+      std::type_identity<ExactHeavyHitterSketch>{});
+  }
+
+  template <typename T>
+  static std::string Write(const T& sketch);
+  template <typename T>
+  static LoadStatus Load(std::string_view blob, T* sketch);
+
+  // Loads into a copy of `dst` and commits it with one move, so a failed
+  // load leaves `dst` bit-identical to its prior state.
+  template <typename T>
+  static LoadStatus Read(std::string_view blob, T* dst) {
+    T copy = Copy(*dst);
+    LoadStatus status = Load(blob, &copy);
+    if (status.ok()) *dst = std::move(copy);
+    return status;
+  }
+  template <typename T>
+  static T Copy(const T& s) { return s; }
+  static RecursiveGSum Copy(const RecursiveGSum& s) { return s.Replicate(); }
+};
+
+// Walks a declaration with no output to size a blob, then again into a
+// buffer reserved to that size.  Each child is written in place: its
+// length word is back-patched and its checksum covers its own region, so
+// every counter array is copied once.
+class SketchSerde::Writer {
+ public:
+  explicit Writer(ByteWriter* out) : out_(out) {}
+
+  size_t bytes() const { return bytes_; }
+
+  void Blob(const auto& s) {
+    const size_t begin = bytes_;
+    Put(kSketchEnvelope.magic.data(), kSketchEnvelope.magic.size());
+    U32(kSketchFormatVersion);
+    U32(static_cast<uint32_t>(KindOf(s)));
+    U32(0);  // flags, reserved
+    U64(FingerprintOf(s));
+    Visit(*this, s);
+    if (out_ != nullptr) out_->PutChecksum(begin);
+    bytes_ += 8;
+  }
+
+  void Geometry(const char*, uint64_t value) { U64(value); }
+  void FingerprintWord(uint64_t value) { U64(value); }
+  void Counters(const auto& counters) {
+    Put(counters.data(), 8 * counters.size());
+  }
+
+  void Children(const auto&... children) { (Child(children), ...); }
+
+  void Entries(const FrequencyMap& freq) {
+    SortedEntries(freq.size(), [&](std::vector<Entry>* out) {
+      for (const auto& [item, value] : freq) out->push_back({item, value});
+    });
+  }
+
+  void Candidates(const CandidateTable& table, size_t) {
+    SortedEntries(table.size(),
+                  [&](std::vector<Entry>* out) { *out = table.entries(); });
+  }
+
+  void Pass(int pass) { U32(static_cast<uint32_t>(pass)); }
+
+  void Tabulation(const std::vector<ItemId>& ids,
+                  const std::vector<int64_t>& counts) {
+    U64(ids.size());
+    Put(ids.data(), 8 * ids.size());
+    Put(counts.data(), 8 * counts.size());
+  }
+
+  void Levels(const std::vector<std::unique_ptr<GHeavyHitterSketch>>& levels) {
+    for (const auto& level : levels) {
+      const bool known = AsWireType(*level, [&](const auto& s) {
+        U32(static_cast<uint32_t>(KindOf(s)));
+        Child(s);
+      });
+      if (!known) AbortUnknownHeavyHitter();
+    }
+  }
+
+ private:
+  void Child(const auto& child) {
+    const size_t length_at = bytes_;
+    U64(0);
+    Blob(child);
+    if (out_ != nullptr) out_->PatchU64(length_at, bytes_ - length_at - 8);
+  }
+
+  // A u64 count, then the entries `fill` lists, in item order; `fill`
+  // runs only when writing.
+  void SortedEntries(size_t n, auto fill) {
+    U64(n);
+    if (out_ == nullptr) {
+      bytes_ += 16 * n;
+      return;
+    }
+    std::vector<Entry> entries;
+    entries.reserve(n);
+    fill(&entries);
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) { return a.item < b.item; });
+    for (const Entry& e : entries) {
+      U64(e.item);
+      U64(static_cast<uint64_t>(e.estimate));
+    }
+  }
+
+  // Host bytes are wire bytes: the format is little-endian.  An empty
+  // array may have a null data(), so it appends nothing.
+  void Put(const void* bytes, size_t n) {
+    if (out_ != nullptr && n != 0) {
+      out_->PutBytes({static_cast<const char*>(bytes), n});
+    }
+    bytes_ += n;
+  }
+  void U32(uint32_t v) { Put(&v, sizeof(v)); }
+  void U64(uint64_t v) { Put(&v, sizeof(v)); }
+
+  ByteWriter* out_;  // null while sizing
+  size_t bytes_ = 0;
+};
+
+// Walks a declaration over a blob's payload into the loader's private copy
+// of the destination, applying checks 6-9 of docs/persistence.md: every
+// header word is read, then the geometry words are compared, then the
+// fingerprints, then the payload is read (each count bounded before it
+// sizes anything), then the end must be exact.  The first failure is kept
+// and every later field is skipped.
+class SketchSerde::Reader {
+ public:
+  Reader(ByteReader* in, SketchKind kind, bool fingerprint_ok)
+      : in_(in), kind_(NameOf(kind) + " "), fingerprint_ok_(fingerprint_ok) {}
+
+  void Geometry(const char* name, uint64_t want) {
+    uint64_t got = 0;
+    if (!Word(&got) || got == want || !geometry_.ok()) return;
+    geometry_ = LoadStatus::Fail(
+        LoadError::kGeometryMismatch,
+        std::string(name) + " " + std::to_string(got) +
+            " in blob, destination has " + std::to_string(want));
+  }
+
+  void FingerprintWord(uint64_t want) {
+    uint64_t got = 0;
+    if (Word(&got) && got != want) fingerprint_ok_ = false;
+  }
+
+  void Counters(auto& counters) {
+    if (Ready() && !in_->GetI64Array(counters.data(), counters.size())) {
+      Note(Truncated(kind_ + "counters"));
+    }
+  }
+
+  // A run of adjacent children is framed before any of them is parsed.
+  void Children(auto&... children) {
+    std::string_view blobs[sizeof...(children)];
+    const SketchKind kinds[] = {KindOf(children)...};
+    for (size_t i = 0; i < std::size(blobs); ++i) {
+      if (Ready() && !in_->GetBlob(&blobs[i])) {
+        Note(Truncated(kind_ + NameOf(kinds[i]) + " child"));
+      }
+    }
+    size_t i = 0;
+    auto parse = [&](auto& child) {
+      if (Ready()) Note(Load(blobs[i], &child));
+      ++i;
+    };
+    (parse(children), ...);
+  }
+
+  void Entries(FrequencyMap& freq) {
     uint64_t n = 0;
-    if (!r.GetU64(&n)) return Truncated("exact_frequency entry count");
-    // Each entry is 16 bytes; bound the count by the remaining bytes so a
-    // corrupt length cannot drive allocation.
-    if (n > r.remaining() / 16) return Truncated("exact_frequency entries");
-    FrequencyMap freq;
+    if (!Count(&n, UINT64_MAX)) return;
+    freq.clear();
     freq.reserve(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t item = 0;
-      int64_t value = 0;
-      if (!r.GetU64(&item) || !r.GetI64(&value)) {
-        return Truncated("exact_frequency entries");
-      }
-      freq[item] = value;
+      in_->GetU64(&item);
+      in_->GetI64(&freq[item]);
     }
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->freq_ = std::move(freq);
-    return LoadStatus::Ok();
   }
 
-  // --- CountSketchTopK -----------------------------------------------------
-  static std::string WriteTopK(const CountSketchTopK& s) {
-    const std::string sketch = WriteCountSketch(s.sketch_);
-    std::vector<CandidateTable::Entry> candidates = s.candidates_.entries();
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) { return a.item < b.item; });
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kCountSketchTopK, s.Fingerprint(),
-              8 + 8 + sketch.size() + 8 + EntryBytes(candidates.size()));
-    w.PutU64(s.k());
-    w.PutBlob(sketch);
-    w.PutU64(candidates.size());
-    for (const CandidateTable::Entry& e : candidates) {
-      w.PutU64(e.item);
-      w.PutI64(e.estimate);
-    }
-    return FinishBlob(&w);
-  }
-
-  static LoadStatus ReadTopK(std::string_view blob, CountSketchTopK* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kCountSketchTopK, &r, &fp);
-        !s.ok()) {
-      return s;
-    }
-    uint64_t k = 0;
-    if (!r.GetU64(&k)) return Truncated("topk capacity");
-    if (k != dst->k()) return GeometryMismatch("k", k, dst->k());
-    if (fp != dst->Fingerprint()) return FingerprintMismatch();
-    std::string_view inner;
-    if (!r.GetBlob(&inner)) return Truncated("topk inner sketch blob");
-    CountSketch sketch = dst->sketch_;
-    if (LoadStatus s = ReadCountSketch(inner, &sketch); !s.ok()) return s;
+  // At most `capacity` entries with ids strictly ascending: only lists the
+  // writer emits re-serialize to their own bytes.
+  void Candidates(CandidateTable& table, size_t capacity) {
     uint64_t n = 0;
-    if (!r.GetU64(&n)) return Truncated("topk candidate count");
-    // The writer emits at most 2k candidates, ids strictly ascending; any
-    // other list would not re-serialize to its own bytes (or would break
-    // the tracker's 2k bound), so it is refused rather than normalized.
-    if (n > 2 * k) {
-      return LoadStatus::Fail(LoadError::kDomainError,
-                              "topk candidate count " + std::to_string(n) +
-                                  " exceeds 2k = " + std::to_string(2 * k));
-    }
-    if (n > r.remaining() / 16) return Truncated("topk candidates");
-    std::vector<CandidateTable::Entry> candidates(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-      CandidateTable::Entry& e = candidates[i];
-      if (!r.GetU64(&e.item) || !r.GetI64(&e.estimate)) {
-        return Truncated("topk candidates");
-      }
-      if (i > 0 && e.item <= candidates[i - 1].item) {
-        return LoadStatus::Fail(
-            LoadError::kDomainError,
-            (e.item == candidates[i - 1].item
-                 ? "topk candidate id duplicated at entry "
-                 : "topk candidate ids out of ascending order at entry ") +
-                std::to_string(i));
+    if (!Count(&n, capacity)) return;
+    std::vector<Entry> entries(static_cast<size_t>(n));
+    for (size_t i = 0; i < entries.size(); ++i) {
+      in_->GetU64(&entries[i].item);
+      in_->GetI64(&entries[i].estimate);
+      if (i > 0 && entries[i].item <= entries[i - 1].item) {
+        Note(LoadStatus::Fail(LoadError::kDomainError,
+                              kind_ + "candidate ids not strictly ascending "
+                                      "at entry " + std::to_string(i)));
+        return;
       }
     }
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->sketch_ = std::move(sketch);
-    dst->candidates_.Assign(std::move(candidates));
-    return LoadStatus::Ok();
+    table.Assign(std::move(entries));
   }
 
-  // --- ExactHeavyHitterSketch ----------------------------------------------
-  static std::string WriteExactHH(const ExactHeavyHitterSketch& s) {
-    const std::string freq = WriteExactFrequency(s.freq_);
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kExactHeavyHitter, /*fingerprint=*/0,
-              8 + freq.size());
-    w.PutBlob(freq);
-    return FinishBlob(&w);
-  }
-
-  static LoadStatus ReadExactHH(std::string_view blob,
-                                ExactHeavyHitterSketch* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kExactHeavyHitter, &r, &fp);
-        !s.ok()) {
-      return s;
+  void Pass(int& pass) {
+    uint32_t wire = 0;
+    if (!Ready()) return;
+    if (!in_->GetU32(&wire)) {
+      Note(Truncated(kind_ + "pass"));
+    } else if (wire != 1 && wire != 2) {
+      Note(LoadStatus::Fail(LoadError::kDomainError,
+                            kind_ + "pass " + std::to_string(wire) +
+                                " outside {1, 2}"));
+    } else {
+      pass = static_cast<int>(wire);
     }
-    if (fp != 0) return FingerprintMismatch();
-    std::string_view inner;
-    if (!r.GetBlob(&inner)) return Truncated("exact_hh inner blob");
-    ExactFrequencySketch freq = dst->freq_;
-    if (LoadStatus s = ReadExactFrequency(inner, &freq); !s.ok()) return s;
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->freq_ = std::move(freq);
-    return LoadStatus::Ok();
   }
 
-  // --- OnePassHeavyHitter --------------------------------------------------
-  static std::string WriteOnePass(const OnePassHeavyHitter& s) {
-    const std::string tracker = WriteTopK(s.tracker_);
-    const std::string ams = WriteAms(s.ams_);
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kOnePassHH, s.Fingerprint(),
-              8 + tracker.size() + 8 + ams.size());
-    w.PutBlob(tracker);
-    w.PutBlob(ams);
-    return FinishBlob(&w);
-  }
-
-  static LoadStatus ReadOnePass(std::string_view blob,
-                                OnePassHeavyHitter* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kOnePassHH, &r, &fp);
-        !s.ok()) {
-      return s;
-    }
-    if (fp != dst->Fingerprint()) return FingerprintMismatch();
-    std::string_view tracker_blob, ams_blob;
-    if (!r.GetBlob(&tracker_blob)) return Truncated("one_pass_hh tracker");
-    if (!r.GetBlob(&ams_blob)) return Truncated("one_pass_hh ams");
-    CountSketchTopK tracker = dst->tracker_;
-    AmsSketch ams = dst->ams_;
-    if (LoadStatus s = ReadTopK(tracker_blob, &tracker); !s.ok()) return s;
-    if (LoadStatus s = ReadAms(ams_blob, &ams); !s.ok()) return s;
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->tracker_ = std::move(tracker);
-    dst->ams_ = std::move(ams);
-    return LoadStatus::Ok();
-  }
-
-  // --- TwoPassHeavyHitter --------------------------------------------------
-  static std::string WriteTwoPass(const TwoPassHeavyHitter& s) {
-    const std::string tracker = WriteTopK(s.tracker_);
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kTwoPassHH, s.Fingerprint(),
-              4 + 8 + tracker.size() + 8 +
-                  CounterBytes(s.candidate_ids_.size()) +
-                  CounterBytes(s.exact_counts_.size()));
-    w.PutU32(static_cast<uint32_t>(s.current_pass_));
-    w.PutBlob(tracker);
-    w.PutU64(s.candidate_ids_.size());
-    for (const ItemId id : s.candidate_ids_) w.PutU64(id);
-    w.PutI64Array(s.exact_counts_.data(), s.exact_counts_.size());
-    return FinishBlob(&w);
-  }
-
-  static LoadStatus ReadTwoPass(std::string_view blob,
-                                TwoPassHeavyHitter* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kTwoPassHH, &r, &fp);
-        !s.ok()) {
-      return s;
-    }
-    if (fp != dst->Fingerprint()) return FingerprintMismatch();
-    uint32_t pass = 0;
-    if (!r.GetU32(&pass)) return Truncated("two_pass_hh pass");
-    if (pass != 1 && pass != 2) {
-      return LoadStatus::Fail(LoadError::kDomainError,
-                              "two_pass_hh pass " + std::to_string(pass) +
-                                  " outside {1, 2}");
-    }
-    std::string_view tracker_blob;
-    if (!r.GetBlob(&tracker_blob)) return Truncated("two_pass_hh tracker");
-    CountSketchTopK tracker = dst->tracker_;
-    if (LoadStatus s = ReadTopK(tracker_blob, &tracker); !s.ok()) return s;
+  void Tabulation(std::vector<ItemId>& ids, std::vector<int64_t>& counts) {
     uint64_t n = 0;
-    if (!r.GetU64(&n)) return Truncated("two_pass_hh candidate count");
-    if (n > r.remaining() / 16) return Truncated("two_pass_hh candidates");
-    std::vector<ItemId> ids(static_cast<size_t>(n));
-    std::vector<int64_t> counts(static_cast<size_t>(n));
-    for (ItemId& id : ids) {
-      if (!r.GetU64(&id)) return Truncated("two_pass_hh candidate ids");
-    }
-    if (LoadStatus s = ReadCounters(&r, "two_pass_hh exact counts", &counts);
-        !s.ok()) {
-      return s;
-    }
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->current_pass_ = static_cast<int>(pass);
-    dst->tracker_ = std::move(tracker);
-    dst->candidate_ids_ = std::move(ids);
-    dst->exact_counts_ = std::move(counts);
-    return LoadStatus::Ok();
+    if (!Count(&n, UINT64_MAX)) return;
+    ids.resize(static_cast<size_t>(n));
+    counts.resize(static_cast<size_t>(n));
+    in_->GetI64Array(reinterpret_cast<int64_t*>(ids.data()), ids.size());
+    in_->GetI64Array(counts.data(), counts.size());
   }
 
-  // --- RecursiveGSum -------------------------------------------------------
-  static std::string WriteRecursive(const RecursiveGSum& stack) {
-    std::vector<std::string> levels;
-    levels.reserve(stack.sketches_.size());
-    size_t payload = 16;
-    for (const auto& sketch : stack.sketches_) {
-      levels.push_back(SerializeHeavyHitter(*sketch));
-      payload += 4 + 8 + levels.back().size();
+  // Each level loads in place into the copy's clone of that level.
+  void Levels(std::vector<std::unique_ptr<GHeavyHitterSketch>>& levels) {
+    for (size_t l = 0; l < levels.size() && Ready(); ++l) {
+      const std::string level = "level " + std::to_string(l);
+      uint32_t tag = 0;
+      std::string_view blob;
+      if (!in_->GetU32(&tag) || !in_->GetBlob(&blob)) {
+        Note(Truncated(kind_ + level));
+        return;
+      }
+      const bool known = AsWireType(*levels[l], [&](auto& s) {
+        if (tag != static_cast<uint32_t>(KindOf(s))) {
+          Note(LoadStatus::Fail(
+              LoadError::kTypeMismatch,
+              level + " holds " + NameOf(static_cast<SketchKind>(tag)) +
+                  ", destination level is " + NameOf(KindOf(s))));
+          return;
+        }
+        LoadStatus status = Load(blob, &s);
+        if (!status.ok()) status.message = level + ": " + status.message;
+        Note(status);
+      });
+      if (!known) AbortUnknownHeavyHitter();
     }
-    ByteWriter w;
-    BeginBlob(&w, SketchKind::kRecursiveGSum, stack.Fingerprint(), payload);
-    w.PutU64(stack.subsampler_.Fingerprint());
-    w.PutU64(stack.sketches_.size());
-    for (size_t l = 0; l < levels.size(); ++l) {
-      w.PutU32(static_cast<uint32_t>(KindOfHeavyHitter(*stack.sketches_[l])));
-      w.PutBlob(levels[l]);
-    }
-    return FinishBlob(&w);
   }
 
-  static LoadStatus ReadRecursive(std::string_view blob, RecursiveGSum* dst) {
-    ByteReader r{std::string_view()};
-    uint64_t fp = 0;
-    if (LoadStatus s = OpenBlob(blob, SketchKind::kRecursiveGSum, &r, &fp);
-        !s.ok()) {
-      return s;
+  LoadStatus Finish() {
+    if (Ready() && in_->remaining() != 0) {
+      Note(LoadStatus::Fail(LoadError::kTrailingData,
+                            std::to_string(in_->remaining()) +
+                                " trailing bytes after the payload"));
     }
-    uint64_t sub_fp = 0, n_levels = 0;
-    if (!r.GetU64(&sub_fp) || !r.GetU64(&n_levels)) {
-      return Truncated("recursive_gsum header");
-    }
-    if (n_levels != dst->sketches_.size()) {
-      return GeometryMismatch("levels", n_levels, dst->sketches_.size());
-    }
-    if (sub_fp != dst->subsampler_.Fingerprint() || fp != dst->Fingerprint()) {
-      return FingerprintMismatch();
-    }
-    // Per-level deserialization runs on clones so a failure at level l
-    // leaves levels 0..l-1 of the destination untouched.
-    std::vector<std::unique_ptr<GHeavyHitterSketch>> levels;
-    levels.reserve(dst->sketches_.size());
-    for (size_t l = 0; l < dst->sketches_.size(); ++l) {
-      uint32_t kind = 0;
-      std::string_view level_blob;
-      if (!r.GetU32(&kind) || !r.GetBlob(&level_blob)) {
-        return Truncated("recursive_gsum level " + std::to_string(l));
-      }
-      std::unique_ptr<GHeavyHitterSketch> level = dst->sketches_[l]->Clone();
-      if (kind != static_cast<uint32_t>(KindOfHeavyHitter(*level))) {
-        return LoadStatus::Fail(
-            LoadError::kTypeMismatch,
-            "level " + std::to_string(l) + " holds " +
-                KindName(static_cast<SketchKind>(kind)) +
-                ", destination level is " +
-                KindName(KindOfHeavyHitter(*level)));
-      }
-      if (LoadStatus s = DeserializeHeavyHitter(level_blob, level.get());
-          !s.ok()) {
-        s.message = "level " + std::to_string(l) + ": " + s.message;
-        return s;
-      }
-      levels.push_back(std::move(level));
-    }
-    if (LoadStatus s = ExpectDrained(r); !s.ok()) return s;
-    dst->sketches_ = std::move(levels);
-    return LoadStatus::Ok();
+    return status_;
   }
 
-  static SketchKind KindOfHeavyHitter(const GHeavyHitterSketch& sketch) {
-    if (dynamic_cast<const OnePassHeavyHitter*>(&sketch) != nullptr) {
-      return SketchKind::kOnePassHH;
-    }
-    if (dynamic_cast<const TwoPassHeavyHitter*>(&sketch) != nullptr) {
-      return SketchKind::kTwoPassHH;
-    }
-    if (dynamic_cast<const GnpHeavyHitter*>(&sketch) != nullptr) {
-      return SketchKind::kGnp;
-    }
-    if (dynamic_cast<const ExactHeavyHitterSketch*>(&sketch) != nullptr) {
-      return SketchKind::kExactHeavyHitter;
-    }
-    std::fprintf(stderr,
-                 "sketch_io: unknown GHeavyHitterSketch subclass cannot be "
-                 "serialized\n");
-    std::abort();
+ private:
+  // A header word; false once the header ran out.
+  bool Word(uint64_t* v) {
+    header_truncated_ = header_truncated_ || !in_->GetU64(v);
+    return !header_truncated_;
   }
+
+  // Closes the header before the first payload field: truncation, then
+  // geometry, then fingerprint.  False once anything has failed.
+  bool Ready() {
+    if (!header_closed_) {
+      header_closed_ = true;
+      if (header_truncated_) {
+        Note(Truncated(kind_ + "header"));
+      } else if (!geometry_.ok()) {
+        Note(geometry_);
+      } else if (!fingerprint_ok_) {
+        Note(LoadStatus::Fail(LoadError::kFingerprintMismatch,
+                              "sketch fingerprint differs from the "
+                              "destination's (different seed or "
+                              "randomness)"));
+      }
+    }
+    return status_.ok();
+  }
+
+  // Keeps the first failure; returns whether `status` is ok.
+  bool Note(const LoadStatus& status) {
+    if (status_.ok()) status_ = status;
+    return status.ok();
+  }
+
+  // A u64 count of 16-byte entries: above `cap` is a domain error, more
+  // than the bytes left hold is truncation, so a corrupt count never sizes
+  // an allocation.
+  bool Count(uint64_t* n, uint64_t cap) {
+    if (!Ready()) return false;
+    if (!in_->GetU64(n)) return Note(Truncated(kind_ + "entry count"));
+    if (*n > cap) {
+      return Note(LoadStatus::Fail(
+          LoadError::kDomainError, kind_ + "entry count " +
+                                       std::to_string(*n) + " exceeds " +
+                                       std::to_string(cap)));
+    }
+    if (*n > in_->remaining() / 16) return Note(Truncated(kind_ + "entries"));
+    return true;
+  }
+
+  ByteReader* in_;
+  std::string kind_;  // "<kind name> ", prefixing field names in messages
+  bool fingerprint_ok_;
+  bool header_truncated_ = false;
+  bool header_closed_ = false;
+  LoadStatus geometry_ = LoadStatus::Ok();
+  LoadStatus status_ = LoadStatus::Ok();
 };
+
+template <typename T>
+std::string SketchSerde::Write(const T& sketch) {
+  Writer sizer(nullptr);
+  sizer.Blob(sketch);
+  ByteWriter out;
+  out.Reserve(sizer.bytes());
+  Writer(&out).Blob(sketch);
+  GSTREAM_CHECK_EQ(out.bytes().size(), sizer.bytes());
+  return out.Take();
+}
+
+// Envelope (checks 1-4), kind (5), then the declaration (6-9).
+template <typename T>
+LoadStatus SketchSerde::Load(std::string_view blob, T* sketch) {
+  ByteReader in{std::string_view()};
+  if (LoadStatus s = OpenEnvelope(blob, kSketchEnvelope, &in); !s.ok()) {
+    return s;
+  }
+  uint32_t tag = 0, flags = 0;
+  uint64_t fingerprint = 0;
+  in.GetU32(&tag);
+  in.GetU32(&flags);
+  in.GetU64(&fingerprint);
+  if (tag != static_cast<uint32_t>(KindOf(*sketch))) {
+    return LoadStatus::Fail(LoadError::kTypeMismatch,
+                            "blob holds " +
+                                NameOf(static_cast<SketchKind>(tag)) +
+                                ", destination is " + NameOf(KindOf(*sketch)));
+  }
+  Reader reader(&in, KindOf(*sketch), fingerprint == FingerprintOf(*sketch));
+  Visit(reader, *sketch);
+  return reader.Finish();
+}
 
 }  // namespace persist
 
 // ---------------------------------------------------------------------------
-// Public surface: thin delegation into the friend serde.
+// Public surface: one Serialize/Deserialize pair per SketchKind.
 // ---------------------------------------------------------------------------
 
-std::string SerializeSketch(const CountSketch& sketch) {
-  return persist::SketchSerde::WriteCountSketch(sketch);
-}
-std::string SerializeSketch(const CountMinSketch& sketch) {
-  return persist::SketchSerde::WriteCountMin(sketch);
-}
-std::string SerializeSketch(const AmsSketch& sketch) {
-  return persist::SketchSerde::WriteAms(sketch);
-}
-std::string SerializeSketch(const GnpHeavyHitter& sketch) {
-  return persist::SketchSerde::WriteGnp(sketch);
-}
-std::string SerializeSketch(const ExactFrequencySketch& sketch) {
-  return persist::SketchSerde::WriteExactFrequency(sketch);
-}
-std::string SerializeSketch(const CountSketchTopK& sketch) {
-  return persist::SketchSerde::WriteTopK(sketch);
-}
-std::string SerializeSketch(const ExactHeavyHitterSketch& sketch) {
-  return persist::SketchSerde::WriteExactHH(sketch);
-}
-std::string SerializeSketch(const OnePassHeavyHitter& sketch) {
-  return persist::SketchSerde::WriteOnePass(sketch);
-}
-std::string SerializeSketch(const TwoPassHeavyHitter& sketch) {
-  return persist::SketchSerde::WriteTwoPass(sketch);
-}
-std::string SerializeSketch(const RecursiveGSum& stack) {
-  return persist::SketchSerde::WriteRecursive(stack);
-}
-
-LoadStatus DeserializeSketch(std::string_view blob, CountSketch* dst) {
-  return persist::SketchSerde::ReadCountSketch(blob, dst);
-}
-LoadStatus DeserializeSketch(std::string_view blob, CountMinSketch* dst) {
-  return persist::SketchSerde::ReadCountMin(blob, dst);
-}
-LoadStatus DeserializeSketch(std::string_view blob, AmsSketch* dst) {
-  return persist::SketchSerde::ReadAms(blob, dst);
-}
-LoadStatus DeserializeSketch(std::string_view blob, GnpHeavyHitter* dst) {
-  return persist::SketchSerde::ReadGnp(blob, dst);
-}
-LoadStatus DeserializeSketch(std::string_view blob,
-                             ExactFrequencySketch* dst) {
-  return persist::SketchSerde::ReadExactFrequency(blob, dst);
-}
-LoadStatus DeserializeSketch(std::string_view blob, CountSketchTopK* dst) {
-  return persist::SketchSerde::ReadTopK(blob, dst);
-}
-LoadStatus DeserializeSketch(std::string_view blob,
-                             ExactHeavyHitterSketch* dst) {
-  return persist::SketchSerde::ReadExactHH(blob, dst);
-}
-LoadStatus DeserializeSketch(std::string_view blob, OnePassHeavyHitter* dst) {
-  return persist::SketchSerde::ReadOnePass(blob, dst);
-}
-LoadStatus DeserializeSketch(std::string_view blob, TwoPassHeavyHitter* dst) {
-  return persist::SketchSerde::ReadTwoPass(blob, dst);
-}
-LoadStatus DeserializeSketch(std::string_view blob, RecursiveGSum* dst) {
-  return persist::SketchSerde::ReadRecursive(blob, dst);
-}
+#define GSTREAM_SKETCH_IO(T)                                    \
+  std::string SerializeSketch(const T& sketch) {                \
+    return persist::SketchSerde::Write(sketch);                 \
+  }                                                             \
+  LoadStatus DeserializeSketch(std::string_view blob, T* dst) { \
+    return persist::SketchSerde::Read(blob, dst);               \
+  }
+GSTREAM_SKETCH_IO(CountSketch)
+GSTREAM_SKETCH_IO(CountMinSketch)
+GSTREAM_SKETCH_IO(AmsSketch)
+GSTREAM_SKETCH_IO(GnpHeavyHitter)
+GSTREAM_SKETCH_IO(ExactFrequencySketch)
+GSTREAM_SKETCH_IO(CountSketchTopK)
+GSTREAM_SKETCH_IO(ExactHeavyHitterSketch)
+GSTREAM_SKETCH_IO(OnePassHeavyHitter)
+GSTREAM_SKETCH_IO(TwoPassHeavyHitter)
+GSTREAM_SKETCH_IO(RecursiveGSum)
+#undef GSTREAM_SKETCH_IO
 
 std::string SerializeHeavyHitter(const GHeavyHitterSketch& sketch) {
-  if (const auto* s = dynamic_cast<const OnePassHeavyHitter*>(&sketch)) {
-    return SerializeSketch(*s);
+  std::string blob;
+  if (!persist::SketchSerde::AsWireType(
+          sketch, [&](const auto& s) { blob = SerializeSketch(s); })) {
+    persist::AbortUnknownHeavyHitter();
   }
-  if (const auto* s = dynamic_cast<const TwoPassHeavyHitter*>(&sketch)) {
-    return SerializeSketch(*s);
-  }
-  if (const auto* s = dynamic_cast<const GnpHeavyHitter*>(&sketch)) {
-    return SerializeSketch(*s);
-  }
-  if (const auto* s = dynamic_cast<const ExactHeavyHitterSketch*>(&sketch)) {
-    return SerializeSketch(*s);
-  }
-  std::fprintf(stderr,
-               "sketch_io: unknown GHeavyHitterSketch subclass cannot be "
-               "serialized\n");
-  std::abort();
+  return blob;
 }
 
 LoadStatus DeserializeHeavyHitter(std::string_view blob,
                                   GHeavyHitterSketch* dst) {
-  if (auto* s = dynamic_cast<OnePassHeavyHitter*>(dst)) {
-    return DeserializeSketch(blob, s);
-  }
-  if (auto* s = dynamic_cast<TwoPassHeavyHitter*>(dst)) {
-    return DeserializeSketch(blob, s);
-  }
-  if (auto* s = dynamic_cast<GnpHeavyHitter*>(dst)) {
-    return DeserializeSketch(blob, s);
-  }
-  if (auto* s = dynamic_cast<ExactHeavyHitterSketch*>(dst)) {
-    return DeserializeSketch(blob, s);
-  }
-  return LoadStatus::Fail(
+  LoadStatus status = LoadStatus::Fail(
       LoadError::kTypeMismatch,
       "destination is a GHeavyHitterSketch subclass the wire format does "
       "not know");
+  persist::SketchSerde::AsWireType(
+      *dst, [&](auto& s) { status = DeserializeSketch(blob, &s); });
+  return status;
 }
 
 std::optional<SketchKind> PeekSketchKind(std::string_view blob) {
-  if (blob.size() < 12) return std::nullopt;
-  if (std::memcmp(blob.data(), "GSKB", 4) != 0) return std::nullopt;
-  persist::ByteReader r(blob.substr(4));
-  uint32_t version = 0, kind = 0;
-  r.GetU32(&version);
-  r.GetU32(&kind);
-  return static_cast<SketchKind>(kind);
+  persist::ByteReader r(blob);
+  std::string_view magic;
+  uint32_t version = 0, tag = 0;
+  if (!r.GetBytes(persist::kSketchEnvelope.magic.size(), &magic) ||
+      magic != persist::kSketchEnvelope.magic || !r.GetU32(&version) ||
+      !r.GetU32(&tag) || !NamesKind(tag)) {
+    return std::nullopt;
+  }
+  return static_cast<SketchKind>(tag);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@
 //   u32         flags (0, reserved)
 //   u64         Fingerprint() of the serialized sketch
 //   ...         kind-specific payload: geometry words, then counter state
-//               (counter arrays are copied in bulk; composites nest full
-//               length-prefixed child blobs)
+//               (counter arrays are copied in bulk; a composite writes each
+//               child in place as a length-prefixed blob with its own
+//               envelope)
 //   u64         XXH64 (seed 0) of every preceding byte
 //
 // What is serialized is exactly the *state* -- counters, sums, candidate
@@ -24,12 +25,18 @@
 // single source of merge-compatibility truth, and makes "deserialize into
 // the wrong sketch" a detected error rather than silent corruption.
 //
+// Each kind's payload is declared once in sketch_io.cc, in wire order;
+// one writer and one reader walk those declarations, so adding a kind is
+// one SketchKind tag (with its name) plus one declaration.  The reader
+// enforces the check order of docs/persistence.md for every kind.
+//
 // Deserialize is a total function over arbitrary bytes: wrong magic,
 // version skew, kind/fingerprint/geometry mismatch, truncation, bit flips
 // (whole-blob checksum), and trailing garbage all come back as a clean
 // LoadStatus with the precise reason, and the destination sketch is left
-// untouched on every failure path.  tests/persist/sketch_io_test.cc
-// sweeps byte flips over every position and truncations at every length.
+// untouched on every failure path (the reader fills a copy and commits it
+// with one move).  tests/persist/sketch_io_test.cc sweeps byte flips over
+// every position and truncations at every length.
 
 #ifndef GSTREAM_PERSIST_SKETCH_IO_H_
 #define GSTREAM_PERSIST_SKETCH_IO_H_
@@ -70,6 +77,10 @@ enum class SketchKind : uint32_t {
   kTwoPassHH = 9,
   kRecursiveGSum = 10,
 };
+
+// The tag's wire name ("count_sketch", ...), or "unknown" for a tag that
+// names no SketchKind.
+const char* SketchKindName(SketchKind kind);
 
 // Version history: 1 = FNV-1a trailer (retired, reported as version skew),
 // 2 = XXH64 trailer.  The payload layout is the same in both.
@@ -113,8 +124,9 @@ std::string SerializeHeavyHitter(const GHeavyHitterSketch& sketch);
 LoadStatus DeserializeHeavyHitter(std::string_view blob,
                                   GHeavyHitterSketch* dst);
 
-// The SketchKind a blob claims to hold, if its header parses at all --
-// lets tools name what is in a file without knowing the destination type.
+// The SketchKind a blob claims to hold, if it starts with the GSKB magic
+// and a tag that names a kind -- lets tools name what is in a file without
+// knowing the destination type.
 std::optional<SketchKind> PeekSketchKind(std::string_view blob);
 
 // CHECK-style wrapper mirroring the in-memory MergeFrom contract: feeding
@@ -191,11 +203,13 @@ class ByteWriter {
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v);
-  // `n` i64s in one copy; the wire bytes equal n PutI64 calls.
-  void PutI64Array(const int64_t* values, size_t n);
   void PutBytes(std::string_view bytes);
   // Length-prefixed child blob.
   void PutBlob(std::string_view blob);
+  // Overwrites the u64 at byte `pos` (a length written before its blob).
+  void PatchU64(size_t pos, uint64_t v);
+  // Appends the XXH64 of the bytes from `begin` on: an envelope's trailer.
+  void PutChecksum(size_t begin);
 
   const std::string& bytes() const { return buf_; }
   std::string Take() { return std::move(buf_); }
@@ -218,12 +232,32 @@ class ByteReader {
   bool GetBlob(std::string_view* out);
 
   size_t remaining() const { return bytes_.size() - pos_; }
-  size_t pos() const { return pos_; }
 
  private:
   std::string_view bytes_;
   size_t pos_ = 0;
 };
+
+// The frame both persisted formats share: a 4-byte magic, a u32 version,
+// the format's own fixed header words, its payload, then the XXH64 (seed
+// 0) of every preceding byte.
+struct Envelope {
+  std::string_view magic;
+  size_t header_bytes;  // the fixed header, magic and version included
+  uint32_t version;     // the version this build reads and writes
+  const char* noun;     // names the version in messages
+};
+
+// magic + version + kind + flags + fingerprint.
+inline constexpr Envelope kSketchEnvelope = {"GSKB", 4 + 4 + 4 + 4 + 8,
+                                             kSketchFormatVersion, "format"};
+
+// Checks 1-4 of docs/persistence.md's order: magic, minimum size, the
+// checksum (unless the version word names a retired version, whose
+// trailer is another hash), then the version.  On success `body` reads
+// the bytes between the version word and the checksum.
+LoadStatus OpenEnvelope(std::string_view bytes, const Envelope& envelope,
+                        ByteReader* body);
 
 }  // namespace persist
 }  // namespace gstream

@@ -85,15 +85,6 @@ struct SimdOps {
                     const uint64_t* xm, const uint64_t* x2,
                     const uint64_t* x3, size_t n, uint64_t* out);
 
-  // out[i] = (a1 * xm[i] + a0) mod p -- canonical (== Eval2Wise /
-  // MulAddMod61 of the same inputs).  xm lazy (<= p + 7), a0, a1 < p.
-  void (*eval2_row)(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
-                    uint64_t* out);
-
-  // out[i] = FastRange61(h[i], range).  h canonical, 1 <= range < 2^32.
-  void (*fastrange)(const uint64_t* h, size_t n, uint64_t range,
-                    uint32_t* out);
-
   // Fused CountSketch row kernel: with h_i the canonical Eval4Wise value,
   // writes idx[i] = FastRange61(h_i, range) and the signed delta
   // sd[i] = (h_i & 1) ? delta[i] : -delta[i].  The hash never touches

@@ -91,8 +91,11 @@ inline void Store(uint64_t* p_, __m256i v) {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p_), v);
 }
 
-// In-register FastRange61 (see Avx2FastRange for the derivation); h lanes
-// canonical, range < 2^32.  Returns 64-bit lanes holding 32-bit buckets.
+// In-register FastRange61, (h * range) >> 61 for h < 2^61, range < 2^32:
+// with A = low32(h)*range and B = high29(h)*range, the product is
+// 2^32 (B + (A >> 32)) + low32(A) and the low 32 bits cannot carry into
+// bit 61, so the bucket is (B + (A >> 32)) >> 29.  h lanes canonical.
+// Returns 64-bit lanes holding 32-bit buckets.
 inline __m256i FastRangeLanes(__m256i h, __m256i range) {
   const __m256i a = _mm256_mul_epu32(h, range);
   const __m256i b = _mm256_mul_epu32(_mm256_srli_epi64(h, 32), range);
@@ -178,32 +181,6 @@ void Avx2Eval4Row(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
                               Load(x3 + i)));
   }
   ScalarEval4Row(c0, c1, c2, c3, xm + i, x2 + i, x3 + i, n - i, out + i);
-}
-
-void Avx2Eval2Row(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
-                  uint64_t* out) {
-  const __m256i A0 = _mm256_set1_epi64x(static_cast<long long>(a0));
-  const __m256i A1 = _mm256_set1_epi64x(static_cast<long long>(a1));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i s = _mm256_add_epi64(MulMod61Lanes(A1, Load(xm + i)), A0);
-    Store(out + i, Canonical61(s));
-  }
-  ScalarEval2Row(a0, a1, xm + i, n - i, out + i);
-}
-
-void Avx2FastRange(const uint64_t* h, size_t n, uint64_t range,
-                   uint32_t* out) {
-  // (h * range) >> 61 for h < 2^61, range < 2^32:  with A = low32(h)*range
-  // and B = high29(h)*range, the product is 2^32 (B + (A >> 32)) + low32(A)
-  // and the low 32 bits cannot carry into bit 61, so the bucket is
-  // (B + (A >> 32)) >> 29.
-  const __m256i R = _mm256_set1_epi64x(static_cast<long long>(range));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    StoreNarrow32(out + i, FastRangeLanes(Load(h + i), R));
-  }
-  ScalarFastRange(h + i, n - i, range, out + i);
 }
 
 void Avx2Eval4Bucket(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
@@ -329,10 +306,9 @@ void Avx2Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
 const SimdOps* GetAvx2Ops() {
   const SimdOps& scalar = *GetScalarOps();
   static const SimdOps ops = {
-      &Avx2PrepareBatch,   &Avx2PrepareBatch2, &Avx2FieldPowers,
-      &Avx2Eval4Row,       &Avx2Eval2Row,      &Avx2FastRange,
-      &Avx2Eval4Bucket,    &Avx2Eval2Bucket,   &Avx2BitSignedSums,
-      &Avx2Eval2ParityOr,
+      &Avx2PrepareBatch,  &Avx2PrepareBatch2, &Avx2FieldPowers,
+      &Avx2Eval4Row,      &Avx2Eval4Bucket,   &Avx2Eval2Bucket,
+      &Avx2BitSignedSums, &Avx2Eval2ParityOr,
       // The counter scatters and the decode gather are the scalar tier's
       // own kernels (docs/simd.md: the vector versions lost).  Taken from
       // the scalar table so this ISA-flagged file emits no copy of them.

@@ -223,28 +223,6 @@ void Avx512Eval4Row(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
   ScalarEval4Row(c0, c1, c2, c3, xm + i, x2 + i, x3 + i, n - i, out + i);
 }
 
-void Avx512Eval2Row(uint64_t a0, uint64_t a1, const uint64_t* xm, size_t n,
-                    uint64_t* out) {
-  const CoeffSplit A1 = SplitCoeff(a1);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    Store(out + i, Eval2Lanes(a0, A1, Load(xm + i)));
-  }
-  ScalarEval2Row(a0, a1, xm + i, n - i, out + i);
-}
-
-void Avx512FastRange(const uint64_t* h, size_t n, uint64_t range,
-                     uint32_t* out) {
-  const __m512i R = _mm512_set1_epi64(static_cast<long long>(range));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm512_cvtepi64_epi32(FastRangeLanes(Load(h + i), R)));
-  }
-  ScalarFastRange(h + i, n - i, range, out + i);
-}
-
 void Avx512Eval4Bucket(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
                        const uint64_t* xm, const uint64_t* x2,
                        const uint64_t* x3, const int64_t* delta,
@@ -349,10 +327,9 @@ void Avx512Eval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
 const SimdOps* GetAvx512Ops() {
   const SimdOps& scalar = *GetScalarOps();
   static const SimdOps ops = {
-      &Avx512PrepareBatch,   &Avx512PrepareBatch2, &Avx512FieldPowers,
-      &Avx512Eval4Row,       &Avx512Eval2Row,      &Avx512FastRange,
-      &Avx512Eval4Bucket,    &Avx512Eval2Bucket,   &Avx512BitSignedSums,
-      &Avx512Eval2ParityOr,
+      &Avx512PrepareBatch,  &Avx512PrepareBatch2, &Avx512FieldPowers,
+      &Avx512Eval4Row,      &Avx512Eval4Bucket,   &Avx512Eval2Bucket,
+      &Avx512BitSignedSums, &Avx512Eval2ParityOr,
       // The counter scatters and the decode gather are the scalar tier's
       // own kernels (docs/simd.md: the vector versions lost).  Taken from
       // the scalar table so this ISA-flagged file emits no copy of them.

@@ -11,11 +11,10 @@ namespace simd {
 
 const SimdOps* GetScalarOps() {
   static const SimdOps ops = {
-      &ScalarPrepareBatch,   &ScalarPrepareBatch2, &ScalarFieldPowers,
-      &ScalarEval4Row,       &ScalarEval2Row,      &ScalarFastRange,
-      &ScalarEval4Bucket,    &ScalarEval2Bucket,   &ScalarBitSignedSums,
-      &ScalarEval2ParityOr,  &ScalarScatterAdd,    &ScalarScatterAddSigned,
-      &ScalarGatherSigned,
+      &ScalarPrepareBatch,  &ScalarPrepareBatch2, &ScalarFieldPowers,
+      &ScalarEval4Row,      &ScalarEval4Bucket,   &ScalarEval2Bucket,
+      &ScalarBitSignedSums, &ScalarEval2ParityOr, &ScalarScatterAdd,
+      &ScalarScatterAddSigned, &ScalarGatherSigned,
   };
   return &ops;
 }

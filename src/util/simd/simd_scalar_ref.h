@@ -54,18 +54,6 @@ inline void ScalarEval4Row(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
   }
 }
 
-inline void ScalarEval2Row(uint64_t a0, uint64_t a1, const uint64_t* xm,
-                           size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = Eval2Wise(a0, a1, xm[i]);
-}
-
-inline void ScalarFastRange(const uint64_t* h, size_t n, uint64_t range,
-                            uint32_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<uint32_t>(FastRange61(h[i], range));
-  }
-}
-
 inline void ScalarEval4Bucket(uint64_t c0, uint64_t c1, uint64_t c2,
                               uint64_t c3, const uint64_t* xm,
                               const uint64_t* x2, const uint64_t* x3,

@@ -56,12 +56,13 @@ CountMinSketch MakeCountMin(uint64_t seed = kSeed) {
   return CountMinSketch(CountMinOptions{3, 64}, rng);
 }
 
-GnpHeavyHitter MakeGnp(uint64_t seed = kSeed) {
+GnpHeavyHitter MakeGnp(uint64_t seed = kSeed, size_t substreams = 8,
+                       size_t trials = 6, int id_bits = 12) {
   Rng rng(seed);
   GnpSketchOptions options;
-  options.substreams = 8;
-  options.trials = 6;
-  options.id_bits = 12;
+  options.substreams = substreams;
+  options.trials = trials;
+  options.id_bits = id_bits;
   return GnpHeavyHitter(options, rng);
 }
 
@@ -82,15 +83,23 @@ TwoPassHeavyHitter MakeTwoPass(uint64_t seed = kSeed) {
   return TwoPassHeavyHitter(options, rng);
 }
 
-RecursiveGSum MakeRecursive(uint64_t seed = kSeed) {
+RecursiveGSum MakeRecursive(uint64_t seed = kSeed, int levels = 2) {
   Rng rng(seed);
   OnePassHHOptions hh;
   hh.count_sketch = {3, 32};
   hh.ams = {4, 3};
   hh.candidates = 6;
   return RecursiveGSum(
-      2, [hh](int, Rng& r) { return std::make_unique<OnePassHeavyHitter>(hh, r); },
+      levels,
+      [hh](int, Rng& r) { return std::make_unique<OnePassHeavyHitter>(hh, r); },
       rng);
+}
+
+// A sketch built from Rng(seed) with constructor arguments `args`.
+template <typename SketchT, typename... Args>
+SketchT Seeded(uint64_t seed, const Args&... args) {
+  Rng rng(seed);
+  return SketchT(args..., rng);
 }
 
 // The torn-write tests arm atomic-write kill points on the process-wide
@@ -169,7 +178,9 @@ TEST_F(SketchIoTest, RoundtripCountSketch) {
 
 TEST_F(SketchIoTest, RoundtripCountMin) { RoundtripCase<CountMinSketch>(MakeCountMin); }
 TEST_F(SketchIoTest, RoundtripAms) { RoundtripCase<AmsSketch>(MakeAms); }
-TEST_F(SketchIoTest, RoundtripGnp) { RoundtripCase<GnpHeavyHitter>(MakeGnp); }
+TEST_F(SketchIoTest, RoundtripGnp) {
+  RoundtripCase<GnpHeavyHitter>([](uint64_t seed) { return MakeGnp(seed); });
+}
 TEST_F(SketchIoTest, RoundtripTopK) { RoundtripCase<CountSketchTopK>(MakeTopK); }
 TEST_F(SketchIoTest, RoundtripOnePassHH) {
   RoundtripCase<OnePassHeavyHitter>(MakeOnePass);
@@ -304,6 +315,13 @@ TEST_F(SketchIoTest, EmptyAndForeignBytesAreBadMagic) {
                   LoadError::kBadMagic);
   EXPECT_EQ(PeekSketchKind(""), std::nullopt);
   EXPECT_EQ(PeekSketchKind("garbage bytes here"), std::nullopt);
+  // A GSKB header whose tag names no SketchKind peeks as nothing.
+  std::string blob = SerializeSketch(dst);
+  for (const char tag : {0, 11}) {
+    blob[8] = tag;  // the u32 kind tag's low byte; the rest are zero
+    EXPECT_EQ(PeekSketchKind(blob), std::nullopt) << int{tag};
+  }
+  EXPECT_STREQ(SketchKindName(static_cast<SketchKind>(11)), "unknown");
 }
 
 // ---------------------------------------------------------------------------
@@ -328,21 +346,62 @@ TEST_F(SketchIoTest, TypeMismatchIsReported) {
   ExpectLoadFails(blob, &dst, LoadError::kTypeMismatch);
 }
 
-TEST_F(SketchIoTest, FingerprintMismatchIsReported) {
-  CountSketch original = MakeCountSketch(kSeed);
+// Loads the blob of `original`, fed, into `dst`, fed with another stream,
+// and expects `want` with `dst` unchanged.
+template <typename SketchT>
+void ExpectMismatch(const char* name, SketchT original, SketchT dst,
+                    LoadError want) {
+  SCOPED_TRACE(name);
   Feed(original);
-  const std::string blob = SerializeSketch(original);
-  CountSketch dst = MakeCountSketch(kOtherSeed);  // same geometry, new seed
-  ExpectLoadFails(blob, &dst, LoadError::kFingerprintMismatch);
+  Feed(dst, /*seed=*/5);
+  ExpectLoadFails(SerializeSketch(original), &dst, want);
 }
 
+// Same geometry, another seed: every kind whose fingerprint hashes seeds.
+TEST_F(SketchIoTest, FingerprintMismatchIsReported) {
+  constexpr LoadError kWant = LoadError::kFingerprintMismatch;
+  ExpectMismatch("count_sketch", MakeCountSketch(kSeed),
+                 MakeCountSketch(kOtherSeed), kWant);
+  ExpectMismatch("count_min", MakeCountMin(kSeed), MakeCountMin(kOtherSeed),
+                 kWant);
+  ExpectMismatch("ams", MakeAms(kSeed), MakeAms(kOtherSeed), kWant);
+  ExpectMismatch("gnp", MakeGnp(kSeed), MakeGnp(kOtherSeed), kWant);
+  ExpectMismatch("count_sketch_topk", MakeTopK(kSeed), MakeTopK(kOtherSeed),
+                 kWant);
+  ExpectMismatch("one_pass_hh", MakeOnePass(kSeed), MakeOnePass(kOtherSeed),
+                 kWant);
+  ExpectMismatch("two_pass_hh", MakeTwoPass(kSeed), MakeTwoPass(kOtherSeed),
+                 kWant);
+  ExpectMismatch("recursive_gsum", MakeRecursive(kSeed),
+                 MakeRecursive(kOtherSeed), kWant);
+}
+
+// Same seed, one geometry word changed.  A different geometry also draws
+// different randomness, so this passes only if geometry is checked before
+// the fingerprint.
 TEST_F(SketchIoTest, GeometryMismatchIsReported) {
-  CountSketch original = MakeCountSketch();
-  Feed(original);
-  const std::string blob = SerializeSketch(original);
-  Rng rng(kSeed);
-  CountSketch dst(CountSketchOptions{3, 128}, rng);  // same seed, wider
-  ExpectLoadFails(blob, &dst, LoadError::kGeometryMismatch);
+  constexpr LoadError kWant = LoadError::kGeometryMismatch;
+  ExpectMismatch("count_sketch rows", MakeCountSketch(),
+                 Seeded<CountSketch>(kSeed, CountSketchOptions{5, 64}), kWant);
+  ExpectMismatch("count_sketch buckets", MakeCountSketch(),
+                 Seeded<CountSketch>(kSeed, CountSketchOptions{3, 128}), kWant);
+  ExpectMismatch("count_min rows", MakeCountMin(),
+                 Seeded<CountMinSketch>(kSeed, CountMinOptions{5, 64}), kWant);
+  ExpectMismatch("count_min buckets", MakeCountMin(),
+                 Seeded<CountMinSketch>(kSeed, CountMinOptions{3, 128}), kWant);
+  ExpectMismatch("ams group_size", MakeAms(),
+                 Seeded<AmsSketch>(kSeed, AmsOptions{16, 3}), kWant);
+  ExpectMismatch("ams groups", MakeAms(),
+                 Seeded<AmsSketch>(kSeed, AmsOptions{8, 5}), kWant);
+  ExpectMismatch("gnp substreams", MakeGnp(), MakeGnp(kSeed, 16), kWant);
+  ExpectMismatch("gnp trials", MakeGnp(), MakeGnp(kSeed, 8, 8), kWant);
+  ExpectMismatch("gnp id_bits", MakeGnp(), MakeGnp(kSeed, 8, 6, 13), kWant);
+  ExpectMismatch("count_sketch_topk k", MakeTopK(),
+                 Seeded<CountSketchTopK>(kSeed, CountSketchOptions{3, 64},
+                                         size_t{16}),
+                 kWant);
+  ExpectMismatch("recursive_gsum levels", MakeRecursive(),
+                 MakeRecursive(kSeed, /*levels=*/3), kWant);
 }
 
 TEST_F(SketchIoTest, TrailingDataIsReported) {

@@ -175,22 +175,6 @@ int RunTyped(const Flags& f, MakeFn make) {
   return 2;
 }
 
-const char* KindLabel(SketchKind kind) {
-  switch (kind) {
-    case SketchKind::kCountSketch: return "count_sketch";
-    case SketchKind::kCountMin: return "count_min";
-    case SketchKind::kAms: return "ams";
-    case SketchKind::kGnp: return "gnp";
-    case SketchKind::kExactFrequency: return "exact_frequency";
-    case SketchKind::kCountSketchTopK: return "count_sketch_topk";
-    case SketchKind::kExactHeavyHitter: return "exact_heavy_hitter";
-    case SketchKind::kOnePassHH: return "one_pass_hh";
-    case SketchKind::kTwoPassHH: return "two_pass_hh";
-    case SketchKind::kRecursiveGSum: return "recursive_gsum";
-  }
-  return "unknown";
-}
-
 // Names what a blob claims to hold and whether it loads cleanly into a
 // shell built from the current flags; exits 1 with the reason otherwise.
 int Inspect(const Flags& f) {
@@ -211,7 +195,7 @@ int Inspect(const Flags& f) {
                  f.inputs[0].c_str());
     return 1;
   }
-  std::printf("%s: %s, %zu bytes\n", f.inputs[0].c_str(), KindLabel(*kind),
+  std::printf("%s: %s, %zu bytes\n", f.inputs[0].c_str(), SketchKindName(*kind),
               bytes->size());
   return 0;
 }

@@ -142,40 +142,14 @@ bool BenchReport::WriteJson(const std::string& path) const {
                workload_zipf_, JsonEscape(isa_tier_).c_str(),
                JsonEscape(cpu_model_).c_str());
   if (has_ingest_) {
+    // The run's labels, then IngestStatsJson's own keys, as one flat
+    // object: the stats object's opening brace is dropped.
     std::fprintf(f,
                  "  \"ingest\": {\"benchmark\": \"%s\", "
-                 "\"overload_policy\": \"%s\", "
-                 "\"updates_submitted\": %" PRIu64
-                 ", \"updates_applied\": %" PRIu64
-                 ", \"updates_shed\": %" PRIu64
-                 ", \"deadline_timeouts\": %" PRIu64
-                 ", \"chunks_committed\": %" PRIu64
-                 ", \"producer_stalls\": %" PRIu64
-                 ", \"producer_stall_ns\": %" PRIu64 ", \"shard_updates\": [",
+                 "\"overload_policy\": \"%s\", %s,\n",
                  JsonEscape(ingest_benchmark_).c_str(),
                  JsonEscape(ingest_overload_policy_).c_str(),
-                 ingest_stats_.updates_submitted,
-                 ingest_stats_.updates_applied,
-                 ingest_stats_.updates_shed,
-                 ingest_stats_.deadline_timeouts,
-                 ingest_stats_.chunks_committed,
-                 ingest_stats_.producer_stalls,
-                 ingest_stats_.producer_stall_ns);
-    for (size_t i = 0; i < ingest_stats_.shard_updates.size(); ++i) {
-      std::fprintf(f, "%s%" PRIu64, i > 0 ? ", " : "",
-                   ingest_stats_.shard_updates[i]);
-    }
-    std::fprintf(f, "], \"shard_updates_shed\": [");
-    for (size_t i = 0; i < ingest_stats_.shard_updates_shed.size(); ++i) {
-      std::fprintf(f, "%s%" PRIu64, i > 0 ? ", " : "",
-                   ingest_stats_.shard_updates_shed[i]);
-    }
-    std::fprintf(f, "], \"shard_ring_highwater\": [");
-    for (size_t i = 0; i < ingest_stats_.shard_ring_highwater.size(); ++i) {
-      std::fprintf(f, "%s%" PRIu64, i > 0 ? ", " : "",
-                   ingest_stats_.shard_ring_highwater[i]);
-    }
-    std::fprintf(f, "]},\n");
+                 IngestStatsJson(ingest_stats_).c_str() + 1);
   }
   if (!scaling_entries_.empty()) {
     std::fprintf(f,

@@ -31,6 +31,33 @@ const char* EngineErrorCodeName(EngineErrorCode code) {
   return "unknown";
 }
 
+std::string IngestStatsJson(const IngestStats& stats) {
+  std::string json;
+  const auto add = [&json](const char* name, const std::string& value) {
+    json += (json.empty() ? "{\"" : ", \"") + std::string(name) + "\": ";
+    json += value;
+  };
+  const auto array = [](const std::vector<uint64_t>& values) {
+    std::string out = "[";
+    for (const uint64_t v : values) {
+      out += (out.size() > 1 ? ", " : "") + std::to_string(v);
+    }
+    return out + "]";
+  };
+  add("updates_submitted", std::to_string(stats.updates_submitted));
+  add("updates_applied", std::to_string(stats.updates_applied));
+  add("updates_shed", std::to_string(stats.updates_shed));
+  add("deadline_timeouts", std::to_string(stats.deadline_timeouts));
+  add("chunks_committed", std::to_string(stats.chunks_committed));
+  add("producer_stalls", std::to_string(stats.producer_stalls));
+  add("producer_stall_ns", std::to_string(stats.producer_stall_ns));
+  add("shard_updates", array(stats.shard_updates));
+  add("shard_updates_applied", array(stats.shard_updates_applied));
+  add("shard_updates_shed", array(stats.shard_updates_shed));
+  add("shard_ring_highwater", array(stats.shard_ring_highwater));
+  return json + "}";
+}
+
 // Item->shard routing uses SplitMix64 as a stateless mixer: independent of
 // every sketch hash family, so partitioning never correlates with bucket
 // placement, and unseeded so the same item always lands on the same shard
@@ -53,7 +80,6 @@ ProducerHandle::ProducerHandle(IngestEngine* engine, size_t index)
   stats_.shard_updates_applied.assign(engine_->shards_.size(), 0);
   stats_.shard_updates_shed.assign(engine_->shards_.size(), 0);
   stats_.shard_ring_highwater.assign(engine_->shards_.size(), 0);
-  obs_synced_ = stats_;
 }
 
 void ProducerHandle::MaybePinSelf() {
@@ -226,17 +252,6 @@ SubmitResult ProducerHandle::SubmitStream(const Stream& stream) {
   return Submit(stream.updates().data(), stream.length());
 }
 
-void ProducerHandle::SyncObs() {
-  if constexpr (!obs::kEnabled) return;
-  engine_->obs_.producer_updates[index_]->Add(stats_.updates_submitted -
-                                              obs_synced_.updates_submitted);
-  engine_->obs_.producer_stall_counts[index_]->Add(
-      stats_.producer_stalls - obs_synced_.producer_stalls);
-  engine_->obs_.producer_stall_ns_total[index_]->Add(
-      stats_.producer_stall_ns - obs_synced_.producer_stall_ns);
-  obs_synced_ = stats_;
-}
-
 void ProducerHandle::Close() {
   if (closed_.load(std::memory_order_relaxed)) return;
   for (size_t s = 0; s < engine_->shards_.size(); ++s) {
@@ -256,9 +271,8 @@ void ProducerHandle::Close() {
     // the worker's post-done emptiness re-check observes the final chunks.
     lane.done.store(true, std::memory_order_release);
   }
-  SyncObs();
   // Release everything above (final stats included) to whoever acquires
-  // closed() -- the engine's Close() does, before aggregating.
+  // closed() -- the engine's Close() does, so stats() may fold them.
   closed_.store(true, std::memory_order_release);
 }
 
@@ -279,50 +293,17 @@ IngestEngine::IngestEngine(const IngestEngineOptions& options,
   GSTREAM_CHECK(options.policy != PartitionPolicy::kBroadcast ||
                 options.overload == OverloadPolicy::kBlock);
   shards_.reserve(options.shards);
-  agg_stats_.shard_updates.assign(options.shards, 0);
-  agg_stats_.shard_updates_applied.assign(options.shards, 0);
-  agg_stats_.shard_updates_shed.assign(options.shards, 0);
-  agg_stats_.shard_ring_highwater.assign(options.shards, 0);
-  obs_synced_ = agg_stats_;
   // Instrument handles are fetched once here (registration is the only
-  // locked path); the routing hot path only ever touches per-handle
-  // stats, which are mirrored into the registry at quiesce points
-  // (SyncObsRegistry / ProducerHandle::SyncObs).
+  // locked path).  Counts never go through the registry: the routing hot
+  // path touches only per-handle stats, and stats() folds them.
   obs::Registry& registry = obs::Registry::Get();
-  obs_.updates_submitted = registry.GetCounter("engine/updates_submitted");
-  obs_.chunks_committed = registry.GetCounter("engine/chunks_committed");
-  obs_.producer_stalls = registry.GetCounter("engine/producer_stalls");
-  obs_.updates_shed = registry.GetCounter("engine/updates_shed");
-  obs_.updates_applied = registry.GetCounter("engine/updates_applied");
-  obs_.deadline_timeouts = registry.GetCounter("engine/deadline_timeouts");
   obs_.engine_errors = registry.GetCounter("engine/errors");
-  obs_.producer_stall_ns =
-      registry.GetHistogram("engine/producer_stall_ns");
+  obs_.producer_stall_ns = registry.GetHistogram("engine/producer_stall_ns");
   obs_.flush_ns = registry.GetHistogram("engine/flush_ns");
   obs::Histogram* const batch_size =
       registry.GetHistogram("engine/batch_size");
   obs::Histogram* const sink_batch_ns =
       registry.GetHistogram("engine/sink_batch_ns");
-  obs_.shard_updates.reserve(options.shards);
-  obs_.shard_updates_shed.reserve(options.shards);
-  obs_.shard_ring_highwater.reserve(options.shards);
-  for (size_t s = 0; s < options.shards; ++s) {
-    const std::string prefix = "engine/shard/" + std::to_string(s) + "/";
-    obs_.shard_updates.push_back(registry.GetCounter(prefix + "updates"));
-    obs_.shard_updates_shed.push_back(
-        registry.GetCounter(prefix + "updates_shed"));
-    obs_.shard_ring_highwater.push_back(
-        registry.GetGauge(prefix + "ring_highwater"));
-  }
-  for (size_t p = 0; p < options.max_producers; ++p) {
-    const std::string prefix = "engine/producer/" + std::to_string(p) + "/";
-    obs_.producer_updates.push_back(
-        registry.GetCounter(prefix + "updates_submitted"));
-    obs_.producer_stall_counts.push_back(
-        registry.GetCounter(prefix + "stalls"));
-    obs_.producer_stall_ns_total.push_back(
-        registry.GetCounter(prefix + "stall_ns_total"));
-  }
   // Fault sites are registered at construction even when never armed, so
   // the catalog (fault::Registry::Sites) enumerates every injectable
   // failure of a live engine.
@@ -532,26 +513,26 @@ size_t IngestEngine::ClaimedProducers() const {
                   producers_.size());
 }
 
-void IngestEngine::AggregateStats() const {
-  agg_stats_ = IngestStats{};
-  agg_stats_.shard_updates.assign(shards_.size(), 0);
-  agg_stats_.shard_updates_applied.assign(shards_.size(), 0);
-  agg_stats_.shard_updates_shed.assign(shards_.size(), 0);
-  agg_stats_.shard_ring_highwater.assign(shards_.size(), 0);
+IngestStats IngestEngine::stats() const {
+  IngestStats stats;
+  stats.shard_updates.assign(shards_.size(), 0);
+  stats.shard_updates_applied.assign(shards_.size(), 0);
+  stats.shard_updates_shed.assign(shards_.size(), 0);
+  stats.shard_ring_highwater.assign(shards_.size(), 0);
   const size_t claimed = ClaimedProducers();
   for (size_t p = 0; p < claimed; ++p) {
     const IngestStats& s = producers_[p]->stats_;
-    agg_stats_.updates_submitted += s.updates_submitted;
-    agg_stats_.chunks_committed += s.chunks_committed;
-    agg_stats_.producer_stalls += s.producer_stalls;
-    agg_stats_.producer_stall_ns += s.producer_stall_ns;
-    agg_stats_.updates_shed += s.updates_shed;
-    agg_stats_.deadline_timeouts += s.deadline_timeouts;
+    stats.updates_submitted += s.updates_submitted;
+    stats.chunks_committed += s.chunks_committed;
+    stats.producer_stalls += s.producer_stalls;
+    stats.producer_stall_ns += s.producer_stall_ns;
+    stats.updates_shed += s.updates_shed;
+    stats.deadline_timeouts += s.deadline_timeouts;
     for (size_t i = 0; i < shards_.size(); ++i) {
-      agg_stats_.shard_updates[i] += s.shard_updates[i];
-      agg_stats_.shard_updates_shed[i] += s.shard_updates_shed[i];
-      agg_stats_.shard_ring_highwater[i] = std::max(
-          agg_stats_.shard_ring_highwater[i], s.shard_ring_highwater[i]);
+      stats.shard_updates[i] += s.shard_updates[i];
+      stats.shard_updates_shed[i] += s.shard_updates_shed[i];
+      stats.shard_ring_highwater[i] =
+          std::max(stats.shard_ring_highwater[i], s.shard_ring_highwater[i]);
     }
   }
   // Worker-side halves: applied counts, plus sheds the workers performed
@@ -561,41 +542,12 @@ void IngestEngine::AggregateStats() const {
         shards_[i]->applied_updates.load(std::memory_order_relaxed);
     const uint64_t shed =
         shards_[i]->shed_updates.load(std::memory_order_relaxed);
-    agg_stats_.updates_applied += applied;
-    agg_stats_.shard_updates_applied[i] = applied;
-    agg_stats_.updates_shed += shed;
-    agg_stats_.shard_updates_shed[i] += shed;
+    stats.updates_applied += applied;
+    stats.shard_updates_applied[i] = applied;
+    stats.updates_shed += shed;
+    stats.shard_updates_shed[i] += shed;
   }
-}
-
-const IngestStats& IngestEngine::stats() const {
-  AggregateStats();
-  return agg_stats_;
-}
-
-void IngestEngine::SyncObsRegistry() {
-  if constexpr (!obs::kEnabled) return;
-  AggregateStats();
-  obs_.updates_submitted->Add(agg_stats_.updates_submitted -
-                              obs_synced_.updates_submitted);
-  obs_.chunks_committed->Add(agg_stats_.chunks_committed -
-                             obs_synced_.chunks_committed);
-  obs_.producer_stalls->Add(agg_stats_.producer_stalls -
-                            obs_synced_.producer_stalls);
-  obs_.updates_shed->Add(agg_stats_.updates_shed - obs_synced_.updates_shed);
-  obs_.updates_applied->Add(agg_stats_.updates_applied -
-                            obs_synced_.updates_applied);
-  obs_.deadline_timeouts->Add(agg_stats_.deadline_timeouts -
-                              obs_synced_.deadline_timeouts);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    obs_.shard_updates[s]->Add(agg_stats_.shard_updates[s] -
-                               obs_synced_.shard_updates[s]);
-    obs_.shard_updates_shed[s]->Add(agg_stats_.shard_updates_shed[s] -
-                                    obs_synced_.shard_updates_shed[s]);
-    obs_.shard_ring_highwater[s]->UpdateMax(
-        static_cast<int64_t>(agg_stats_.shard_ring_highwater[s]));
-  }
-  obs_synced_ = agg_stats_;
+  return stats;
 }
 
 EngineError IngestEngine::Flush() {
@@ -634,7 +586,6 @@ EngineError IngestEngine::Flush() {
       }
     }
   }
-  SyncObsRegistry();
   return error();
 }
 
@@ -647,15 +598,14 @@ IngestProducerState IngestEngine::SnapshotProducerState() const {
   GSTREAM_CHECK(options_.overload == OverloadPolicy::kBlock);
   IngestProducerState state;
   state.staged.resize(shards_.size());
-  if (internal_ == nullptr) {
-    state.stats.shard_updates.assign(shards_.size(), 0);
-    state.stats.shard_updates_applied.assign(shards_.size(), 0);
-    state.stats.shard_updates_shed.assign(shards_.size(), 0);
-    state.stats.shard_ring_highwater.assign(shards_.size(), 0);
-    return state;
-  }
+  state.stats.shard_updates.assign(shards_.size(), 0);
+  if (internal_ == nullptr) return state;
+  const IngestStats& routed = internal_->stats_;
   state.round_robin_next = internal_->round_robin_next_;
-  state.stats = internal_->stats_;
+  state.stats.updates_submitted = routed.updates_submitted;
+  state.stats.chunks_committed = routed.chunks_committed;
+  state.stats.producer_stalls = routed.producer_stalls;
+  state.stats.shard_updates = routed.shard_updates;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const UpdateChunk* open = internal_->open_[s];
     if (open != nullptr) {
@@ -674,6 +624,7 @@ void IngestEngine::RestoreProducerState(const IngestProducerState& state) {
   GSTREAM_CHECK_EQ(ClaimedProducers(), 1u);
   GSTREAM_CHECK_EQ(internal_->stats_.updates_submitted, 0u);
   GSTREAM_CHECK_EQ(state.staged.size(), shards_.size());
+  GSTREAM_CHECK_EQ(state.stats.shard_updates.size(), shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     GSTREAM_CHECK(internal_->open_[s] == nullptr);
     // A full chunk would have been committed, never staged.
@@ -690,32 +641,14 @@ void IngestEngine::RestoreProducerState(const IngestProducerState& state) {
       open->updates[open->n++] = u;
     }
   }
-  // Adopt the counters last, wholesale: the re-staging above must not be
+  // Adopt the routing counters last: the re-staging above must not be
   // double-counted (the snapshot's stats already include those updates).
   internal_->round_robin_next_ = state.round_robin_next;
-  internal_->stats_ = state.stats;
-  internal_->stats_.shard_updates.resize(shards_.size(), 0);
-  // Non-persisted telemetry restarts at zero, exactly like the GCKP
-  // decode path (which never wrote it): producer_stall_ns,
-  // shard_ring_highwater, and the overload counters describe *this*
-  // process's wall-clock, ring, and shed behavior, and the header
-  // contract promises a resumed engine restarts them.  In-process
-  // snapshots carry live values; discard them so both restore paths
-  // agree bit for bit.  (Under the required kBlock policy the shed and
-  // timeout counters are zero anyway; the assignments keep the vectors
-  // sized for AggregateStats.)
-  internal_->stats_.producer_stall_ns = 0;
-  internal_->stats_.updates_shed = 0;
-  internal_->stats_.deadline_timeouts = 0;
-  internal_->stats_.updates_applied = 0;
-  internal_->stats_.shard_updates_applied.assign(shards_.size(), 0);
-  internal_->stats_.shard_updates_shed.assign(shards_.size(), 0);
-  internal_->stats_.shard_ring_highwater.assign(shards_.size(), 0);
-  // Never re-mirror adopted history into this process's registry (it
-  // describes work this process did not perform).
-  internal_->obs_synced_ = internal_->stats_;
-  AggregateStats();
-  obs_synced_ = agg_stats_;
+  IngestStats& adopted = internal_->stats_;
+  adopted.updates_submitted = state.stats.updates_submitted;
+  adopted.chunks_committed = state.stats.chunks_committed;
+  adopted.producer_stalls = state.stats.producer_stalls;
+  adopted.shard_updates = state.stats.shard_updates;
 }
 
 EngineError IngestEngine::Close() {
@@ -727,8 +660,8 @@ EngineError IngestEngine::Close() {
   for (size_t p = 0; p < claimed; ++p) {
     // External handles must be closed by their owning threads first: the
     // engine cannot safely flush another thread's staging chunks.  The
-    // acquire in closed() is also the happens-before edge that makes the
-    // stats aggregation below race-free.
+    // acquire in closed() is also the happens-before edge that makes
+    // stats() race-free once Close() returns.
     GSTREAM_CHECK(producers_[p]->closed());
   }
   for (size_t p = claimed; p < producers_.size(); ++p) {
@@ -743,7 +676,6 @@ EngineError IngestEngine::Close() {
   for (auto& shard : shards_) shard->worker.join();
   watchdog_stop_.store(true, std::memory_order_release);
   if (watchdog_.joinable()) watchdog_.join();
-  SyncObsRegistry();
   return error();
 }
 

@@ -195,10 +195,11 @@ struct UpdateChunk {
 };
 
 // Counters accumulated over an engine's lifetime; stable after Close().
-// The same quantities (plus latency distributions) are mirrored into the
-// process-wide metrics registry under "engine/..." names at every quiesce
-// point -- this struct remains the exact per-engine view (docs/
-// observability.md).
+// This is the engine's one view of its own accounting: stats() folds the
+// producer handles' single-writer counters and the shard workers'
+// applied/shed atomics into it on every call, per engine.  The metrics
+// registry carries only what it alone measures -- latency and batch-size
+// distributions and the error count (docs/observability.md).
 struct IngestStats {
   uint64_t updates_submitted = 0;
   uint64_t chunks_committed = 0;
@@ -237,6 +238,22 @@ struct IngestStats {
   std::vector<uint64_t> shard_ring_highwater;
 };
 
+// `stats` as one flat JSON object, one key per field under its C++ name
+// (scalars as integers, per-shard vectors as arrays): the "ingest" block
+// of BENCH_sketch.json and of the tools' --stats=json output.
+std::string IngestStatsJson(const IngestStats& stats);
+
+// The routing counters a checkpoint carries (the GCKP producer record):
+// what the producer routed.  Everything else in IngestStats describes how
+// this process ran -- stall time, ring occupancy, sheds, applied counts --
+// and a resumed engine counts it afresh.
+struct IngestRoutingStats {
+  uint64_t updates_submitted = 0;
+  uint64_t chunks_committed = 0;
+  uint64_t producer_stalls = 0;
+  std::vector<uint64_t> shard_updates;
+};
+
 // Producer-side routing state beyond the sinks: everything a checkpoint
 // must carry so a fresh engine resumes routing *exactly* where this one
 // stopped.  Composite sinks (top-k trackers) depend on chunk framing, not
@@ -247,7 +264,7 @@ struct IngestStats {
 // engines with external ProducerHandles are not checkpointable.
 struct IngestProducerState {
   size_t round_robin_next = 0;
-  IngestStats stats;
+  IngestRoutingStats stats;
   // Per-shard reserved-but-uncommitted staging contents (kHashItem
   // scatter); always shorter than one chunk, empty under the other
   // policies.
@@ -322,9 +339,6 @@ class ProducerHandle {
   void NoteOccupancy(size_t s);
   // One-shot best-effort self-pinning (options.pin_threads).
   void MaybePinSelf();
-  // Mirrors this producer's counter deltas into the per-producer registry
-  // instruments ("engine/producer/<i>/...").  Called at Close().
-  void SyncObs();
 
   IngestEngine* const engine_;
   const size_t index_;  // lane index on every shard
@@ -332,7 +346,6 @@ class ProducerHandle {
   std::vector<UpdateChunk*> open_;
   size_t round_robin_next_ = 0;
   IngestStats stats_;
-  IngestStats obs_synced_;
   bool pin_checked_ = false;
   // Set last in Close() (release); the engine's Close() acquires it, which
   // is the happens-before edge that makes reading stats_ from the engine
@@ -406,26 +419,23 @@ class IngestEngine {
 
   // Restores a snapshot into a freshly constructed engine (nothing
   // submitted yet, same shard count and chunk framing): re-stages the
-  // partial chunks without re-counting them, then adopts the counters and
-  // round-robin cursor.  Non-persisted telemetry (producer_stall_ns,
-  // shard_ring_highwater) restarts at zero -- matching both the stats
-  // contract above and what a GCKP checkpoint round-trip decodes.
-  // Subsequent Submit calls continue as if this engine had routed
-  // everything the snapshot's stats describe.
+  // partial chunks without re-counting them, then adopts the routing
+  // counters and round-robin cursor.  Subsequent Submit calls continue as
+  // if this engine had routed everything the snapshot's stats describe;
+  // the rest of IngestStats counts this engine's own run from zero.
   void RestoreProducerState(const IngestProducerState& state);
 
   size_t shards() const { return shards_.size(); }
   size_t max_producers() const { return producers_.size(); }
   bool closed() const { return closed_; }
 
-  // Aggregated counters across all claimed producers: per-field sums,
-  // except shard_ring_highwater which is the per-shard max across lanes.
-  // Exact at quiescent points (no producer mid-Submit) and final once
-  // Close() has returned; with live external producers a call is racy and
-  // must be avoided (single-producer engines may read between their own
-  // Submit calls, as before).  The reference stays valid until the next
-  // stats() call.
-  const IngestStats& stats() const;
+  // Aggregated counters across all claimed producers and shard workers:
+  // per-field sums, except shard_ring_highwater which is the per-shard max
+  // across lanes.  Exact at quiescent points (no producer mid-Submit) and
+  // final once Close() has returned; with live external producers a call
+  // is racy and must be avoided (single-producer engines may read between
+  // their own Submit calls).
+  IngestStats stats() const;
 
   // The shard an item routes to under kHashItem with `n_shards` shards.
   // Exposed so tests and callers can reason about sub-domain ownership.
@@ -493,14 +503,6 @@ class IngestEngine {
 
   // Number of handles claimed so far, clamped to the preallocated pool.
   size_t ClaimedProducers() const;
-  // Recomputes agg_stats_ from the per-producer stats.  Safe only when
-  // every claimed producer is quiescent or closed (see stats()).
-  void AggregateStats() const;
-  // Mirrors aggregated-stats deltas since the last sync into the
-  // process-wide registry ("engine/..." instruments).  Called at quiesce
-  // points (Flush/Close) so the hot routing path never touches shared
-  // counters.
-  void SyncObsRegistry();
 
   IngestEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -524,32 +526,15 @@ class IngestEngine {
   // treat its ring as full for param() ns -- the ring-full-storm lever.
   fault::FaultPoint* fault_ring_full_ = nullptr;
 
-  // Aggregation scratch (stats() is const but materializes here).
-  mutable IngestStats agg_stats_;
-
-  // Registry handles (process-lifetime) + the stats values already pushed,
-  // so SyncObsRegistry adds exact deltas even across RestoreProducerState.
+  // Registry handles (process-lifetime): only what the registry alone
+  // measures -- the error count and the stall/flush latency
+  // distributions.  Counts live in the handles and shards (stats()).
   struct EngineObs {
-    obs::Counter* updates_submitted = nullptr;
-    obs::Counter* chunks_committed = nullptr;
-    obs::Counter* producer_stalls = nullptr;
-    obs::Counter* updates_shed = nullptr;
-    obs::Counter* updates_applied = nullptr;
-    obs::Counter* deadline_timeouts = nullptr;
     obs::Counter* engine_errors = nullptr;
     obs::Histogram* producer_stall_ns = nullptr;
     obs::Histogram* flush_ns = nullptr;
-    std::vector<obs::Counter*> shard_updates;
-    std::vector<obs::Counter*> shard_updates_shed;
-    std::vector<obs::Gauge*> shard_ring_highwater;
-    // Per-producer instruments ("engine/producer/<i>/..."), mirrored by
-    // each handle at its Close().
-    std::vector<obs::Counter*> producer_updates;
-    std::vector<obs::Counter*> producer_stall_counts;
-    std::vector<obs::Counter*> producer_stall_ns_total;
   };
   EngineObs obs_;
-  IngestStats obs_synced_;
 };
 
 }  // namespace gstream

@@ -132,7 +132,7 @@ class ShardedIngestor {
   // per-shard state).
   std::vector<SketchT>& replicas() { return replicas_; }
 
-  const IngestStats& stats() const {
+  IngestStats stats() const {
     GSTREAM_CHECK(engine_ != nullptr);
     return engine_->stats();
   }

@@ -6,8 +6,8 @@
 //
 //   {
 //     "schema": "gstream-obs-v1",
-//     "counters": {"engine/updates_submitted": 123, ...},
-//     "gauges": {"engine/shard/0/ring_highwater": 7, ...},
+//     "counters": {"persist/ckpt_saves": 12, ...},
+//     "gauges": {"<name>": 7, ...},
 //     "histograms": {
 //       "engine/producer_stall_ns": {"count": n, "sum": s, "max": m,
 //         "mean": x, "p50": v, "p90": v, "p99": v, "p999": v}, ...

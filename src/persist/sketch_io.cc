@@ -268,8 +268,8 @@ struct SketchSerde {
   //   FingerprintWord  a u64 that must equal it, checked with the envelope's
   //                    fingerprint;
   //   Counters         an i64 array sized by the geometry, copied in bulk;
-  //   Entries,         a u64 count, then (u64, i64) entries sorted by item;
-  //   Candidates
+  //   Entries,         a u64 count, then (u64, i64) entries, item ids
+  //   Candidates       strictly ascending;
   //   Children         nested blobs, each a length-prefixed envelope;
   //   Pass, Tabulation the two-pass state;
   //   Levels           the stack's (u32 kind tag, blob) levels.
@@ -527,34 +527,16 @@ class SketchSerde::Reader {
   }
 
   void Entries(FrequencyMap& freq) {
-    uint64_t n = 0;
-    if (!Count(&n, UINT64_MAX)) return;
+    std::vector<Entry> entries;
+    if (!SortedEntries(&entries, UINT64_MAX)) return;
     freq.clear();
-    freq.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t item = 0;
-      in_->GetU64(&item);
-      in_->GetI64(&freq[item]);
-    }
+    freq.reserve(entries.size());
+    for (const Entry& e : entries) freq.emplace(e.item, e.estimate);
   }
 
-  // At most `capacity` entries with ids strictly ascending: only lists the
-  // writer emits re-serialize to their own bytes.
   void Candidates(CandidateTable& table, size_t capacity) {
-    uint64_t n = 0;
-    if (!Count(&n, capacity)) return;
-    std::vector<Entry> entries(static_cast<size_t>(n));
-    for (size_t i = 0; i < entries.size(); ++i) {
-      in_->GetU64(&entries[i].item);
-      in_->GetI64(&entries[i].estimate);
-      if (i > 0 && entries[i].item <= entries[i - 1].item) {
-        Note(LoadStatus::Fail(LoadError::kDomainError,
-                              kind_ + "candidate ids not strictly ascending "
-                                      "at entry " + std::to_string(i)));
-        return;
-      }
-    }
-    table.Assign(std::move(entries));
+    std::vector<Entry> entries;
+    if (SortedEntries(&entries, capacity)) table.Assign(std::move(entries));
   }
 
   void Pass(int& pass) {
@@ -647,6 +629,27 @@ class SketchSerde::Reader {
     return status.ok();
   }
 
+  // The mirror of the writer's SortedEntries: at most `capacity` entries
+  // with ids strictly ascending, so only lists the writer emits load (and
+  // re-serialize to their own bytes).
+  bool SortedEntries(std::vector<Entry>* entries, uint64_t capacity) {
+    uint64_t n = 0;
+    if (!Count(&n, capacity)) return false;
+    entries->resize(static_cast<size_t>(n));
+    for (size_t i = 0; i < entries->size(); ++i) {
+      Entry& e = (*entries)[i];
+      in_->GetU64(&e.item);
+      in_->GetI64(&e.estimate);
+      if (i > 0 && e.item <= (*entries)[i - 1].item) {
+        return Note(LoadStatus::Fail(
+            LoadError::kDomainError, kind_ + "entry ids not strictly "
+                                             "ascending at entry " +
+                                             std::to_string(i)));
+      }
+    }
+    return true;
+  }
+
   // A u64 count of 16-byte entries: above `cap` is a domain error, more
   // than the bytes left hold is truncation, so a corrupt count never sizes
   // an allocation.
@@ -683,7 +686,7 @@ std::string SketchSerde::Write(const T& sketch) {
   return out.Take();
 }
 
-// Envelope (checks 1-4), kind (5), then the declaration (6-9).
+// Envelope (checks 1-4), kind and flags (5), then the declaration (6-9).
 template <typename T>
 LoadStatus SketchSerde::Load(std::string_view blob, T* sketch) {
   ByteReader in{std::string_view()};
@@ -700,6 +703,12 @@ LoadStatus SketchSerde::Load(std::string_view blob, T* sketch) {
                             "blob holds " +
                                 NameOf(static_cast<SketchKind>(tag)) +
                                 ", destination is " + NameOf(KindOf(*sketch)));
+  }
+  // No writer sets a flag; a nonzero word is not a blob this format wrote.
+  if (flags != 0) {
+    return LoadStatus::Fail(LoadError::kDomainError,
+                            "reserved flags word is " + std::to_string(flags) +
+                                ", must be 0");
   }
   Reader reader(&in, KindOf(*sketch), fingerprint == FingerprintOf(*sketch));
   Visit(reader, *sketch);

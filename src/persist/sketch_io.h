@@ -7,7 +7,7 @@
 //   bytes 0-3   magic "GSKB"
 //   u32         format version (kSketchFormatVersion)
 //   u32         sketch kind tag (SketchKind)
-//   u32         flags (0, reserved)
+//   u32         flags (reserved: 0, any other value is refused)
 //   u64         Fingerprint() of the serialized sketch
 //   ...         kind-specific payload: geometry words, then counter state
 //               (counter arrays are copied in bulk; a composite writes each

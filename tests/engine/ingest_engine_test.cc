@@ -20,6 +20,7 @@
 #include "engine/ingest_engine.h"
 #include "engine/sharded_ingestor.h"
 #include "gfunc/catalog.h"
+#include "obs/json_min.h"
 #include "sketch/ams.h"
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
@@ -314,9 +315,9 @@ TEST(IngestEngineTest, RingHighwaterTracksOccupancyWithinCapacity) {
 }
 
 TEST(IngestEngineTest, RestoreToleratesCheckpointsWithoutTelemetry) {
-  // Decoded checkpoints carry no shard_ring_highwater (wall-clock
-  // telemetry is not persisted); restoring one must leave the vector sized
-  // for this engine so subsequent routing can track occupancy.
+  // Snapshots carry no shard_ring_highwater (wall-clock telemetry is not
+  // persisted); restoring one must leave the vector sized for this engine
+  // so subsequent routing can track occupancy.
   const Stream stream = MakeTurnstileStream(211);
   auto make_sinks = [] {
     std::vector<BatchSink> sinks;
@@ -333,7 +334,6 @@ TEST(IngestEngineTest, RestoreToleratesCheckpointsWithoutTelemetry) {
   first.Flush();
   IngestProducerState state = first.SnapshotProducerState();
   first.Close();
-  state.stats.shard_ring_highwater.clear();  // what DecodeCheckpoint yields
 
   IngestEngine resumed(options, make_sinks());
   resumed.RestoreProducerState(state);
@@ -344,28 +344,49 @@ TEST(IngestEngineTest, RestoreToleratesCheckpointsWithoutTelemetry) {
   EXPECT_EQ(resumed.stats().updates_submitted, stream.length());
 }
 
-#if GSTREAM_OBS_ENABLED
-TEST(IngestEngineTest, RegistryMirrorsExactDeltasAcrossQuiescePoints) {
-  // Flush mid-stream then Close: the process-wide registry counter must
-  // advance by exactly the updates this engine routed -- no double count
-  // from syncing twice, none lost.
-  obs::Counter* submitted =
-      obs::Registry::Get().GetCounter("engine/updates_submitted");
-  const uint64_t before = submitted->Value();
-  const Stream stream = MakeTurnstileStream(212);
+TEST(IngestEngineTest, StatsJsonHasOneKeyPerField) {
+  // IngestStatsJson is what the bench and the tools print: a flat object
+  // whose keys are the IngestStats fields and whose values are this
+  // engine's numbers.
+  const Stream stream = MakeTurnstileStream(213);
   std::vector<BatchSink> sinks;
-  sinks.push_back([](const Update*, size_t) {});
+  for (size_t s = 0; s < 3; ++s) sinks.push_back([](const Update*, size_t) {});
   IngestEngineOptions options;
-  options.shards = 1;
+  options.shards = 3;
+  options.policy = PartitionPolicy::kHashItem;
   IngestEngine engine(options, std::move(sinks));
-  const size_t half = stream.length() / 2;
-  engine.Submit(stream.updates().data(), half);
-  engine.Flush();  // first sync
-  engine.Submit(stream.updates().data() + half, stream.length() - half);
-  engine.Close();  // second sync
-  EXPECT_EQ(submitted->Value() - before, stream.length());
+  engine.SubmitStream(stream);
+  engine.Close();
+  const IngestStats stats = engine.stats();
+  const auto json = obs::ParseJson(IngestStatsJson(stats));
+  ASSERT_TRUE(json.has_value() && json->is_object());
+  ASSERT_EQ(json->object.size(), 11u);
+  const auto scalar = [&](const char* key) {
+    const obs::JsonValue* v = json->Find(key);
+    return v != nullptr && v->is_number() ? static_cast<uint64_t>(v->number)
+                                          : ~uint64_t{0};
+  };
+  const auto array = [&](const char* key) {
+    std::vector<uint64_t> out;
+    const obs::JsonValue* v = json->Find(key);
+    if (v == nullptr || !v->is_array()) return out;
+    for (const obs::JsonValue& e : v->array) {
+      out.push_back(static_cast<uint64_t>(e.number));
+    }
+    return out;
+  };
+  EXPECT_EQ(scalar("updates_submitted"), stream.length());
+  EXPECT_EQ(scalar("updates_applied"), stats.updates_applied);
+  EXPECT_EQ(scalar("updates_shed"), 0u);
+  EXPECT_EQ(scalar("deadline_timeouts"), 0u);
+  EXPECT_EQ(scalar("chunks_committed"), stats.chunks_committed);
+  EXPECT_EQ(scalar("producer_stalls"), stats.producer_stalls);
+  EXPECT_EQ(scalar("producer_stall_ns"), stats.producer_stall_ns);
+  EXPECT_EQ(array("shard_updates"), stats.shard_updates);
+  EXPECT_EQ(array("shard_updates_applied"), stats.shard_updates_applied);
+  EXPECT_EQ(array("shard_updates_shed"), stats.shard_updates_shed);
+  EXPECT_EQ(array("shard_ring_highwater"), stats.shard_ring_highwater);
 }
-#endif  // GSTREAM_OBS_ENABLED
 
 TEST(IngestEngineTest, CloseIsIdempotentAndFlushesPartialChunks) {
   Rng seq_rng(kSeed);
@@ -831,9 +852,8 @@ TEST(IngestEngineTest, CloseCommitRecordsRingOccupancyHighwater) {
 TEST(IngestEngineTest, RestoreZerosNonPersistedTelemetry) {
   // The stats contract: producer_stall_ns and shard_ring_highwater are
   // wall-clock telemetry of *this* process, never persisted, and a resumed
-  // engine restarts them at zero.  The GCKP decode path honors that by
-  // omission; the in-process snapshot carries live values and
-  // RestoreProducerState used to adopt them wholesale.
+  // engine restarts them at zero.  A snapshot carries only the routing
+  // counters, so neither restore path can adopt the live values.
   const Stream stream = MakeTurnstileStream(217);
   auto make_sinks = [] {
     std::vector<BatchSink> sinks;
@@ -851,9 +871,10 @@ TEST(IngestEngineTest, RestoreZerosNonPersistedTelemetry) {
   first.Flush();
   const IngestProducerState state = first.SnapshotProducerState();
   first.Close();
-  // The slow consumer guaranteed live telemetry in the snapshot.
-  ASSERT_GT(state.stats.producer_stall_ns, 0u);
-  ASSERT_GT(state.stats.shard_ring_highwater[0], 0u);
+  // The slow consumer guaranteed live telemetry in the source engine.
+  const IngestStats live = first.stats();
+  ASSERT_GT(live.producer_stall_ns, 0u);
+  ASSERT_GT(live.shard_ring_highwater[0], 0u);
 
   IngestEngine resumed(options, make_sinks());
   resumed.RestoreProducerState(state);

@@ -161,11 +161,11 @@ TEST_F(CheckpointTest, ResumePreservesIngestStats) {
 }
 
 TEST_F(CheckpointTest, RestoredStatsAgreeBetweenDecodedAndInProcessSnapshots) {
-  // The GCKP wire format never persists producer_stall_ns or
-  // shard_ring_highwater (wall-clock telemetry), while an in-process
-  // snapshot carries live nonzero values.  RestoreProducerState must zero
-  // the non-persisted fields, so a resumed engine reports identical stats
-  // whether its state came through the wire or stayed in memory.
+  // Neither the GCKP wire format nor an in-process snapshot carries
+  // producer_stall_ns or shard_ring_highwater (wall-clock telemetry), even
+  // when the source engine's are nonzero: a resumed engine reports
+  // identical stats whether its state came through the wire or stayed in
+  // memory.
   auto make_sinks = [] {
     std::vector<BatchSink> sinks;
     sinks.push_back([](const Update* /*ups*/, size_t /*n*/) {
@@ -184,9 +184,10 @@ TEST_F(CheckpointTest, RestoredStatsAgreeBetweenDecodedAndInProcessSnapshots) {
   live.Flush();
   const IngestProducerState snapshot = live.SnapshotProducerState();
   live.Close();
-  ASSERT_GT(snapshot.stats.producer_stall_ns, 0u);
-  ASSERT_EQ(snapshot.stats.shard_ring_highwater.size(), 1u);
-  ASSERT_GT(snapshot.stats.shard_ring_highwater[0], 0u);
+  const IngestStats live_stats = live.stats();
+  ASSERT_GT(live_stats.producer_stall_ns, 0u);
+  ASSERT_EQ(live_stats.shard_ring_highwater.size(), 1u);
+  ASSERT_GT(live_stats.shard_ring_highwater[0], 0u);
 
   CheckpointImage image;
   image.cursor = 2000;
@@ -194,9 +195,6 @@ TEST_F(CheckpointTest, RestoredStatsAgreeBetweenDecodedAndInProcessSnapshots) {
   image.shard_blobs = {"opaque shard blob"};
   CheckpointImage decoded;
   ASSERT_TRUE(DecodeCheckpoint(EncodeCheckpoint(image), &decoded).ok());
-  // The wire round-trip drops the telemetry by construction.
-  EXPECT_EQ(decoded.producer.stats.producer_stall_ns, 0u);
-  EXPECT_TRUE(decoded.producer.stats.shard_ring_highwater.empty());
 
   const auto restore_and_read = [&](const IngestProducerState& state) {
     IngestEngine engine(options, make_sinks());

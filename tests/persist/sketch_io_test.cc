@@ -428,6 +428,59 @@ TEST_F(SketchIoTest, DomainErrorIsReported) {
   ExpectLoadFails(blob, &dst, LoadError::kDomainError);
 }
 
+// Exact-frequency entries load only as the writer emits them: ids strictly
+// ascending.  A duplicate or a descending id once loaded (a duplicate kept
+// its last value) and re-serialized to other bytes.
+constexpr size_t kFirstEntry = 24 + 8;  // header, then the entry count
+
+std::string ExactFrequencyBlob() {
+  ExactFrequencySketch original;
+  Feed(original);
+  return SerializeSketch(original);
+}
+
+TEST_F(SketchIoTest, DuplicateExactFrequencyIdIsDomainError) {
+  std::string blob = ExactFrequencyBlob();
+  blob.replace(kFirstEntry + 16, 8, blob, kFirstEntry, 8);  // entry 1 := 0
+  ExactFrequencySketch dst;
+  Feed(dst, 9, 50);
+  ExpectLoadFails(RewriteWithValidChecksum(std::move(blob)), &dst,
+                  LoadError::kDomainError);
+}
+
+TEST_F(SketchIoTest, DescendingExactFrequencyIdIsDomainError) {
+  std::string blob = ExactFrequencyBlob();
+  const std::string first = blob.substr(kFirstEntry, 16);
+  blob.replace(kFirstEntry, 16, blob, kFirstEntry + 16, 16);  // swap 0, 1
+  blob.replace(kFirstEntry + 16, 16, first);
+  ExactFrequencySketch dst;
+  Feed(dst, 9, 50);
+  ExpectLoadFails(RewriteWithValidChecksum(std::move(blob)), &dst,
+                  LoadError::kDomainError);
+}
+
+// The reserved flags word (bytes 12-15) must be zero: a blob with a flag
+// set was written by no build of this format.
+TEST_F(SketchIoTest, NonzeroFlagsWordIsDomainError) {
+  for (const uint8_t flag : {0x01, 0x80}) {
+    for (const size_t byte : {12, 15}) {
+      CountSketch original = MakeCountSketch();
+      Feed(original);
+      std::string blob = SerializeSketch(original);
+      blob[byte] = static_cast<char>(flag);
+      CountSketch dst = MakeCountSketch();
+      Feed(dst, 9, 50);
+      ExpectLoadFails(RewriteWithValidChecksum(blob), &dst,
+                      LoadError::kDomainError);
+      std::string exact = ExactFrequencyBlob();
+      exact[byte] = static_cast<char>(flag);
+      ExactFrequencySketch exact_dst;
+      ExpectLoadFails(RewriteWithValidChecksum(std::move(exact)), &exact_dst,
+                      LoadError::kDomainError);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Death tests: the OrDie path the cross-process reducer uses mirrors the
 // in-memory MergeFrom guards (tests/sketch/merge_test.cc) -- incompatible

@@ -5,9 +5,10 @@
 // valid blob's layout -- the envelope, the length-prefixed child blobs
 // (recursively) and, for a GCKP, the shard table -- and mutates one
 // semantic field at a time: child lengths, entry / staged / shard counts,
-// geometry words, kind and version tags, and top-k candidate lists (a
-// duplicated id, two entries out of order, or more than 2k entries --
-// lists the writer never emits).  It then re-seals every checksum
+// geometry words, kind and version tags, the reserved flags word, and the
+// sorted entry lists -- top-k candidates and exact frequencies (a
+// duplicated id, two entries out of order, or, for a tracker, more than 2k
+// entries: lists the writer never emits).  It then re-seals every checksum
 // innermost first, so the mutant reaches the parser behind the checksum.
 // Mutants are drawn from SplitMix64 with a fixed budget.
 //
@@ -58,14 +59,15 @@ enum class FieldClass {
   kGeometry,
   kCount,
   kChildLength,
-  kCandidateEntry,  // a top-k candidate list; `offset` is its count word
+  kFlags,
+  kEntryList,  // a sorted (id, value) list; `offset` is its count word
 };
 
 struct Field {
   size_t offset;
   size_t width;  // 4 or 8
   FieldClass cls;
-  size_t k_offset = 0;  // kCandidateEntry: the tracker's k word
+  size_t k_offset = 0;  // kEntryList of a tracker: its k word (0: unbounded)
 };
 
 // A checksummed envelope [begin, end); its checksum is the last 8 bytes.
@@ -138,6 +140,7 @@ class Walker {
     map_.seals.push_back({begin, end, depth});
     Add(begin + 4, 4, FieldClass::kVersion);
     Add(begin + 8, 4, FieldClass::kKind);
+    Add(begin + 12, 4, FieldClass::kFlags);
     size_t pos = begin + 24;
     auto geometry = [&](int words) {
       for (int i = 0; i < words; ++i, pos += 8) {
@@ -155,13 +158,14 @@ class Walker {
         break;
       case SketchKind::kExactFrequency:
         Add(pos, 8, FieldClass::kCount);
+        Add(pos, 8, FieldClass::kEntryList);
         break;
       case SketchKind::kCountSketchTopK: {
         const size_t k_offset = pos;
         geometry(1);
         pos = Child(pos, depth + 1);
         Add(pos, 8, FieldClass::kCount);
-        Add(pos, 8, FieldClass::kCandidateEntry, k_offset);
+        Add(pos, 8, FieldClass::kEntryList, k_offset);
         break;
       }
       case SketchKind::kExactHeavyHitter:
@@ -277,15 +281,19 @@ std::string Splice(std::string bytes, const WireMap& map, size_t at,
   return bytes;
 }
 
-// A candidate list the writer never emits: entry i + 1 takes entry i's
-// id, entries i and i + 1 swap, or the list grows to 2k + 1 entries with
-// fresh ascending ids (the only choice for lists shorter than two).
-std::string CandidateMutant(std::string_view pristine, const WireMap& map,
+// An entry list the writer never emits: entry i + 1 takes entry i's id,
+// entries i and i + 1 swap, or a tracker's list grows to 2k + 1 entries
+// with fresh ascending ids (the only choice for lists shorter than two).
+// An exact-frequency list shorter than two has no such mutant and stays
+// pristine.
+std::string EntryListMutant(std::string_view pristine, const WireMap& map,
                             const Field& list, uint64_t& rng) {
   std::string bytes(pristine);
   const uint64_t count = ReadLe(bytes, list.offset, 8);
   const size_t entries = list.offset + 8;
-  const uint64_t op = SplitMix64(rng) % 3;
+  const bool bounded = list.k_offset != 0;
+  const uint64_t op = SplitMix64(rng) % (bounded ? 3 : 2);
+  if (!bounded && count < 2) return bytes;
   if (count >= 2 && op < 2) {
     const size_t a = entries + 16 * (SplitMix64(rng) % (count - 1));
     const size_t b = a + 16;
@@ -315,8 +323,8 @@ std::string CandidateMutant(std::string_view pristine, const WireMap& map,
 std::string Mutant(std::string_view pristine, const WireMap& map,
                    uint64_t& rng) {
   const Field& field = map.fields[SplitMix64(rng) % map.fields.size()];
-  if (field.cls == FieldClass::kCandidateEntry) {
-    return CandidateMutant(pristine, map, field, rng);
+  if (field.cls == FieldClass::kEntryList) {
+    return EntryListMutant(pristine, map, field, rng);
   }
   std::string bytes(pristine);
   const uint64_t v = ReadLe(bytes, field.offset, field.width);

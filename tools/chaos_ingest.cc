@@ -203,7 +203,7 @@ bool RunSeed(uint64_t seed, const Flags& f, const Stream& stream,
   };
 
   // Conservation, exact, per shard and in total.
-  const IngestStats& stats = ingest.stats();
+  const IngestStats stats = ingest.stats();
   uint64_t routed = 0;
   for (size_t s = 0; s < f.shards; ++s) {
     if (stats.shard_updates[s] !=

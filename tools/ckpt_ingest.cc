@@ -59,8 +59,9 @@ struct Flags {
   uint64_t interval = 8 * kStreamBatchSize;
   uint64_t kill_after = 0;  // 0 = never
   bool resume = false;
-  // --stats=json: dump the final process-wide metrics-registry snapshot
-  // (obs JSON schema) to stdout after the run summary.
+  // --stats=json: dump the engine's IngestStats ("ingest") and the final
+  // process-wide metrics-registry snapshot ("obs", obs JSON schema) to
+  // stdout after the run summary.
   bool stats_json = false;
   const char* fault_site = nullptr;  // the kAtomicWriteSites entry to arm
 };
@@ -150,16 +151,19 @@ int Run(const Flags& f) {
         }
         return true;
       });
-  const auto print_stats_json = [&f] {
+  const auto print_stats_json = [&f, &ingest] {
     // One JSON object: the armed torn-write phase by name ("none" on a
-    // clean run) plus the process-wide metrics snapshot.  Printed on the
-    // torn-write stop path too, so a harness driving --fault can pin the
-    // phase from the same output it already parses.
+    // clean run), the engine's counters and the process-wide metrics
+    // snapshot.  Printed on the torn-write stop path too, so a harness
+    // driving --fault can pin the phase from the same output it already
+    // parses.
     if (f.stats_json) {
-      std::printf("{\"fault_phase\": \"%s\", \"obs\": %s}\n",
-                  f.fault_site == nullptr ? "none"
-                                          : std::strrchr(f.fault_site, '/') + 1,
-                  obs::CurrentSnapshotJson().c_str());
+      std::printf(
+          "{\"fault_phase\": \"%s\", \"ingest\": %s, \"obs\": %s}\n",
+          f.fault_site == nullptr ? "none"
+                                  : std::strrchr(f.fault_site, '/') + 1,
+          IngestStatsJson(ingest.stats()).c_str(),
+          obs::CurrentSnapshotJson().c_str());
     }
   };
   if (cursor < stream.length()) {
@@ -177,7 +181,7 @@ int Run(const Flags& f) {
     std::fprintf(stderr, "ckpt_ingest: cannot write %s\n", f.out.c_str());
     return 1;
   }
-  const IngestStats& stats = ingest.stats();
+  const IngestStats stats = ingest.stats();
   std::printf("done: %llu updates, %llu chunks, %llu stalls -> %s\n",
               static_cast<unsigned long long>(stats.updates_submitted),
               static_cast<unsigned long long>(stats.chunks_committed),

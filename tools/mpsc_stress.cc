@@ -19,6 +19,8 @@
 //
 // Flags: --updates=N --producers=N --shards=N --policy=rr|hash --pin
 //        --stream-seed=N --sketch-seed=N --stats=json
+// --stats=json prints one object after the verdict: the engine's
+// IngestStats ("ingest") and the metrics-registry snapshot ("obs").
 //
 // Exit codes: 0 pass, 1 mismatch, 2 bad flags.
 
@@ -174,7 +176,7 @@ int Run(const Flags& f) {
   }
 
   // Conservation: nothing dropped, nothing invented, accounting coherent.
-  const IngestStats& stats = ingest.stats();
+  const IngestStats stats = ingest.stats();
   if (stats.updates_submitted != total) return Fail("updates_submitted != stream length");
   uint64_t routed = 0;
   for (const uint64_t n : stats.shard_updates) routed += n;
@@ -203,7 +205,9 @@ int Run(const Flags& f) {
       static_cast<unsigned long long>(stats.producer_stalls),
       static_cast<unsigned long long>(stats.producer_stall_ns));
   if (f.stats_json) {
-    std::printf("%s\n", obs::CurrentSnapshotJson().c_str());
+    std::printf("{\"ingest\": %s, \"obs\": %s}\n",
+                IngestStatsJson(stats).c_str(),
+                obs::CurrentSnapshotJson().c_str());
   }
   return 0;
 }

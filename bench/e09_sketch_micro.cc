@@ -20,10 +20,10 @@ namespace {
 
 void BM_KWiseHashEval(benchmark::State& state) {
   Rng rng(1);
-  KWiseHash hash(static_cast<int>(state.range(0)), rng);
+  const KWiseHashBank bank(static_cast<int>(state.range(0)), /*rows=*/1, rng);
   uint64_t x = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hash(++x));
+    benchmark::DoNotOptimize(bank.EvalRow(0, ReduceToField(++x)));
   }
 }
 BENCHMARK(BM_KWiseHashEval)->Arg(2)->Arg(4);

@@ -47,8 +47,9 @@ DistStreamingAlgorithm::DistStreamingAlgorithm(
     const DistAlgorithmOptions& options, Rng& rng)
     : allowed_(std::move(allowed)),
       target_(target),
-      piece_hash_(/*k=*/2, options.pieces, rng),
-      sign_hash_(rng) {
+      piece_bank_(/*k=*/2, /*rows=*/1, rng),
+      sign_bank_(/*k=*/4, /*rows=*/1, rng) {
+  GSTREAM_CHECK_GE(options.pieces, 1u);
   GSTREAM_CHECK(!allowed_.empty());
   GSTREAM_CHECK_GT(target_, 0);
   for (int64_t u : allowed_) {
@@ -106,8 +107,12 @@ DistStreamingAlgorithm::DistStreamingAlgorithm(
 }
 
 void DistStreamingAlgorithm::Update(ItemId item, int64_t delta) {
-  counters_[piece_hash_(item)] +=
-      static_cast<int64_t>(sign_hash_(item)) * delta;
+  const uint64_t xm = ReduceToField(item);
+  const uint64_t piece = FastRange61(
+      Eval2Wise(piece_bank_.DegreeCoeffs(0)[0],
+                piece_bank_.DegreeCoeffs(1)[0], xm),
+      counters_.size());
+  counters_[piece] += (sign_bank_.EvalRow(0, xm) & 1) ? delta : -delta;
 }
 
 bool DistStreamingAlgorithm::DetectsTarget() const {
@@ -119,8 +124,9 @@ bool DistStreamingAlgorithm::DetectsTarget() const {
 }
 
 size_t DistStreamingAlgorithm::SpaceBytes() const {
-  return counters_.size() * sizeof(int64_t) + piece_hash_.SpaceBytes() +
-         sign_hash_.SpaceBytes() +
+  // The piece hash's bytes include its range word.
+  return counters_.size() * sizeof(int64_t) + piece_bank_.SpaceBytes() +
+         sizeof(uint64_t) + sign_bank_.SpaceBytes() +
          achievable_residues_.size() * sizeof(int64_t);
 }
 

@@ -63,6 +63,9 @@ class DistStreamingAlgorithm : public LinearSketch {
 
   size_t SpaceBytes() const override;
 
+  // Raw per-piece counters C_i; used by the hash-pinning tests.
+  const std::vector<int64_t>& counters() const { return counters_; }
+
  private:
   std::vector<int64_t> allowed_;
   int64_t target_;
@@ -70,8 +73,8 @@ class DistStreamingAlgorithm : public LinearSketch {
   int64_t combination_norm_;
   int64_t multiplicity_bound_;
   std::unordered_set<int64_t> achievable_residues_;  // S_0
-  BucketHash piece_hash_;   // 2-wise partition into pieces
-  SignHash sign_hash_;      // 4-wise xi
+  KWiseHashBank piece_bank_;  // one 2-wise row: partition into pieces
+  KWiseHashBank sign_bank_;   // one 4-wise row: xi from its low bit
   std::vector<int64_t> counters_;
 };
 

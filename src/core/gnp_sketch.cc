@@ -22,7 +22,9 @@ int LowBitOrMinus1(int64_t m) {
 }  // namespace
 
 GnpHeavyHitter::GnpHeavyHitter(const GnpSketchOptions& options, Rng& rng)
-    : options_(options) {
+    : options_(options),
+      substream_bank_(/*k=*/2, /*rows=*/1, rng),
+      trial_bank_(/*k=*/2, options.trials, rng) {
   GSTREAM_CHECK_GE(options.substreams, 1u);
   // The SIMD fastrange kernel assembles h * range from 32-bit partial
   // products, so the substream range must fit in 32 bits.
@@ -30,19 +32,6 @@ GnpHeavyHitter::GnpHeavyHitter(const GnpSketchOptions& options, Rng& rng)
   GSTREAM_CHECK_GE(options.trials, 2u);
   GSTREAM_CHECK_GE(options.id_bits, 1);
   GSTREAM_CHECK_LE(options.id_bits, 62);
-  // Substream partition: same draw as BucketHash(2, substreams) -- two
-  // uniform coefficients with a nonzero leading one.
-  s0_ = rng.UniformUint64(kMersenne61);
-  s1_ = rng.UniformUint64(kMersenne61);
-  if (s1_ == 0) s1_ = 1;
-  t0_.reserve(options.trials);
-  t1_.reserve(options.trials);
-  // Same draw as BernoulliHash (pairwise, nonzero leading coefficient).
-  for (size_t t = 0; t < options.trials; ++t) {
-    t0_.push_back(rng.UniformUint64(kMersenne61));
-    const uint64_t lead = rng.UniformUint64(kMersenne61);
-    t1_.push_back(lead == 0 ? 1 : lead);
-  }
   counters_.assign(options.substreams * options.trials *
                        (static_cast<size_t>(options.id_bits) + 1),
                    0);
@@ -50,13 +39,12 @@ GnpHeavyHitter::GnpHeavyHitter(const GnpSketchOptions& options, Rng& rng)
   // Fingerprint the drawn substream and trial hashes by probing them, the
   // same guard discipline as the linear sketches: equal iff the sketches
   // were constructed from equal-state Rngs.
-  uint64_t fp = 0xcbf29ce484222325ULL;
+  uint64_t fp = kFnvOffsetBasis;
   for (uint64_t probe : {uint64_t{1}, uint64_t{0x9e3779b9}}) {
     const uint64_t xm = ReduceToField(probe);
-    fp = (fp ^ SubstreamOf(xm)) * 0x100000001b3ULL;
+    fp = FnvFold(fp, SubstreamOf(xm));
     for (size_t t = 0; t < options.trials; ++t) {
-      fp = (fp ^ static_cast<uint64_t>(TrialSampled(t, xm))) *
-           0x100000001b3ULL;
+      fp = FnvFold(fp, static_cast<uint64_t>(TrialSampled(t, xm)));
     }
   }
   hash_fingerprint_ = fp;
@@ -122,8 +110,10 @@ void GnpHeavyHitter::UpdateBatch(const gstream::Update* updates, size_t n) {
   // from the same canonical values as Update's TrialSampled/SubstreamOf,
   // so counters stay bit-identical.
   const simd::SimdOps& ops = simd::Ops();
-  const uint64_t* ta0 = t0_.data();
-  const uint64_t* ta1 = t1_.data();
+  const uint64_t s0 = substream_bank_.DegreeCoeffs(0)[0];
+  const uint64_t s1 = substream_bank_.DegreeCoeffs(1)[0];
+  const uint64_t* ta0 = trial_bank_.DegreeCoeffs(0);
+  const uint64_t* ta1 = trial_bank_.DegreeCoeffs(1);
   uint64_t* const masks = mask_scratch_.data();
   alignas(64) uint64_t xm[simd::kSimdBlock];
   alignas(64) int64_t delta[simd::kSimdBlock];
@@ -131,7 +121,7 @@ void GnpHeavyHitter::UpdateBatch(const gstream::Update* updates, size_t n) {
   for (size_t base = 0; base < n; base += simd::kSimdBlock) {
     const size_t m = std::min(simd::kSimdBlock, n - base);
     ops.prepare_batch2(updates + base, m, xm, delta);
-    ops.eval2_bucket(s0_, s1_, xm, options_.substreams, m, sub);
+    ops.eval2_bucket(s0, s1, xm, options_.substreams, m, sub);
     for (size_t w = 0; w < words; ++w) {
       std::memset(masks + w * simd::kSimdBlock, 0, m * sizeof(uint64_t));
     }
@@ -223,8 +213,8 @@ GCover GnpHeavyHitter::Cover(const GFunction& /*g*/) const {
 
 size_t GnpHeavyHitter::SpaceBytes() const {
   size_t bytes = counters_.size() * sizeof(int64_t);
-  bytes += 3 * sizeof(uint64_t);  // substream coefficients + range
-  bytes += (t0_.size() + t1_.size()) * sizeof(uint64_t);
+  bytes += substream_bank_.SpaceBytes() + sizeof(uint64_t);  // + range
+  bytes += trial_bank_.SpaceBytes();
   return bytes;
 }
 

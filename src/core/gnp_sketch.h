@@ -93,23 +93,24 @@ class GnpHeavyHitter : public GHeavyHitterSketch {
 
   // Pairwise trial-sampling indicator X_t(x), shared across substreams.
   bool TrialSampled(size_t trial, uint64_t xm) const {
-    return (MulAddMod61(t1_[trial], xm, t0_[trial]) & 1) != 0;
+    return (Eval2Wise(trial_bank_.DegreeCoeffs(0)[trial],
+                      trial_bank_.DegreeCoeffs(1)[trial], xm) &
+            1) != 0;
   }
 
-  // 2-wise substream partition, coefficients held inline so the per-item
-  // substream id costs one fused multiply-add plus a fastrange.
+  // 2-wise substream partition: one Eval2Wise plus a fastrange.
   size_t SubstreamOf(uint64_t xm) const {
-    return static_cast<size_t>(
-        FastRange61(MulAddMod61(s1_, xm, s0_), options_.substreams));
+    return static_cast<size_t>(FastRange61(
+        Eval2Wise(substream_bank_.DegreeCoeffs(0)[0],
+                  substream_bank_.DegreeCoeffs(1)[0], xm),
+        options_.substreams));
   }
 
   GnpSketchOptions options_;
-  uint64_t s0_ = 0;  // substream-hash coefficients, pairwise
-  uint64_t s1_ = 1;
-  // Pairwise trial-hash coefficients, structure-of-arrays (one slot per
-  // trial) so the batched kernel keeps a trial's pair in registers.
-  std::vector<uint64_t> t0_;
-  std::vector<uint64_t> t1_;
+  KWiseHashBank substream_bank_;  // one pairwise row
+  // One pairwise row per trial, so the batched kernel walks each degree's
+  // coefficients contiguously.
+  KWiseHashBank trial_bank_;
   std::vector<int64_t> counters_;
   uint64_t hash_fingerprint_ = 0;  // guards MergeFrom
   // UpdateBatch staging for the packed per-item trial bitmasks,

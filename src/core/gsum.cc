@@ -41,7 +41,6 @@ GSumEstimator::GSumEstimator(GFunctionPtr g, uint64_t domain,
     hh.candidates = options.candidates;
     hh.epsilon = options.epsilon;
     hh.h_envelope = h_envelope_;
-    hh.probe_points = options.probe_points;
     factory = [hh](int /*level*/, Rng& rng) {
       return std::make_unique<OnePassHeavyHitter>(hh, rng);
     };

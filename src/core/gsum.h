@@ -62,8 +62,6 @@ struct GSumOptions {
   // H(M) envelope; -1 computes it from g over [0, envelope_domain].
   double h_envelope = -1.0;
   int64_t envelope_domain = int64_t{1} << 16;
-  // Probe magnitudes per sign in the pruning test.
-  size_t probe_points = 24;
   uint64_t seed = 0x9b1e;
 };
 

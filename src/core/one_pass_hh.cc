@@ -116,8 +116,7 @@ GCover OnePassHeavyHitter::Cover(const GFunction& g) const {
   GCover cover;
   for (const auto& [item, v_hat] : tracker_.TopK()) {
     if (v_hat == 0) continue;
-    if (!SurvivesPruning(g, v_hat, e, options_.epsilon,
-                         options_.probe_points)) {
+    if (!SurvivesPruning(g, v_hat, e, options_.epsilon, kProbePoints)) {
       continue;
     }
     cover.push_back(GCoverEntry{item, v_hat, g.ValueAbs(v_hat), true});

@@ -39,8 +39,6 @@ struct OnePassHHOptions {
   // The envelope H(M) of the function (gfunc/envelope.h); governs the
   // pruning interval E.
   double h_envelope = 1.0;
-  // Probe magnitudes per sign used to approximate "for all |y| <= E".
-  size_t probe_points = 24;
 };
 
 class OnePassHeavyHitter : public GHeavyHitterSketch {
@@ -78,6 +76,10 @@ class OnePassHeavyHitter : public GHeavyHitterSketch {
   // merged linear state bit-exactly against a sequential pass.
   const CountSketchTopK& tracker() const { return tracker_; }
   const AmsSketch& ams() const { return ams_; }
+
+  // Probe magnitudes per sign Cover() uses to approximate "for all
+  // |y| <= E".
+  static constexpr size_t kProbePoints = 24;
 
   // Exposed for tests: whether the estimate v-hat would survive pruning
   // under `g` with radius E.

@@ -54,7 +54,7 @@ void RecursiveGSum::MergeFrom(const RecursiveGSum& other) {
 uint64_t RecursiveGSum::Fingerprint() const {
   uint64_t fp = subsampler_.Fingerprint();
   for (const auto& sketch : sketches_) {
-    fp = (fp ^ sketch->Fingerprint()) * 0x100000001b3ULL;
+    fp = FnvFold(fp, sketch->Fingerprint());
   }
   return fp;
 }

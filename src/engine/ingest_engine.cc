@@ -231,17 +231,6 @@ SubmitResult ProducerHandle::Submit(const Update* updates, size_t n) {
       }
       break;
     }
-    case PartitionPolicy::kBroadcast: {
-      // kBroadcast requires kBlock (constructor CHECK), so routing cannot
-      // time out or shed here.
-      for (size_t i = 0; i < n; i += chunk) {
-        const size_t len = std::min(chunk, n - i);
-        for (size_t s = 0; s < engine_->shards_.size(); ++s) {
-          CopyChunkToShard(s, updates + i, len);
-        }
-      }
-      break;
-    }
   }
   result.accepted = n;
   stats_.updates_submitted += n;
@@ -287,11 +276,6 @@ IngestEngine::IngestEngine(const IngestEngineOptions& options,
   GSTREAM_CHECK_GE(options.chunk_updates, 1u);
   GSTREAM_CHECK_LE(options.chunk_updates, kStreamBatchSize);
   GSTREAM_CHECK_GE(options.max_producers, 1u);
-  // A chunk shed on some shards but not others would hand the
-  // "independent repetitions" of a broadcast different streams; only the
-  // lossless policy is coherent there.
-  GSTREAM_CHECK(options.policy != PartitionPolicy::kBroadcast ||
-                options.overload == OverloadPolicy::kBlock);
   shards_.reserve(options.shards);
   // Instrument handles are fetched once here (registration is the only
   // locked path).  Counts never go through the registry: the routing hot
@@ -649,6 +633,14 @@ void IngestEngine::RestoreProducerState(const IngestProducerState& state) {
   adopted.chunks_committed = state.stats.chunks_committed;
   adopted.producer_stalls = state.stats.producer_stalls;
   adopted.shard_updates = state.stats.shard_updates;
+  // Applied counts span the logical run like the routed ones: every routed
+  // update not staged was applied before the snapshot (kBlock sheds
+  // nothing), so routed == applied + shed holds after the resume too.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->applied_updates.fetch_add(
+        state.stats.shard_updates[s] - state.staged[s].size(),
+        std::memory_order_relaxed);
+  }
 }
 
 EngineError IngestEngine::Close() {

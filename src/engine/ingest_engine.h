@@ -34,17 +34,7 @@
 //                         into per-shard staging chunks.
 //   * kRoundRobinChunks-- whole chunks rotate across shards (per producer):
 //                         perfectly load-balanced regardless of item skew.
-//   * kBroadcast       -- every worker sees every chunk: used to run
-//                         independent repetitions (e.g. the g-sum
-//                         estimator's medianed reps) concurrently.  With a
-//                         single producer each worker observes exactly the
-//                         sequential chunk sequence; with several, each
-//                         worker sees every producer's chunks but in an
-//                         arbitrary interleave -- exact for linear sinks
-//                         only.
-// Merge-after-close is exact for the first two by linearity; under
-// kBroadcast each sink individually equals its sequential self (single
-// producer) or the same multiset of chunks (multi-producer).
+// Merge-after-close is exact under both by linearity.
 //
 // Backpressure: memory stays bounded at
 // shards * max_producers * ring_chunks * 8 KiB regardless of policy; what
@@ -94,7 +84,6 @@ namespace gstream {
 enum class PartitionPolicy {
   kHashItem,
   kRoundRobinChunks,
-  kBroadcast,
 };
 
 // What a producer does when its destination ring is full (see the
@@ -161,8 +150,8 @@ struct IngestEngineOptions {
   // Ring capacity per lane, in chunks (rounded up to a power of two).
   size_t ring_chunks = 32;
   // Updates per chunk; must be in [1, kStreamBatchSize].  Keeping the
-  // default preserves ForEachBatch framing, which makes kBroadcast feeds
-  // bit-identical to a sequential ProcessStream pass per sink.
+  // default preserves ForEachBatch framing, so a kRoundRobinChunks feed
+  // hands each sink whole ProcessStream batches.
   size_t chunk_updates = kStreamBatchSize;
   // Producer lanes per shard.  AddProducer() may be called at most this
   // many times (the engine's own Submit() claims one lazily, like any
@@ -173,9 +162,7 @@ struct IngestEngineOptions {
   // Submit) to cores as described in the header comment.  Best effort;
   // default off.
   bool pin_threads = false;
-  // Full-ring behavior.  kBroadcast requires kBlock (a chunk shed on some
-  // shards but not others would give the "independent repetitions"
-  // different streams); the constructor CHECKs that.
+  // Full-ring behavior.
   OverloadPolicy overload = OverloadPolicy::kBlock;
   // Per-reserve wait bound for kDeadline, in nanoseconds.
   // Ignored under kBlock (unbounded) and kShedIncoming (never waits).
@@ -244,8 +231,9 @@ struct IngestStats {
 std::string IngestStatsJson(const IngestStats& stats);
 
 // The routing counters a checkpoint carries (the GCKP producer record):
-// what the producer routed.  Everything else in IngestStats describes how
-// this process ran -- stall time, ring occupancy, sheds, applied counts --
+// what the producer routed.  A resumed engine derives its applied counts
+// from them (RestoreProducerState); everything else in IngestStats
+// describes how this process ran -- stall time, ring occupancy, sheds --
 // and a resumed engine counts it afresh.
 struct IngestRoutingStats {
   uint64_t updates_submitted = 0;
@@ -421,8 +409,11 @@ class IngestEngine {
   // submitted yet, same shard count and chunk framing): re-stages the
   // partial chunks without re-counting them, then adopts the routing
   // counters and round-robin cursor.  Subsequent Submit calls continue as
-  // if this engine had routed everything the snapshot's stats describe;
-  // the rest of IngestStats counts this engine's own run from zero.
+  // if this engine had routed everything the snapshot's stats describe.
+  // Each shard's applied count starts at its routed count minus its staged
+  // updates (checkpoints require kBlock, so nothing was shed), keeping
+  // routed == applied + shed over the whole logical run; the rest of
+  // IngestStats counts this engine's own run from zero.
   void RestoreProducerState(const IngestProducerState& state);
 
   size_t shards() const { return shards_.size(); }

@@ -207,16 +207,12 @@ typename ShardedIngestor<SketchT>::Factory ReplicateFactory(
 // merges again.  Returns the merged unit by value.
 //
 // The factory must build fresh units: a pre-fed prototype would be
-// counted once per shard at the merge.  kBroadcast is refused for the same
-// reason -- it feeds every replica the whole stream, so the merge would
-// multiply every counter by the shard count (ShardedIngestor + Drain()
-// under kBroadcast, which never merges, stays legal).
+// counted once per shard at the merge.
 template <typename Factory,
           typename SketchT = std::decay_t<std::invoke_result_t<Factory, size_t>>>
 SketchT ProcessStreamSharded(const Stream& stream,
                              const IngestEngineOptions& options,
                              Factory&& make) {
-  GSTREAM_CHECK(options.policy != PartitionPolicy::kBroadcast);
   auto run_pass = [&](typename ShardedIngestor<SketchT>::Factory factory) {
     ShardedIngestor<SketchT> ingest(options, std::move(factory));
     ingest.Open();

@@ -30,11 +30,10 @@ AmsSketch::AmsSketch(const AmsOptions& options, Rng& rng)
   sums_.assign(total, 0);
   GSTREAM_DCHECK(IsCacheLineAligned(sums_.data()));
   mean_scratch_.resize(options.groups);
-  uint64_t fp = (0xcbf29ce484222325ULL ^ kSignsPerRow) * 0x100000001b3ULL;
+  uint64_t fp = FnvFold(kFnvOffsetBasis, kSignsPerRow);
   for (size_t r = 0; r < sign_bank_.rows(); ++r) {
-    fp = (fp ^ sign_bank_.EvalRow(r, ReduceToField(1))) * 0x100000001b3ULL;
-    fp = (fp ^ sign_bank_.EvalRow(r, ReduceToField(0x9e3779b9))) *
-         0x100000001b3ULL;
+    fp = FnvFold(fp, sign_bank_.EvalRow(r, ReduceToField(1)));
+    fp = FnvFold(fp, sign_bank_.EvalRow(r, ReduceToField(0x9e3779b9)));
   }
   hash_fingerprint_ = fp;
 }

@@ -19,12 +19,11 @@ CountMinSketch::CountMinSketch(const CountMinOptions& options, Rng& rng)
   counters_.assign(options.rows * options.buckets, 0);
   GSTREAM_DCHECK(IsCacheLineAligned(counters_.data()));
   row_scratch_.resize(options.rows);
-  uint64_t fp = 0xcbf29ce484222325ULL;
+  uint64_t fp = kFnvOffsetBasis;
   for (size_t j = 0; j < options.rows; ++j) {
     for (uint64_t probe : {uint64_t{1}, uint64_t{0x9e3779b9}}) {
-      fp = (fp ^ FastRange61(bucket_bank_.EvalRow(j, ReduceToField(probe)),
-                             options.buckets)) *
-           0x100000001b3ULL;
+      const uint64_t h = bucket_bank_.EvalRow(j, ReduceToField(probe));
+      fp = FnvFold(fp, FastRange61(h, options.buckets));
     }
   }
   hash_fingerprint_ = fp;
@@ -74,7 +73,7 @@ void CountMinSketch::UpdateBatch(const gstream::Update* updates, size_t n) {
     ops.prepare_batch2(updates + base, m, xm, delta);
     for (size_t j = 0; j < rows; ++j) {
       ops.eval2_bucket(h0[j], h1[j], xm, b, m, idx);
-      ops.scatter_add(counters_.data() + j * b, idx, delta, m);
+      ops.scatter_add_signed(counters_.data() + j * b, idx, delta, m);
     }
   }
 }

@@ -66,12 +66,11 @@ CountSketch::CountSketch(const CountSketchOptions& options, Rng& rng)
   f2_scratch_.resize(options.rows);
   // Fingerprint the drawn hash functions by probing them; two sketches
   // share hashes iff they were constructed from equal-state Rngs.
-  uint64_t fp = 0xcbf29ce484222325ULL;
+  uint64_t fp = kFnvOffsetBasis;
   for (size_t j = 0; j < options.rows; ++j) {
     for (uint64_t probe : {uint64_t{1}, uint64_t{0x9e3779b9}}) {
       const uint64_t h = hash_bank_.EvalRow(j, ReduceToField(probe));
-      fp = (fp ^ FastRange61(h, options.buckets)) * 0x100000001b3ULL;
-      fp = (fp ^ (h & 1)) * 0x100000001b3ULL;
+      fp = FnvFold(FnvFold(fp, FastRange61(h, options.buckets)), h & 1);
     }
   }
   hash_fingerprint_ = fp;

@@ -1,37 +1,23 @@
 #include "sketch/subsampler.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace gstream {
 
-NestedSubsampler::NestedSubsampler(int max_level, Rng& rng) {
+NestedSubsampler::NestedSubsampler(int max_level, Rng& rng)
+    : levels_(/*k=*/2, static_cast<size_t>(std::max(max_level, 0)), rng) {
   GSTREAM_CHECK_GE(max_level, 0);
-  a0_.reserve(static_cast<size_t>(max_level));
-  a1_.reserve(static_cast<size_t>(max_level));
-  // Same draw as BernoulliHash (a pairwise KWiseHash): a_0, a_1 uniform with
-  // a nonzero leading coefficient.
-  for (int l = 0; l < max_level; ++l) {
-    a0_.push_back(rng.UniformUint64(kMersenne61));
-    uint64_t lead = rng.UniformUint64(kMersenne61);
-    a1_.push_back(lead == 0 ? 1 : lead);
-  }
-  // FNV-fold the coefficients directly (they are plain members, no bank to
-  // probe): equal-state Rngs draw equal coefficient sequences.
-  uint64_t fp = 0xcbf29ce484222325ULL;
-  for (int l = 0; l < max_level; ++l) {
-    fp = (fp ^ a0_[static_cast<size_t>(l)]) * 0x100000001b3ULL;
-    fp = (fp ^ a1_[static_cast<size_t>(l)]) * 0x100000001b3ULL;
+  // FNV-fold the coefficients directly: equal-state Rngs draw equal
+  // coefficient sequences.
+  const uint64_t* a0 = levels_.DegreeCoeffs(0);
+  const uint64_t* a1 = levels_.DegreeCoeffs(1);
+  uint64_t fp = kFnvOffsetBasis;
+  for (size_t l = 0; l < levels_.rows(); ++l) {
+    fp = FnvFold(FnvFold(fp, a0[l]), a1[l]);
   }
   fingerprint_ = fp;
-}
-
-void NestedSubsampler::LevelOfBatch(const Update* updates, size_t n,
-                                    int* out) const {
-  for (size_t i = 0; i < n; ++i) out[i] = LevelOf(updates[i].item);
-}
-
-size_t NestedSubsampler::SpaceBytes() const {
-  return (a0_.size() + a1_.size()) * sizeof(uint64_t);
 }
 
 }  // namespace gstream

@@ -8,15 +8,12 @@
 // E|S_l| = n / 2^l.  LevelOf(i) returns the deepest level containing i in
 // O(LevelOf(i)) hash evaluations -- O(1) in expectation.
 //
-// The per-level pairwise coefficients are stored as two flat arrays
-// (structure-of-arrays) rather than one object per level, so the level walk
-// is a tight loop with no pointer chasing, and LevelOfBatch classifies a
-// whole chunk of updates without allocating.
+// The per-level pairwise hashes are the rows of one KWiseHashBank, so the
+// level walk is a tight loop over two contiguous coefficient arrays with no
+// pointer chasing.
 
 #ifndef GSTREAM_SKETCH_SUBSAMPLER_H_
 #define GSTREAM_SKETCH_SUBSAMPLER_H_
-
-#include <vector>
 
 #include "stream/stream.h"
 #include "util/hash.h"
@@ -31,27 +28,23 @@ class NestedSubsampler {
 
   // Deepest level whose sample contains `item`, in [0, max_level].
   int LevelOf(ItemId item) const {
-    const uint64_t xm = ReduceToField(item);
-    int level = 0;
-    const int max = static_cast<int>(a0_.size());
-    while (level < max &&
-           (MulAddMod61(a1_[static_cast<size_t>(level)], xm,
-                        a0_[static_cast<size_t>(level)]) &
-            1) != 0) {
+    const uint64_t xm = ReduceToFieldLazy(item);
+    const uint64_t* a0 = levels_.DegreeCoeffs(0);
+    const uint64_t* a1 = levels_.DegreeCoeffs(1);
+    const size_t max = levels_.rows();
+    size_t level = 0;
+    while (level < max && (Eval2Wise(a0[level], a1[level], xm) & 1) != 0) {
       ++level;
     }
-    return level;
+    return static_cast<int>(level);
   }
-
-  // Writes LevelOf(updates[i].item) into out[i] for a whole chunk.
-  void LevelOfBatch(const Update* updates, size_t n, int* out) const;
 
   // True iff `item` survives to `level`.
   bool InLevel(ItemId item, int level) const {
     return LevelOf(item) >= level;
   }
 
-  int max_level() const { return static_cast<int>(a0_.size()); }
+  int max_level() const { return static_cast<int>(levels_.rows()); }
 
   // Fingerprint of the drawn level-survival coefficients: equal iff the
   // subsamplers were constructed from equal-state Rngs, in which case they
@@ -60,13 +53,12 @@ class NestedSubsampler {
   // both stacks subsampled the domain identically.
   uint64_t Fingerprint() const { return fingerprint_; }
 
-  size_t SpaceBytes() const;
+  size_t SpaceBytes() const { return levels_.SpaceBytes(); }
 
  private:
-  // Pairwise coefficients of the level-l survival hash (levels 1..L):
-  // item survives iff (a1_[l] * x + a0_[l] mod p) is odd.
-  std::vector<uint64_t> a0_;
-  std::vector<uint64_t> a1_;
+  // Row l is the pairwise survival hash of level l+1: an item in level l
+  // survives to level l+1 iff that row's value is odd.
+  KWiseHashBank levels_;
   uint64_t fingerprint_ = 0;
 };
 

@@ -7,18 +7,20 @@
 #include <memory>
 #include <mutex>
 
+#include "util/hash.h"
+
 namespace gstream {
 namespace fault {
 namespace {
 
 // FNV-1a over the site name: folds the name into the seed so every site
-// draws from an independent decision stream under one schedule seed.
+// draws from an independent decision stream under one schedule seed.  The
+// start value is not kFnvOffsetBasis (it lacks that constant's last
+// decimal digit); it stays, because every recorded schedule's decisions
+// derive from it.
 uint64_t HashName(const std::string& name) {
   uint64_t h = 1469598103934665603ULL;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
+  for (const char c : name) h = FnvFold(h, static_cast<unsigned char>(c));
   return h;
 }
 

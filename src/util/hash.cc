@@ -4,43 +4,21 @@
 
 namespace gstream {
 
-KWiseHash::KWiseHash(int k, Rng& rng) {
-  GSTREAM_CHECK_GE(k, 1);
-  coeffs_.resize(static_cast<size_t>(k));
-  for (uint64_t& c : coeffs_) c = rng.UniformUint64(kMersenne61);
-  // Force a nonzero leading coefficient so the polynomial has full degree.
-  if (k > 1 && coeffs_.back() == 0) coeffs_.back() = 1;
-}
-
-uint64_t KWiseHash::operator()(uint64_t x) const {
-  const uint64_t xm = ReduceToField(x);
-  uint64_t acc = coeffs_.back();
-  for (size_t i = coeffs_.size() - 1; i-- > 0;) {
-    acc = MulAddMod61(acc, xm, coeffs_[i]);
-  }
-  return acc;
-}
-
 KWiseHashBank::KWiseHashBank(int k, size_t rows, Rng& rng)
     : k_(k), rows_(rows) {
   GSTREAM_CHECK_GE(k, 1);
-  GSTREAM_CHECK_GE(rows, 1u);
   coeffs_.resize(static_cast<size_t>(k) * rows);
-  // Draw row-by-row (a_0 .. a_{k-1} per row, matching the scalar classes'
-  // consumption order), storing into the degree-major layout.
+  // Draw row-by-row (a_0 .. a_{k-1} per row), storing into the
+  // degree-major layout.
   for (size_t r = 0; r < rows; ++r) {
     for (int d = 0; d < k; ++d) {
       coeffs_[static_cast<size_t>(d) * rows + r] =
           rng.UniformUint64(kMersenne61);
     }
+    // Force a nonzero leading coefficient so the polynomial has full degree.
     uint64_t& lead = coeffs_[static_cast<size_t>(k - 1) * rows + r];
     if (k > 1 && lead == 0) lead = 1;
   }
-}
-
-BucketHash::BucketHash(int k, uint64_t range, Rng& rng)
-    : hash_(k, rng), range_(range) {
-  GSTREAM_CHECK_GE(range, 1u);
 }
 
 }  // namespace gstream

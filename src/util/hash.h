@@ -13,16 +13,15 @@
 // degree-(k-1) polynomial with uniform coefficients is exactly k-wise
 // independent on inputs < p.
 //
-// Two layouts are provided:
-//   * KWiseHash / BucketHash / SignHash / BernoulliHash: one function per
-//     object, coefficients in their own vector.  Convenient for structures
-//     that hold a single function.
-//   * KWiseHashBank: R functions of equal independence stored
-//     structure-of-arrays (all degree-d coefficients contiguous), so the
-//     per-row sketches (CountSketch, Count-Min, AMS, g_np, the subsampler)
-//     can evaluate one item against every row in a tight loop with the
-//     row's coefficients held in registers -- the allocation-free batched
-//     update path.
+// One layout holds them all: KWiseHashBank, R functions of equal
+// independence stored structure-of-arrays (all degree-d coefficients
+// contiguous).  Every hash the library draws is a bank row -- CountSketch,
+// Count-Min and AMS rows, the subsampler's one pairwise row per level, the
+// g_np substream and trial hashes, the DIST piece and sign hashes -- so a
+// hot loop evaluates one item against every row with the row's
+// coefficients held in registers: the allocation-free batched update path.
+// 2-wise rows are evaluated with Eval2Wise, 4-wise rows with Eval4Wise (or
+// EvalRow's Horner rule where speed does not matter).
 //
 // This header is the scalar kernel interface: the inline primitives below
 // (ReduceToFieldLazy, FieldPowers3Lazy, Eval4Wise, Eval2Wise, FastRange61)
@@ -133,8 +132,10 @@ inline uint64_t Eval4Wise(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
 // lazy x <= p + 7 -- the 2-wise analogue of Eval4Wise, with the same
 // specialized 64-bit reduction instead of MulAddMod61's generic 128-bit
 // fold chain.  Returns the same canonical value as MulAddMod61(a1, x, a0).
-// This is the per-row kernel of Count-Min and the g_np trial hashes; the
-// SIMD tiers (util/simd/) lane-parallelize exactly this computation.
+// This is the evaluator of every 2-wise bank row (Count-Min rows, the
+// subsampler levels, the g_np substream and trial hashes, the DIST
+// pieces); the SIMD tiers (util/simd/) lane-parallelize exactly this
+// computation.
 inline uint64_t Eval2Wise(uint64_t a0, uint64_t a1, uint64_t x) {
   // sum = a1 * x + a0 < 2^61 * (2^61 + 8) + 2^61 < 2^123, so hi < 2^59,
   // (hi << 3) | (lo >> 61) < 2^62, and the first fold stays below 2^63.
@@ -158,36 +159,24 @@ inline uint64_t FastRange61(uint64_t h, uint64_t range) {
   return static_cast<uint64_t>((static_cast<__uint128_t>(h) * range) >> 61);
 }
 
-// A k-wise independent hash function h : [2^61-1) -> [2^61-1).
-//
-// Space: k field elements.  Evaluation: Horner's rule, k-1 modular
-// multiplications.
-class KWiseHash {
- public:
-  // Draws a uniformly random degree-(k-1) polynomial.  k >= 1.
-  KWiseHash(int k, Rng& rng);
-
-  // Evaluates the polynomial at `x` (reduced mod 2^61-1 first).
-  uint64_t operator()(uint64_t x) const;
-
-  int independence() const { return static_cast<int>(coeffs_.size()); }
-
-  // Bytes of state held by this function (the coefficients).
-  size_t SpaceBytes() const { return coeffs_.size() * sizeof(uint64_t); }
-
- private:
-  std::vector<uint64_t> coeffs_;  // a_0 .. a_{k-1}
-};
+// One FNV-1a step, (h ^ v) * prime, folding a 64-bit word into a running
+// fingerprint started at kFnvOffsetBasis: the combiner of every sketch's
+// hash Fingerprint() merge guard.
+inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+inline constexpr uint64_t FnvFold(uint64_t h, uint64_t v) {
+  return (h ^ v) * 0x100000001b3ULL;
+}
 
 // A bank of `rows` independent k-wise hash functions sharing one flat
 // structure-of-arrays coefficient store: coefficient a_d of row r lives at
 // coeffs_[d * rows + r].  DegreeCoeffs(d) exposes the contiguous degree-d
 // slice so a hot loop over a batch of items can keep one row's coefficients
-// in registers, and EvalAll evaluates every row at one point with the inner
-// loop over rows (no per-row object indirection, no allocation).
+// in registers (no per-row object indirection, no allocation).
 class KWiseHashBank {
  public:
-  // Draws `rows` uniformly random degree-(k-1) polynomials.  k >= 1.
+  // Draws `rows` uniformly random degree-(k-1) polynomials, row by row
+  // (a_0 .. a_{k-1}, then the next row), each with a nonzero leading
+  // coefficient when k > 1.  k >= 1; rows may be 0 (an empty bank).
   KWiseHashBank(int k, size_t rows, Rng& rng);
 
   // Evaluates row `r` at the pre-reduced point `xm` (xm < 2^61 - 1).
@@ -197,18 +186,6 @@ class KWiseHashBank {
       acc = MulAddMod61(acc, xm, coeffs_[static_cast<size_t>(d) * rows_ + r]);
     }
     return acc;
-  }
-
-  // Evaluates every row at `xm`, writing rows() values into `out`.
-  void EvalAll(uint64_t xm, uint64_t* out) const {
-    const uint64_t* lead = DegreeCoeffs(k_ - 1);
-    for (size_t r = 0; r < rows_; ++r) out[r] = lead[r];
-    for (int d = k_ - 2; d >= 0; --d) {
-      const uint64_t* cs = DegreeCoeffs(d);
-      for (size_t r = 0; r < rows_; ++r) {
-        out[r] = MulAddMod61(out[r], xm, cs[r]);
-      }
-    }
   }
 
   // The contiguous array of degree-`d` coefficients, one per row.
@@ -226,55 +203,6 @@ class KWiseHashBank {
   int k_ = 0;
   size_t rows_ = 0;
   std::vector<uint64_t> coeffs_;  // coeffs_[d * rows_ + r]
-};
-
-// A k-wise independent hash into buckets [0, range).
-//
-// Composes KWiseHash with the FastRange61 multiply-shift reduction; the
-// per-bucket bias is at most (range + 1) / 2^61 (see FastRange61),
-// negligible for every use in this library.
-class BucketHash {
- public:
-  BucketHash(int k, uint64_t range, Rng& rng);
-
-  uint64_t operator()(uint64_t x) const {
-    return FastRange61(hash_(x), range_);
-  }
-
-  uint64_t range() const { return range_; }
-  size_t SpaceBytes() const { return hash_.SpaceBytes() + sizeof(range_); }
-
- private:
-  KWiseHash hash_;
-  uint64_t range_;
-};
-
-// A 4-wise independent sign hash s : keys -> {-1, +1}.
-class SignHash {
- public:
-  explicit SignHash(Rng& rng) : hash_(4, rng) {}
-
-  int operator()(uint64_t x) const { return (hash_(x) & 1) ? +1 : -1; }
-
-  size_t SpaceBytes() const { return hash_.SpaceBytes(); }
-
- private:
-  KWiseHash hash_;
-};
-
-// A pairwise-independent Bernoulli(1/2) indicator X : keys -> {0, 1},
-// as used by the g_np sketch of Proposition 54 and the recursive sketch's
-// level sampler.
-class BernoulliHash {
- public:
-  explicit BernoulliHash(Rng& rng) : hash_(2, rng) {}
-
-  bool operator()(uint64_t x) const { return (hash_(x) & 1) != 0; }
-
-  size_t SpaceBytes() const { return hash_.SpaceBytes(); }
-
- private:
-  KWiseHash hash_;
 };
 
 }  // namespace gstream

@@ -112,16 +112,12 @@ struct SimdOps {
   void (*eval2_parity_or)(uint64_t a0, uint64_t a1, const uint64_t* xm,
                           size_t n, unsigned bit, uint64_t* masks);
 
-  // counters[idx[i]] += delta[i] for i < n (the Count-Min counter update).
-  // idx values must be in-range for `counters`; duplicate indices within
-  // the batch fold in stream order.  Every tier points this entry (and the
-  // two below) at the simd_scalar_ref.h loop: vector scatter/gather kernels
-  // were built and measured losing (docs/simd.md).
-  void (*scatter_add)(int64_t* counters, const uint32_t* idx,
-                      const int64_t* delta, size_t n);
-
-  // Identical contract to scatter_add, fed by eval4_bucket's signed-delta
-  // output (the CountSketch counter update).
+  // counters[idx[i]] += sd[i] for i < n: the one counter update, fed by
+  // eval4_bucket's signed deltas (CountSketch) or by the raw deltas
+  // (Count-Min).  idx values must be in-range for `counters`; duplicate
+  // indices within the batch fold in stream order.  Every tier points
+  // this entry (and the one below) at the simd_scalar_ref.h loop: vector
+  // scatter/gather kernels were built and measured losing (docs/simd.md).
   void (*scatter_add_signed)(int64_t* counters, const uint32_t* idx,
                              const int64_t* sd, size_t n);
 

@@ -309,10 +309,10 @@ const SimdOps* GetAvx2Ops() {
       &Avx2PrepareBatch,  &Avx2PrepareBatch2, &Avx2FieldPowers,
       &Avx2Eval4Row,      &Avx2Eval4Bucket,   &Avx2Eval2Bucket,
       &Avx2BitSignedSums, &Avx2Eval2ParityOr,
-      // The counter scatters and the decode gather are the scalar tier's
+      // The counter scatter and the decode gather are the scalar tier's
       // own kernels (docs/simd.md: the vector versions lost).  Taken from
       // the scalar table so this ISA-flagged file emits no copy of them.
-      scalar.scatter_add, scalar.scatter_add_signed, scalar.gather_signed,
+      scalar.scatter_add_signed, scalar.gather_signed,
   };
   return &ops;
 }

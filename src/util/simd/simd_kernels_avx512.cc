@@ -330,10 +330,10 @@ const SimdOps* GetAvx512Ops() {
       &Avx512PrepareBatch,  &Avx512PrepareBatch2, &Avx512FieldPowers,
       &Avx512Eval4Row,      &Avx512Eval4Bucket,   &Avx512Eval2Bucket,
       &Avx512BitSignedSums, &Avx512Eval2ParityOr,
-      // The counter scatters and the decode gather are the scalar tier's
+      // The counter scatter and the decode gather are the scalar tier's
       // own kernels (docs/simd.md: the vector versions lost).  Taken from
       // the scalar table so this ISA-flagged file emits no copy of them.
-      scalar.scatter_add, scalar.scatter_add_signed, scalar.gather_signed,
+      scalar.scatter_add_signed, scalar.gather_signed,
   };
   return &ops;
 }

@@ -13,8 +13,8 @@ const SimdOps* GetScalarOps() {
   static const SimdOps ops = {
       &ScalarPrepareBatch,  &ScalarPrepareBatch2, &ScalarFieldPowers,
       &ScalarEval4Row,      &ScalarEval4Bucket,   &ScalarEval2Bucket,
-      &ScalarBitSignedSums, &ScalarEval2ParityOr, &ScalarScatterAdd,
-      &ScalarScatterAddSigned, &ScalarGatherSigned,
+      &ScalarBitSignedSums, &ScalarEval2ParityOr, &ScalarScatterAddSigned,
+      &ScalarGatherSigned,
   };
   return &ops;
 }

@@ -98,13 +98,6 @@ inline void ScalarEval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
 // The counter scatter/gather kernels of every tier: sequential stream-order
 // accumulation and multiply-by-sign decode.
 
-inline void ScalarScatterAdd(int64_t* counters, const uint32_t* idx,
-                             const int64_t* delta, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    counters[idx[i]] += delta[i];
-  }
-}
-
 inline void ScalarScatterAddSigned(int64_t* counters, const uint32_t* idx,
                                    const int64_t* sd, size_t n) {
   for (size_t i = 0; i < n; ++i) {

@@ -125,6 +125,26 @@ TEST(DistAlgorithmTest, SpaceScalesWithPieces) {
   EXPECT_GT(big.SpaceBytes(), small.SpaceBytes() * 32);
 }
 
+TEST(DistAlgorithmTest, CountersPinnedAfterFixedStream) {
+  // Pins the piece and sign hash draws: a fixed seed and stream must keep
+  // producing these counters (and this space) whatever layout holds the
+  // hash coefficients.
+  Rng rng(0xd157);
+  DistStreamingAlgorithm alg({5, 3}, 1, Pieces(64), rng);
+  Rng stream_rng(0x5eed);
+  Stream stream(1 << 12);
+  for (ItemId i = 0; i < (1 << 12); ++i) {
+    stream.Append(i, stream_rng.UniformInt(-5, 5));
+  }
+  ProcessStream(alg, stream);
+  uint64_t digest = kFnvOffsetBasis;
+  for (const int64_t c : alg.counters()) {
+    digest = FnvFold(digest, static_cast<uint64_t>(c));
+  }
+  EXPECT_EQ(digest, 0x0a88c81f6f2dfb71ULL);
+  EXPECT_EQ(alg.SpaceBytes(), 576u);
+}
+
 TEST(DistAlgorithmDeathTest, TargetMustBeCombination) {
   Rng rng(9);
   // gcd(4, 6) = 2 does not divide 3.

@@ -585,21 +585,6 @@ TEST_F(FaultInjectionTest, SeededChaosSchedulesTerminateWithExactAccounting) {
 // Guard rails.
 // ---------------------------------------------------------------------------
 
-TEST(FaultInjectionDeathTest, BroadcastRequiresBlockPolicy) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ASSERT_DEATH(
-      {
-        std::vector<BatchSink> sinks;
-        sinks.push_back([](const Update*, size_t) {});
-        IngestEngineOptions options;
-        options.shards = 1;
-        options.policy = PartitionPolicy::kBroadcast;
-        options.overload = OverloadPolicy::kShedIncoming;
-        IngestEngine engine(options, std::move(sinks));
-      },
-      "GSTREAM_CHECK");
-}
-
 TEST(FaultInjectionDeathTest, SnapshotUnderNonBlockPolicyChecks) {
   // Bit-exact resume is undefined for runs that may shed or time out; the
   // checkpoint path refuses rather than producing a checkpoint that lies.

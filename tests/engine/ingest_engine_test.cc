@@ -222,32 +222,6 @@ TEST(IngestEngineTest, RoundRobinBalancesUpdatesAcrossShards) {
             stream.length() / kStreamBatchSize);
 }
 
-TEST(IngestEngineTest, BroadcastFeedsEverySinkTheSequentialChunkSequence) {
-  // Three raw-engine sinks record what they see; each must observe exactly
-  // the ForEachBatch(kStreamBatchSize) chunk sequence.
-  const Stream stream = MakeTurnstileStream(207);
-  std::vector<std::vector<Update>> seen(3);
-  std::vector<BatchSink> sinks;
-  for (auto& log : seen) {
-    sinks.push_back([&log](const Update* ups, size_t n) {
-      log.insert(log.end(), ups, ups + n);
-    });
-  }
-  IngestEngineOptions options;
-  options.shards = 3;
-  options.policy = PartitionPolicy::kBroadcast;
-  IngestEngine engine(options, std::move(sinks));
-  engine.SubmitStream(stream);
-  engine.Close();
-  for (const auto& log : seen) {
-    ASSERT_EQ(log.size(), stream.length());
-    for (size_t i = 0; i < log.size(); ++i) {
-      ASSERT_EQ(log[i].item, stream.updates()[i].item);
-      ASSERT_EQ(log[i].delta, stream.updates()[i].delta);
-    }
-  }
-}
-
 TEST(IngestEngineTest, BackpressureBoundsMemoryAndLosesNothing) {
   // A tiny ring with a deliberately slow consumer forces producer stalls;
   // every update must still arrive exactly once.
@@ -589,34 +563,6 @@ TEST(IngestEngineTest, GSumEstimatorShardedProcessMatchesSequential) {
       }
     }
   }
-}
-
-TEST(IngestEngineDeathTest, ProcessStreamShardedRejectsBroadcastPolicy) {
-  // Broadcast feeds every replica the full stream, so the merge would
-  // multiply every counter by the shard count; the one sharded driver
-  // refuses it for every unit, plain sketch and whole estimator alike.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  IngestEngineOptions options;
-  options.shards = 2;
-  options.policy = PartitionPolicy::kBroadcast;
-  Stream tiny(1 << 10);
-  tiny.Append(1, 1);
-  ASSERT_DEATH(ProcessStreamSharded(tiny, options,
-                                    [](size_t) {
-                                      Rng rng(kSeed);
-                                      return CountSketch(
-                                          CountSketchOptions{3, 64}, rng);
-                                    }),
-               "kBroadcast");
-  GSumOptions gsum_options;
-  gsum_options.repetitions = 1;
-  ASSERT_DEATH(ProcessStreamSharded(tiny, options,
-                                    [&](size_t) {
-                                      return GSumEstimator(MakePower(2.0),
-                                                           1 << 10,
-                                                           gsum_options);
-                                    }),
-               "kBroadcast");
 }
 
 TEST(IngestEngineDeathTest, GSumEstimatorMergeRejectsDifferentSeed) {

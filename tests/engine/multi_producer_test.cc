@@ -79,8 +79,8 @@ std::vector<ProducerHandle*> FeedConcurrently(IngestorT& ingest,
   return handles;
 }
 
-// The tentpole pin: every shard count x producer count x non-broadcast
-// policy, bit-identical to sequential.
+// The tentpole pin: every shard count x producer count x policy,
+// bit-identical to sequential.
 TEST(MultiProducerTest, CountSketchBitIdenticalToSequential) {
   const Stream stream = MakeTurnstileStream(301);
   Rng seq_rng(kSeed);
@@ -307,125 +307,6 @@ TEST(MultiProducerTest, EngineSubmitCoexistsWithExternalProducer) {
   ingest.Submit(ups.data(), half);
   external.join();
   EXPECT_EQ(ingest.Close().counters(), sequential.counters());
-}
-
-// ---------------------------------------------------------------------------
-// Broadcast policy under multiple producers.  Every worker sees every
-// producer's chunks (in an arbitrary interleave), so for linear sinks each
-// replica individually must equal the sequential whole-stream sketch --
-// regardless of which producer closes first.  These pins cover the close
-// orderings the hash/round-robin tests above cannot: under kBroadcast a
-// producer's Close() commits partial chunks to EVERY lane it owns, so a
-// close-ordering bug would corrupt all replicas at once.
-// ---------------------------------------------------------------------------
-
-TEST(MultiProducerTest, BroadcastEveryCloseOrderBitEqualSequential) {
-  // Three handles on one thread (the contract allows it: one thread at a
-  // time per handle), submissions interleaved irregularly, then closed in
-  // every permutation-extreme order: claim order, reverse, middle-first.
-  const Stream stream = MakeTurnstileStream(308);
-  Rng seq_rng(kSeed);
-  CountSketch sequential(CountSketchOptions{5, 256}, seq_rng);
-  ProcessStream(sequential, stream);
-
-  const std::vector<std::vector<size_t>> close_orders = {
-      {0, 1, 2}, {2, 1, 0}, {1, 2, 0}};
-  for (const std::vector<size_t>& order : close_orders) {
-    IngestEngineOptions options;
-    options.policy = PartitionPolicy::kBroadcast;
-    options.max_producers = 3;
-    ShardedIngestor<CountSketch> ingest(options, [](size_t) {
-      Rng rng(kSeed);
-      return CountSketch(CountSketchOptions{5, 256}, rng);
-    });
-    ingest.Open(2);
-    std::vector<ProducerHandle*> handles;
-    for (size_t p = 0; p < 3; ++p) handles.push_back(ingest.AddProducer());
-    // Interleave irregular runs across the three producers so partial
-    // staging chunks exist on every handle at close time.
-    const std::vector<Update>& ups = stream.updates();
-    size_t consumed = 0;
-    size_t run = 1;
-    size_t turn = 0;
-    while (consumed < ups.size()) {
-      const size_t n = std::min(run, ups.size() - consumed);
-      handles[turn % 3]->Submit(ups.data() + consumed, n);
-      consumed += n;
-      run = run * 2 + 1;
-      ++turn;
-    }
-    for (const size_t p : order) handles[p]->Close();
-    ingest.Drain();
-    // Each replica saw the same multiset of chunks; linearity makes every
-    // one equal the sequential whole-stream sketch.
-    for (size_t s = 0; s < 2; ++s) {
-      EXPECT_EQ(ingest.replicas()[s].counters(), sequential.counters())
-          << "close order {" << order[0] << "," << order[1] << ","
-          << order[2] << "}, replica " << s;
-    }
-    // Broadcast stats identity: every shard was routed the whole feed.
-    const IngestStats& stats = ingest.stats();
-    EXPECT_EQ(stats.updates_submitted, stream.length());
-    for (size_t s = 0; s < 2; ++s) {
-      EXPECT_EQ(stats.shard_updates[s], stream.length()) << "shard " << s;
-      EXPECT_EQ(stats.shard_updates_applied[s], stream.length())
-          << "shard " << s;
-      EXPECT_EQ(stats.shard_updates_shed[s], 0u) << "shard " << s;
-    }
-  }
-}
-
-TEST(MultiProducerTest, BroadcastConcurrentProducersStaggeredReverseClose) {
-  // Concurrent feed threads with an enforced REVERSE close order: thread p
-  // submits its slice, then waits for handle p+1 to close before closing
-  // its own -- so producers are still live while later-claimed handles
-  // retire, the worst case for the lane-done handshake.  closed() is an
-  // acquire load, so the cross-thread wait is race-free by contract.
-  const Stream stream = MakeTurnstileStream(309);
-  Rng seq_rng(kSeed);
-  CountSketch sequential(CountSketchOptions{5, 256}, seq_rng);
-  ProcessStream(sequential, stream);
-
-  constexpr size_t kProducers = 3;
-  IngestEngineOptions options;
-  options.policy = PartitionPolicy::kBroadcast;
-  options.max_producers = kProducers;
-  ShardedIngestor<CountSketch> ingest(options, [](size_t) {
-    Rng rng(kSeed);
-    return CountSketch(CountSketchOptions{5, 256}, rng);
-  });
-  ingest.Open(2);
-
-  // Claim in index order on the main thread so handles[p] is
-  // deterministic, then hand each to its feed thread.
-  std::vector<ProducerHandle*> handles;
-  for (size_t p = 0; p < kProducers; ++p) {
-    handles.push_back(ingest.AddProducer());
-  }
-  const std::vector<Update>& ups = stream.updates();
-  std::vector<std::thread> threads;
-  for (size_t p = 0; p < kProducers; ++p) {
-    const size_t begin = p * ups.size() / kProducers;
-    const size_t end = (p + 1) * ups.size() / kProducers;
-    threads.emplace_back([&handles, &ups, p, begin, end] {
-      handles[p]->Submit(ups.data() + begin, end - begin);
-      if (p + 1 < kProducers) {
-        while (!handles[p + 1]->closed()) std::this_thread::yield();
-      }
-      handles[p]->Close();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  ingest.Drain();
-  for (size_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(ingest.replicas()[s].counters(), sequential.counters())
-        << "replica " << s;
-  }
-  const IngestStats& stats = ingest.stats();
-  for (size_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(stats.shard_updates[s], stream.length());
-    EXPECT_EQ(stats.shard_updates_applied[s], stream.length());
-  }
 }
 
 TEST(MultiProducerTest, PinnedPlacementStaysBitExact) {

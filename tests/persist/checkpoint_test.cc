@@ -216,6 +216,47 @@ TEST_F(CheckpointTest, RestoredStatsAgreeBetweenDecodedAndInProcessSnapshots) {
   EXPECT_EQ(in_process.shard_ring_highwater, std::vector<uint64_t>{0});
 }
 
+TEST_F(CheckpointTest, ResumedEngineConservesRoutedUpdates) {
+  // Routed counts adopted at restore span the whole logical run, so the
+  // applied counts must too: after a mid-stream snapshot with staged
+  // kHashItem chunks, a restore and the rest of the stream, every shard
+  // still satisfies routed == applied + shed.
+  IngestEngineOptions options;
+  options.shards = 3;
+  options.policy = PartitionPolicy::kHashItem;
+  auto make_sinks = [] {
+    return std::vector<BatchSink>(
+        3, [](const Update* /*ups*/, size_t /*n*/) {});
+  };
+  const Stream stream = MakeTestStream();
+  const size_t cut = 3 * kStreamBatchSize + 100;
+  ASSERT_LT(cut, stream.length());
+
+  IngestEngine first(options, make_sinks());
+  first.Submit(stream.updates().data(), cut);
+  first.Flush();
+  const IngestProducerState snapshot = first.SnapshotProducerState();
+  first.Close();
+  size_t staged = 0;
+  for (const auto& s : snapshot.staged) staged += s.size();
+  ASSERT_GT(staged, 0u);
+
+  IngestEngine resumed(options, make_sinks());
+  resumed.RestoreProducerState(snapshot);
+  resumed.Submit(stream.updates().data() + cut, stream.length() - cut);
+  ASSERT_TRUE(resumed.Close().ok());
+  const IngestStats stats = resumed.stats();
+  EXPECT_EQ(stats.updates_submitted, stream.length());
+  EXPECT_EQ(stats.updates_applied + stats.updates_shed,
+            stats.updates_submitted);
+  EXPECT_EQ(stats.updates_shed, 0u);
+  for (size_t s = 0; s < options.shards; ++s) {
+    EXPECT_EQ(stats.shard_updates[s],
+              stats.shard_updates_applied[s] + stats.shard_updates_shed[s])
+        << "shard " << s;
+  }
+}
+
 TEST_F(CheckpointTest, ImageEncodeDecodeRoundtrip) {
   CheckpointImage image;
   image.cursor = 12345;

@@ -46,20 +46,39 @@ TEST(MulMod61Test, MatchesNaive128BitProduct) {
   }
 }
 
+// Every hash the library draws is a KWiseHashBank row; these helpers read
+// one row the way its callers do: a bucket by fastrange, a sign or a
+// Bernoulli bit from the low bit.
+uint64_t Hash(const KWiseHashBank& bank, uint64_t x, size_t row = 0) {
+  return bank.EvalRow(row, ReduceToField(x));
+}
+
+uint64_t Bucket(const KWiseHashBank& bank, uint64_t x, uint64_t range) {
+  return FastRange61(Hash(bank, x), range);
+}
+
+int Sign(const KWiseHashBank& bank, uint64_t x) {
+  return (Hash(bank, x) & 1) ? +1 : -1;
+}
+
+bool Bernoulli(const KWiseHashBank& bank, uint64_t x) {
+  return (Hash(bank, x) & 1) != 0;
+}
+
 TEST(KWiseHashTest, DeterministicGivenSeed) {
   Rng rng1(7), rng2(7);
-  KWiseHash h1(4, rng1), h2(4, rng2);
+  KWiseHashBank h1(4, 1, rng1), h2(4, 1, rng2);
   for (uint64_t x = 0; x < 100; ++x) {
-    EXPECT_EQ(h1(x), h2(x));
+    EXPECT_EQ(Hash(h1, x), Hash(h2, x));
   }
 }
 
 TEST(KWiseHashTest, IndependentDrawsDiffer) {
   Rng rng(7);
-  KWiseHash h1(4, rng), h2(4, rng);
+  KWiseHashBank h1(4, 1, rng), h2(4, 1, rng);
   int equal = 0;
   for (uint64_t x = 0; x < 100; ++x) {
-    if (h1(x) == h2(x)) ++equal;
+    if (Hash(h1, x) == Hash(h2, x)) ++equal;
   }
   EXPECT_LT(equal, 3);
 }
@@ -67,7 +86,7 @@ TEST(KWiseHashTest, IndependentDrawsDiffer) {
 TEST(KWiseHashTest, SpaceIsKWords) {
   Rng rng(9);
   for (int k = 1; k <= 6; ++k) {
-    KWiseHash h(k, rng);
+    KWiseHashBank h(k, 1, rng);
     EXPECT_EQ(h.SpaceBytes(), static_cast<size_t>(k) * sizeof(uint64_t));
     EXPECT_EQ(h.independence(), k);
   }
@@ -75,26 +94,63 @@ TEST(KWiseHashTest, SpaceIsKWords) {
 
 TEST(KWiseHashTest, ConstantHashForKOne) {
   Rng rng(11);
-  KWiseHash h(1, rng);
-  const uint64_t v = h(0);
-  for (uint64_t x = 1; x < 50; ++x) EXPECT_EQ(h(x), v);
+  KWiseHashBank h(1, 1, rng);
+  const uint64_t v = Hash(h, 0);
+  for (uint64_t x = 1; x < 50; ++x) EXPECT_EQ(Hash(h, x), v);
+}
+
+TEST(KWiseHashTest, BankDrawsRowByRow) {
+  // A bank of R rows draws what R one-row banks draw in sequence, so a
+  // caller may group or split its hashes without moving any later draw.
+  Rng whole_rng(41), split_rng(41);
+  const KWiseHashBank whole(4, 3, whole_rng);
+  for (size_t r = 0; r < 3; ++r) {
+    const KWiseHashBank single(4, 1, split_rng);
+    for (int d = 0; d < 4; ++d) {
+      EXPECT_EQ(whole.DegreeCoeffs(d)[r], single.DegreeCoeffs(d)[0]);
+    }
+  }
+  EXPECT_EQ(whole_rng.NextUint64(), split_rng.NextUint64());
+}
+
+TEST(KWiseHashTest, EmptyBankDrawsNothing) {
+  Rng rng(43), untouched(43);
+  const KWiseHashBank empty(2, 0, rng);
+  EXPECT_EQ(empty.rows(), 0u);
+  EXPECT_EQ(empty.SpaceBytes(), 0u);
+  EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());
+}
+
+TEST(KWiseHashTest, Eval2WiseMatchesHornerOnBankRows) {
+  Rng rng(47);
+  const KWiseHashBank bank(2, 8, rng);
+  for (size_t r = 0; r < bank.rows(); ++r) {
+    for (uint64_t x : {uint64_t{0}, uint64_t{1}, uint64_t{0x9e3779b9},
+                       kMersenne61 - 1, kMersenne61, ~uint64_t{0}}) {
+      EXPECT_EQ(Eval2Wise(bank.DegreeCoeffs(0)[r], bank.DegreeCoeffs(1)[r],
+                          ReduceToFieldLazy(x)),
+                Hash(bank, x, r));
+    }
+  }
 }
 
 TEST(BucketHashTest, StaysInRange) {
   Rng rng(13);
-  BucketHash h(2, 37, rng);
+  KWiseHashBank h(2, 1, rng);
   for (uint64_t x = 0; x < 5000; ++x) {
-    EXPECT_LT(h(x), 37u);
+    EXPECT_LT(Bucket(h, x, 37), 37u);
   }
 }
 
 TEST(BucketHashTest, RoughlyUniformAcrossBuckets) {
   Rng rng(17);
   const uint64_t buckets = 16;
-  BucketHash h(2, buckets, rng);
+  KWiseHashBank h(2, 1, rng);
   std::vector<int> counts(buckets, 0);
   const int draws = 32000;
-  for (int x = 0; x < draws; ++x) ++counts[h(static_cast<uint64_t>(x))];
+  for (int x = 0; x < draws; ++x) {
+    ++counts[Bucket(h, static_cast<uint64_t>(x), buckets)];
+  }
   const double expected = static_cast<double>(draws) / buckets;
   double chi2 = 0.0;
   for (int c : counts) {
@@ -156,15 +212,17 @@ TEST(FastRange61Test, BucketBiasWithinDocumentedBound) {
 
 TEST(BucketHashTest, FastRangeDistributionMatchesModuloQuality) {
   // The fastrange switch must not cost statistical quality: a pairwise
-  // BucketHash over sequential keys should fill buckets to within a few
+  // bucket hash over sequential keys should fill buckets to within a few
   // standard deviations of uniform, same as the modulo reduction it
   // replaced.
   Rng rng(29);
   const uint64_t buckets = 64;
-  BucketHash h(2, buckets, rng);
+  KWiseHashBank h(2, 1, rng);
   std::vector<int> counts(buckets, 0);
   const int draws = 1 << 18;
-  for (int x = 0; x < draws; ++x) ++counts[h(static_cast<uint64_t>(x))];
+  for (int x = 0; x < draws; ++x) {
+    ++counts[Bucket(h, static_cast<uint64_t>(x), buckets)];
+  }
   const double expected = static_cast<double>(draws) / buckets;
   const double sd = std::sqrt(expected);
   for (int c : counts) {
@@ -174,11 +232,11 @@ TEST(BucketHashTest, FastRangeDistributionMatchesModuloQuality) {
 
 TEST(SignHashTest, BalancedSigns) {
   Rng rng(19);
-  SignHash s(rng);
+  KWiseHashBank s(4, 1, rng);
   int plus = 0;
   const int draws = 20000;
   for (int x = 0; x < draws; ++x) {
-    const int v = s(static_cast<uint64_t>(x));
+    const int v = Sign(s, static_cast<uint64_t>(x));
     ASSERT_TRUE(v == 1 || v == -1);
     if (v == 1) ++plus;
   }
@@ -193,10 +251,10 @@ TEST(SignHashTest, PairwiseProductsUnbiased) {
   const int pairs = 6;
   std::vector<double> sums(pairs, 0.0);
   for (int t = 0; t < trials; ++t) {
-    SignHash s(rng);
+    KWiseHashBank s(4, 1, rng);
     for (int p = 0; p < pairs; ++p) {
-      sums[p] += s(static_cast<uint64_t>(2 * p)) *
-                 s(static_cast<uint64_t>(2 * p + 1));
+      sums[p] += Sign(s, static_cast<uint64_t>(2 * p)) *
+                 Sign(s, static_cast<uint64_t>(2 * p + 1));
     }
   }
   for (int p = 0; p < pairs; ++p) {
@@ -206,11 +264,11 @@ TEST(SignHashTest, PairwiseProductsUnbiased) {
 
 TEST(BernoulliHashTest, HalfDensity) {
   Rng rng(29);
-  BernoulliHash b(rng);
+  KWiseHashBank b(2, 1, rng);
   int ones = 0;
   const int draws = 20000;
   for (int x = 0; x < draws; ++x) {
-    if (b(static_cast<uint64_t>(x))) ++ones;
+    if (Bernoulli(b, static_cast<uint64_t>(x))) ++ones;
   }
   EXPECT_NEAR(static_cast<double>(ones) / draws, 0.5, 0.02);
 }
@@ -221,13 +279,13 @@ TEST(BernoulliHashTest, PairwiseJointFrequencies) {
   const int trials = 4000;
   int joint = 0;
   for (int t = 0; t < trials; ++t) {
-    BernoulliHash b(rng);
-    if (b(12345) && b(67890)) ++joint;
+    KWiseHashBank b(2, 1, rng);
+    if (Bernoulli(b, 12345) && Bernoulli(b, 67890)) ++joint;
   }
   EXPECT_NEAR(static_cast<double>(joint) / trials, 0.25, 0.03);
 }
 
-// Empirical 2-wise independence of KWiseHash(2): collision probability of
+// Empirical 2-wise independence of a pairwise row: collision probability of
 // distinct keys into B buckets should be ~1/B over hash draws.
 TEST(KWiseHashTest, PairwiseCollisionProbability) {
   Rng rng(37);
@@ -235,8 +293,8 @@ TEST(KWiseHashTest, PairwiseCollisionProbability) {
   const int trials = 8000;
   int collisions = 0;
   for (int t = 0; t < trials; ++t) {
-    BucketHash h(2, buckets, rng);
-    if (h(111) == h(222)) ++collisions;
+    KWiseHashBank h(2, 1, rng);
+    if (Bucket(h, 111, buckets) == Bucket(h, 222, buckets)) ++collisions;
   }
   EXPECT_NEAR(static_cast<double>(collisions) / trials, 1.0 / buckets,
               0.01);

@@ -21,8 +21,7 @@
 //     counters -- never silent loss.
 //
 // `--policy=block|deadline|shed-incoming` selects the overload
-// policy (broadcast is excluded by construction: it requires kBlock and is
-// pinned in tests/engine/multi_producer_test.cc).  `--list-sites` dumps the
+// policy.  `--list-sites` dumps the
 // enumerable fault-site catalog after one engine construction and exits --
 // the discovery path a schedule author starts from.
 //

@@ -27,7 +27,7 @@
 //   --out PATH     JSON output path (default BENCH_sketch.json)
 //   --trace PATH   also record engine lifecycle spans and write them as
 //                  chrome://tracing trace-event JSON (docs/observability.md)
-//   --updates N    CountSketch/Count-Min stream length (default 10000000)
+//   --updates N    CountSketch stream length (default 10000000)
 //   --quick        kernel-work perf loop: 1M-update main stream, 10x
 //                  smaller satellite streams, no thread-scaling sweep
 //   --threads N    thread-scaling sweep ceiling: for t = 1..N, t producer
@@ -59,7 +59,6 @@
 #include "gfunc/catalog.h"
 #include "persist/checkpoint.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
 #include "stream/stream.h"
@@ -149,31 +148,6 @@ class SeedCountSketch {
   size_t buckets_;
   std::vector<SeedKWiseHash> bucket_hashes_;
   std::vector<SeedKWiseHash> sign_hashes_;
-  std::vector<int64_t> counters_;
-};
-
-class SeedCountMin {
- public:
-  SeedCountMin(size_t rows, size_t buckets, Rng& rng)
-      : rows_(rows), buckets_(buckets) {
-    for (size_t j = 0; j < rows; ++j) bucket_hashes_.emplace_back(2, rng);
-    counters_.assign(rows * buckets, 0);
-  }
-
-  void Update(ItemId item, int64_t delta) {
-    for (size_t j = 0; j < rows_; ++j) {
-      counters_[j * buckets_ + bucket_hashes_[j](item) % buckets_] += delta;
-    }
-  }
-
-  size_t SpaceBytes() const {
-    return counters_.size() * sizeof(int64_t) + rows_ * 3 * sizeof(uint64_t);
-  }
-
- private:
-  size_t rows_;
-  size_t buckets_;
-  std::vector<SeedKWiseHash> bucket_hashes_;
   std::vector<int64_t> counters_;
 };
 
@@ -573,27 +547,6 @@ int Run(int argc, char** argv) {
     report.SetScaling("count_sketch/mpsc", pin, std::move(scaling));
   }
 
-  // Count-Min (rows 5, buckets 1024).
-  report.Add(Measure("count_min/seed_single", stream.length(), repeats, [&] {
-    Rng rng(2);
-    SeedCountMin cm(5, 1024, rng);
-    return DriveSingle(cm, stream);
-  }));
-  report.Add(Measure("count_min/single", stream.length(), repeats, [&] {
-    Rng rng(2);
-    CountMinSketch cm(CountMinOptions{5, 1024}, rng);
-    return DriveSingle(cm, stream);
-  }));
-  const auto run_cm_batched = [&] {
-    Rng rng(2);
-    CountMinSketch cm(CountMinOptions{5, 1024}, rng);
-    return DriveBatched(cm, stream);
-  };
-  report.Add(MeasureScalarTier(sketch_batch_ns, "count_min/batched",
-                               stream.length(), repeats, run_cm_batched));
-  report.Add(MeasureBatched(sketch_batch_ns, "count_min/batched_simd",
-                            stream.length(), repeats, run_cm_batched));
-
   // AMS (16 x 5 estimators).
   report.Add(Measure("ams/seed_single", ams_stream.length(), repeats, [&] {
     Rng rng(3);
@@ -791,8 +744,6 @@ int Run(int argc, char** argv) {
   // tier this host runs (>= 1.0 by construction; ~1.7x on AVX-512 IFMA).
   report.AddSpeedup("count_sketch_batched_simd_vs_batched",
                     "count_sketch/batched_simd", "count_sketch/batched");
-  report.AddSpeedup("count_min_batched_simd_vs_batched",
-                    "count_min/batched_simd", "count_min/batched");
   report.AddSpeedup("ams_batched_simd_vs_batched", "ams/batched_simd",
                     "ams/batched");
   // Engine overhead ratios compare like with like: the sharded workers run
@@ -815,10 +766,6 @@ int Run(int argc, char** argv) {
                     "count_sketch/sharded4_deadline", "count_sketch/sharded4");
   report.AddSpeedup("count_sketch_single_vs_seed", "count_sketch/single",
                     "count_sketch/seed_single");
-  report.AddSpeedup("count_min_batched_vs_seed", "count_min/batched",
-                    "count_min/seed_single");
-  report.AddSpeedup("count_min_single_vs_seed", "count_min/single",
-                    "count_min/seed_single");
   report.AddSpeedup("ams_batched_vs_seed", "ams/batched", "ams/seed_single");
   report.AddSpeedup("gnp_batched_vs_single", "gnp/batched", "gnp/single");
   report.AddSpeedup("gsum_batched_vs_single", "gsum/batched", "gsum/single");

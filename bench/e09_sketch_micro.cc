@@ -2,14 +2,13 @@
 // (google-benchmark).
 //
 // Throughput of the primitive operations every experiment rests on:
-// k-wise hashing, CountSketch / Count-Min / AMS updates and queries,
+// k-wise hashing, CountSketch / AMS updates and queries,
 // nested subsampling, and the full estimator update path.
 
 #include <benchmark/benchmark.h>
 
 #include "core/gsum.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/subsampler.h"
 #include "util/hash.h"
@@ -59,16 +58,6 @@ void BM_CountSketchTopKUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CountSketchTopKUpdate);
-
-void BM_CountMinUpdate(benchmark::State& state) {
-  Rng rng(5);
-  CountMinSketch cm(CountMinOptions{5, 1024}, rng);
-  uint64_t x = 0;
-  for (auto _ : state) {
-    cm.Update(++x & 0xffff, 1);
-  }
-}
-BENCHMARK(BM_CountMinUpdate);
 
 void BM_AmsUpdate(benchmark::State& state) {
   Rng rng(6);

@@ -82,21 +82,12 @@ HistogramSnapshot Histogram::Snapshot() const {
   return snap;
 }
 
-void Histogram::Reset() {
-  for (Slot& s : slots_) {
-    s.sum.store(0, std::memory_order_relaxed);
-    s.max.store(0, std::memory_order_relaxed);
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-  }
-}
-
 // Registration is mutex-guarded and cold (handles are cached by callers);
 // the maps hold unique_ptrs so handed-out instrument pointers survive
 // rehashing.  Instruments are never deleted.
 struct Registry::Impl {
   mutable std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
 };
 
@@ -124,16 +115,6 @@ Counter* Registry::GetCounter(std::string_view name) {
   return it->second.get();
 }
 
-Gauge* Registry::GetGauge(std::string_view name) {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  auto it = i->gauges.find(name);
-  if (it == i->gauges.end()) {
-    it = i->gauges.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
-}
-
 Histogram* Registry::GetHistogram(std::string_view name) {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
@@ -151,19 +132,10 @@ RegistrySnapshot Registry::Snapshot() const {
   std::lock_guard<std::mutex> lock(i->mu);
   RegistrySnapshot snap;
   for (const auto& [name, c] : i->counters) snap.counters[name] = c->Value();
-  for (const auto& [name, g] : i->gauges) snap.gauges[name] = g->Value();
   for (const auto& [name, h] : i->histograms) {
     snap.histograms[name] = h->Snapshot();
   }
   return snap;
-}
-
-void Registry::ResetAll() {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  for (const auto& [name, c] : i->counters) c->Reset();
-  for (const auto& [name, g] : i->gauges) g->Reset();
-  for (const auto& [name, h] : i->histograms) h->Reset();
 }
 
 #else  // !GSTREAM_OBS_ENABLED
@@ -185,19 +157,12 @@ Counter* Registry::GetCounter(std::string_view) {
   return &dummy;
 }
 
-Gauge* Registry::GetGauge(std::string_view) {
-  static Gauge dummy;
-  return &dummy;
-}
-
 Histogram* Registry::GetHistogram(std::string_view) {
   static Histogram dummy;
   return &dummy;
 }
 
 RegistrySnapshot Registry::Snapshot() const { return RegistrySnapshot{}; }
-
-void Registry::ResetAll() {}
 
 #endif  // GSTREAM_OBS_ENABLED
 

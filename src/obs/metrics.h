@@ -1,12 +1,11 @@
 // Process-wide observability: a named-instrument metrics registry with
 // lock-free updates.
 //
-// Three instrument kinds, all obtained from the process-wide Registry by
+// Two instrument kinds, both obtained from the process-wide Registry by
 // name and valid for the life of the process:
 //
 //   * Counter   -- monotone u64; Add() is a relaxed fetch_add on a
 //                  per-thread slot, folded (summed) at read time.
-//   * Gauge     -- last-value / running-max i64; single relaxed atomic.
 //   * Histogram -- log-linear HDR-style value histogram (ns, bytes, chunk
 //                  counts...): fixed mergeable buckets, relaxed per-thread
 //                  slot updates folded at read time, exact
@@ -15,7 +14,7 @@
 //                  of the bucket containing that rank, within 1/32
 //                  relative error of any value in the bucket).
 //
-// Concurrency model: registration (GetCounter/GetGauge/GetHistogram) takes
+// Concurrency model: registration (GetCounter/GetHistogram) takes
 // a mutex and is expected to run once per call site (handles are cached);
 // every *update* is a relaxed atomic on a cache-line-private slot selected
 // by a thread-local index, so concurrent writers never contend and never
@@ -194,39 +193,11 @@ class Counter {
     return total;
   }
 
-  // Quiescent-only (no concurrent writers).
-  void Reset() {
-    for (Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
-  }
-
  private:
   struct alignas(64) Slot {
     std::atomic<uint64_t> v{0};
   };
   Slot slots_[kCounterSlots];
-};
-
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(int64_t value) { v_.store(value, std::memory_order_relaxed); }
-
-  // Monotone raise (running high-water mark).
-  void UpdateMax(int64_t value) {
-    int64_t cur = v_.load(std::memory_order_relaxed);
-    while (value > cur &&
-           !v_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-    }
-  }
-
-  int64_t Value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> v_{0};
 };
 
 class Histogram {
@@ -250,9 +221,6 @@ class Histogram {
   // one bucket) while writers run.
   HistogramSnapshot Snapshot() const;
 
-  // Quiescent-only.
-  void Reset();
-
  private:
   struct alignas(64) Slot {
     std::atomic<uint64_t> sum{0};
@@ -269,22 +237,12 @@ class Counter {
   void Add(uint64_t) {}
   void Increment() {}
   uint64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(int64_t) {}
-  void UpdateMax(int64_t) {}
-  int64_t Value() const { return 0; }
-  void Reset() {}
 };
 
 class Histogram {
  public:
   void Record(uint64_t) {}
   HistogramSnapshot Snapshot() const { return HistogramSnapshot{}; }
-  void Reset() {}
 };
 
 #endif  // GSTREAM_OBS_ENABLED
@@ -297,7 +255,6 @@ class Histogram {
 // sorted order -- the deterministic input to the exporters (snapshot.h).
 struct RegistrySnapshot {
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 };
 
@@ -310,16 +267,11 @@ class Registry {
   // fetch once and cache.  Each kind has its own namespace (a counter and
   // a histogram may share a name, though the naming scheme avoids it).
   Counter* GetCounter(std::string_view name);
-  Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
 
   // Folds every registered instrument.  Deterministic (sorted by name);
   // empty under GSTREAM_OBS=OFF.
   RegistrySnapshot Snapshot() const;
-
-  // Zeroes every instrument in place (handles stay valid).  Quiescent-only;
-  // a bench/test hook, not a production operation.
-  void ResetAll();
 
  private:
   Registry() = default;

@@ -61,14 +61,6 @@ std::string SnapshotJson(const RegistrySnapshot& snapshot,
     first = false;
   }
   out += (first ? "" : nl + "  ") + std::string("},");
-  out += nl + "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += first ? "" : ",";
-    out += nl + "    \"" + JsonEscape(name) + "\": " + std::to_string(value);
-    first = false;
-  }
-  out += (first ? "" : nl + "  ") + std::string("},");
   out += nl + "  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : snapshot.histograms) {
@@ -88,9 +80,6 @@ std::string CurrentSnapshotJson(const std::string& line_prefix) {
 void PrintSnapshot(const RegistrySnapshot& snapshot, FILE* out) {
   for (const auto& [name, value] : snapshot.counters) {
     std::fprintf(out, "%-44s counter   %20" PRIu64 "\n", name.c_str(), value);
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    std::fprintf(out, "%-44s gauge     %20" PRId64 "\n", name.c_str(), value);
   }
   for (const auto& [name, h] : snapshot.histograms) {
     std::fprintf(out,

@@ -7,7 +7,6 @@
 //   {
 //     "schema": "gstream-obs-v1",
 //     "counters": {"persist/ckpt_saves": 12, ...},
-//     "gauges": {"<name>": 7, ...},
 //     "histograms": {
 //       "engine/producer_stall_ns": {"count": n, "sum": s, "max": m,
 //         "mean": x, "p50": v, "p90": v, "p99": v, "p999": v}, ...

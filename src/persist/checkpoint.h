@@ -83,6 +83,18 @@ bool SaveCheckpoint(const CheckpointImage& image, const std::string& path);
 // ReadFileBytes + Decode.
 LoadStatus LoadCheckpoint(const std::string& path, CheckpointImage* image);
 
+// The passes a sink declares; a sink without passes() is one-pass.  A
+// checkpoint records a cursor but no pass index, so only a one-pass sink
+// can be checkpointed (RunWithCheckpoints) and restored (RestoreIngestor).
+template <typename SketchT>
+int SinkPasses(const SketchT& sink) {
+  if constexpr (requires { sink.passes(); }) {
+    return sink.passes();
+  } else {
+    return 1;
+  }
+}
+
 // Captures a running ingestion: quiesces the engine (Flush), then snapshots
 // the producer state and serializes every shard replica.  `cursor` is the
 // caller's position in the input stream.  The ingestor stays live.
@@ -110,13 +122,22 @@ CheckpointImage SnapshotIngestor(ShardedIngestor<SketchT>& ingest,
 }
 
 // Restores an image into a freshly Open()ed ingestor built from the
-// writer's factory and options.  On any failure (shard-count mismatch,
-// producer state no engine of this shape writes, a shard blob rejecting
-// the replica) the report names the field or shard and the ingestor must
-// be discarded; on success the caller resumes submitting at image.cursor.
+// writer's factory and options.  On any failure (a multi-pass sink,
+// shard-count mismatch, producer state no engine of this shape writes, a
+// shard blob rejecting the replica) the report names the field or shard
+// and the ingestor must be discarded; on success the caller resumes
+// submitting at image.cursor.
 template <typename SketchT>
 LoadStatus RestoreIngestor(const CheckpointImage& image,
                            ShardedIngestor<SketchT>* ingest) {
+  for (const SketchT& replica : ingest->replicas()) {
+    if (SinkPasses(replica) > 1) {
+      return LoadStatus::Fail(LoadError::kDomainError,
+                              "a checkpoint records no pass index, so a " +
+                                  std::to_string(SinkPasses(replica)) +
+                                  "-pass sink cannot be restored");
+    }
+  }
   const size_t shards = ingest->replicas().size();
   if (image.shard_blobs.size() != shards) {
     return LoadStatus::Fail(
@@ -171,12 +192,19 @@ struct CheckpointOptions {
 // successful save with the current cursor; returning false stops the feed
 // there (the kill-point hook the crash tests use).  Returns the cursor
 // reached: stream.length() on completion, earlier if stopped by the hook
-// or by a failed save (an injected fault "crashed" the writer).
+// or by a failed save (an injected fault "crashed" the writer).  A
+// multi-pass sink is refused (CHECK): its checkpoints could not be
+// restored.
 template <typename SketchT>
 uint64_t RunWithCheckpoints(
     ShardedIngestor<SketchT>& ingest, const Stream& stream, uint64_t start,
     const CheckpointOptions& options,
     const std::function<bool(uint64_t)>& after_checkpoint = nullptr) {
+  for (const SketchT& replica : ingest.replicas()) {
+    GSTREAM_CHECK(SinkPasses(replica) == 1 &&
+                  "a checkpoint records no pass index: multi-pass sinks "
+                  "cannot be checkpointed");
+  }
   const uint64_t chunk = ingest.engine_options().chunk_updates;
   GSTREAM_CHECK_GE(options.interval_updates, chunk);
   GSTREAM_CHECK_EQ(options.interval_updates % chunk, 0u);

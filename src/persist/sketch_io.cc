@@ -19,7 +19,6 @@
 #include "core/recursive_sketch.h"
 #include "core/two_pass_hh.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
 #include "util/fault.h"
@@ -209,7 +208,8 @@ LoadStatus OpenEnvelope(std::string_view bytes, const Envelope& envelope,
 
 namespace {
 
-// Indexed by SketchKind tag; tag 0 names no kind.
+// Indexed by SketchKind tag; tag 0 names no kind.  A retired tag keeps its
+// name, so a refusal says what the blob holds.
 constexpr const char* kKindNames[] = {
     nullptr, "count_sketch", "count_min", "ams", "gnp", "exact_frequency",
     "count_sketch_topk", "exact_heavy_hitter", "one_pass_hh", "two_pass_hh",
@@ -275,12 +275,6 @@ struct SketchSerde {
   //   Levels           the stack's (u32 kind tag, blob) levels.
 
   GSTREAM_SKETCH_STATE(CountSketch, kCountSketch) {
-    v.Geometry("rows", s.options_.rows);
-    v.Geometry("buckets", s.options_.buckets);
-    v.Counters(s.counters_);
-  }
-
-  GSTREAM_SKETCH_STATE(CountMinSketch, kCountMin) {
     v.Geometry("rows", s.options_.rows);
     v.Geometry("buckets", s.options_.buckets);
     v.Counters(s.counters_);
@@ -718,7 +712,7 @@ LoadStatus SketchSerde::Load(std::string_view blob, T* sketch) {
 }  // namespace persist
 
 // ---------------------------------------------------------------------------
-// Public surface: one Serialize/Deserialize pair per SketchKind.
+// Public surface: one Serialize/Deserialize pair per live SketchKind.
 // ---------------------------------------------------------------------------
 
 #define GSTREAM_SKETCH_IO(T)                                    \
@@ -729,7 +723,6 @@ LoadStatus SketchSerde::Load(std::string_view blob, T* sketch) {
     return persist::SketchSerde::Read(blob, dst);               \
   }
 GSTREAM_SKETCH_IO(CountSketch)
-GSTREAM_SKETCH_IO(CountMinSketch)
 GSTREAM_SKETCH_IO(AmsSketch)
 GSTREAM_SKETCH_IO(GnpHeavyHitter)
 GSTREAM_SKETCH_IO(ExactFrequencySketch)

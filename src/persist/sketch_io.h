@@ -54,7 +54,6 @@ namespace gstream {
 
 class CountSketch;
 class CountSketchTopK;
-class CountMinSketch;
 class AmsSketch;
 class GnpHeavyHitter;
 class ExactFrequencySketch;
@@ -64,10 +63,11 @@ class TwoPassHeavyHitter;
 class RecursiveGSum;
 class GHeavyHitterSketch;
 
-// Wire type tags.  Append-only: never renumber a released tag.
+// Wire type tags.  Append-only: never renumber a released tag, and never
+// reuse a retired one.
 enum class SketchKind : uint32_t {
   kCountSketch = 1,
-  kCountMin = 2,
+  kRetiredCountMin = 2,  // no sketch reads or writes it; blobs are refused
   kAms = 3,
   kGnp = 4,
   kExactFrequency = 5,
@@ -93,7 +93,6 @@ inline constexpr uint32_t kSketchFormatVersion = 2;
 // ---------------------------------------------------------------------------
 
 std::string SerializeSketch(const CountSketch& sketch);
-std::string SerializeSketch(const CountMinSketch& sketch);
 std::string SerializeSketch(const AmsSketch& sketch);
 std::string SerializeSketch(const GnpHeavyHitter& sketch);
 std::string SerializeSketch(const ExactFrequencySketch& sketch);
@@ -104,7 +103,6 @@ std::string SerializeSketch(const TwoPassHeavyHitter& sketch);
 std::string SerializeSketch(const RecursiveGSum& stack);
 
 LoadStatus DeserializeSketch(std::string_view blob, CountSketch* dst);
-LoadStatus DeserializeSketch(std::string_view blob, CountMinSketch* dst);
 LoadStatus DeserializeSketch(std::string_view blob, AmsSketch* dst);
 LoadStatus DeserializeSketch(std::string_view blob, GnpHeavyHitter* dst);
 LoadStatus DeserializeSketch(std::string_view blob, ExactFrequencySketch* dst);

@@ -72,12 +72,4 @@ std::vector<std::pair<ItemId, int64_t>> ExactGHeavyHitters(
   return heavy;
 }
 
-int64_t MaxAbsFrequency(const FrequencyMap& freq) {
-  int64_t max_abs = 0;
-  for (const auto& [item, value] : freq) {
-    max_abs = std::max<int64_t>(max_abs, std::llabs(value));
-  }
-  return max_abs;
-}
-
 }  // namespace gstream

@@ -70,9 +70,6 @@ double ExactMoment(const FrequencyMap& freq, double p);
 std::vector<std::pair<ItemId, int64_t>> ExactGHeavyHitters(
     const FrequencyMap& freq, const GCallable& g, double lambda);
 
-// Largest |v_i| in the final frequency vector.
-int64_t MaxAbsFrequency(const FrequencyMap& freq);
-
 }  // namespace gstream
 
 #endif  // GSTREAM_STREAM_EXACT_H_

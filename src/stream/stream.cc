@@ -1,6 +1,6 @@
 #include "stream/stream.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <utility>
 
 #include "stream/exact.h"
@@ -82,24 +82,6 @@ std::span<const Update> CoalesceChunk(const Update* updates, size_t n,
     sorted[kept++] = Update{item, static_cast<int64_t>(net)};
   }
   return {sorted, kept};
-}
-
-bool Stream::IsInsertionOnly() const {
-  for (const Update& u : updates_) {
-    if (u.delta != 1) return false;
-  }
-  return true;
-}
-
-int64_t Stream::MaxPrefixFrequency() const {
-  FrequencyMap running;
-  int64_t max_abs = 0;
-  for (const Update& u : updates_) {
-    int64_t& v = running[u.item];
-    v += u.delta;
-    max_abs = std::max<int64_t>(max_abs, std::llabs(v));
-  }
-  return max_abs;
 }
 
 FrequencyMap ExactFrequencies(const Stream& stream) {

@@ -98,14 +98,6 @@ class Stream {
     }
   }
 
-  // True iff every delta equals +1 (the insertion-only model in which the
-  // paper's lower bounds already hold).
-  bool IsInsertionOnly() const;
-
-  // Largest |v_i| attained over *all prefixes* of the stream -- the M of
-  // the turnstile promise.
-  int64_t MaxPrefixFrequency() const;
-
  private:
   uint64_t domain_;
   std::vector<Update> updates_;

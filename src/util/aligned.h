@@ -65,7 +65,7 @@ bool operator!=(const AlignedAllocator<T, A>&, const AlignedAllocator<U, A>&) {
   return false;
 }
 
-// The counter-array type shared by CountSketch/Count-Min/AMS: contents and
+// The counter-array type shared by CountSketch and AMS: contents and
 // semantics of std::vector<int64_t>, data() on a cache-line boundary.
 using AlignedI64Vector = std::vector<int64_t, AlignedAllocator<int64_t, 64>>;
 

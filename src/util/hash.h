@@ -15,8 +15,8 @@
 //
 // One layout holds them all: KWiseHashBank, R functions of equal
 // independence stored structure-of-arrays (all degree-d coefficients
-// contiguous).  Every hash the library draws is a bank row -- CountSketch,
-// Count-Min and AMS rows, the subsampler's one pairwise row per level, the
+// contiguous).  Every hash the library draws is a bank row -- CountSketch
+// and AMS rows, the subsampler's one pairwise row per level, the
 // g_np substream and trial hashes, the DIST piece and sign hashes -- so a
 // hot loop evaluates one item against every row with the row's
 // coefficients held in registers: the allocation-free batched update path.
@@ -132,9 +132,8 @@ inline uint64_t Eval4Wise(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
 // lazy x <= p + 7 -- the 2-wise analogue of Eval4Wise, with the same
 // specialized 64-bit reduction instead of MulAddMod61's generic 128-bit
 // fold chain.  Returns the same canonical value as MulAddMod61(a1, x, a0).
-// This is the evaluator of every 2-wise bank row (Count-Min rows, the
-// subsampler levels, the g_np substream and trial hashes, the DIST
-// pieces); the SIMD tiers (util/simd/) lane-parallelize exactly this
+// This is the evaluator of every 2-wise bank row (the subsampler levels,
+// the g_np substream and trial hashes, the DIST pieces); the SIMD tiers (util/simd/) lane-parallelize exactly this
 // computation.
 inline uint64_t Eval2Wise(uint64_t a0, uint64_t a1, uint64_t x) {
   // sum = a1 * x + a0 < 2^61 * (2^61 + 8) + 2^61 < 2^123, so hi < 2^59,

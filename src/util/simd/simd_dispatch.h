@@ -95,7 +95,7 @@ struct SimdOps {
                        const uint64_t* x3, const int64_t* delta,
                        uint64_t range, size_t n, uint32_t* idx, int64_t* sd);
 
-  // Fused 2-wise bucket kernel (Count-Min rows, the g_np substream hash):
+  // Fused 2-wise bucket kernel (the g_np substream hash):
   // idx[i] = FastRange61((a1 * xm[i] + a0) mod p, range).
   void (*eval2_bucket)(uint64_t a0, uint64_t a1, const uint64_t* xm,
                        uint64_t range, size_t n, uint32_t* idx);
@@ -113,11 +113,11 @@ struct SimdOps {
                           size_t n, unsigned bit, uint64_t* masks);
 
   // counters[idx[i]] += sd[i] for i < n: the one counter update, fed by
-  // eval4_bucket's signed deltas (CountSketch) or by the raw deltas
-  // (Count-Min).  idx values must be in-range for `counters`; duplicate
-  // indices within the batch fold in stream order.  Every tier points
-  // this entry (and the one below) at the simd_scalar_ref.h loop: vector
-  // scatter/gather kernels were built and measured losing (docs/simd.md).
+  // eval4_bucket's signed deltas (CountSketch).  idx values must be
+  // in-range for `counters`; duplicate indices within the batch fold in
+  // stream order.  Every tier points this entry (and the one below) at the
+  // simd_scalar_ref.h loop: vector scatter/gather kernels were built and
+  // measured losing (docs/simd.md).
   void (*scatter_add_signed)(int64_t* counters, const uint32_t* idx,
                              const int64_t* sd, size_t n);
 

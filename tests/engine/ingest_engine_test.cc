@@ -22,7 +22,6 @@
 #include "gfunc/catalog.h"
 #include "obs/json_min.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
 #include "stream/exact.h"
@@ -81,28 +80,6 @@ TEST(IngestEngineTest, CountSketchShardedBitIdenticalToSequential) {
       SubmitIrregular(ingest, stream);
       const CountSketch& merged = ingest.Close();
       EXPECT_EQ(merged.counters(), sequential.counters())
-          << "policy=" << static_cast<int>(policy) << " shards=" << shards;
-    }
-  }
-}
-
-TEST(IngestEngineTest, CountMinShardedBitIdenticalToSequential) {
-  const Stream stream = MakeTurnstileStream(202);
-  Rng seq_rng(kSeed);
-  CountMinSketch sequential(CountMinOptions{5, 256}, seq_rng);
-  ProcessStream(sequential, stream);
-
-  for (const PartitionPolicy policy : kMergePolicies) {
-    for (const size_t shards : kShardCounts) {
-      IngestEngineOptions options;
-      options.policy = policy;
-      ShardedIngestor<CountMinSketch> ingest(options, [](size_t) {
-        Rng rng(kSeed);
-        return CountMinSketch(CountMinOptions{5, 256}, rng);
-      });
-      ingest.Open(shards);
-      SubmitIrregular(ingest, stream);
-      EXPECT_EQ(ingest.Close().counters(), sequential.counters())
           << "policy=" << static_cast<int>(policy) << " shards=" << shards;
     }
   }

@@ -20,7 +20,6 @@
 #include "engine/sharded_ingestor.h"
 #include "gfunc/catalog.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
 #include "stream/generators.h"
@@ -97,32 +96,6 @@ TEST(MultiProducerTest, CountSketchBitIdenticalToSequential) {
         ShardedIngestor<CountSketch> ingest(options, [](size_t) {
           Rng rng(kSeed);
           return CountSketch(CountSketchOptions{5, 256}, rng);
-        });
-        ingest.Open(shards);
-        FeedConcurrently(ingest, stream, producers);
-        EXPECT_EQ(ingest.Close().counters(), sequential.counters())
-            << "policy=" << static_cast<int>(policy) << " shards=" << shards
-            << " producers=" << producers;
-      }
-    }
-  }
-}
-
-TEST(MultiProducerTest, CountMinBitIdenticalToSequential) {
-  const Stream stream = MakeTurnstileStream(302);
-  Rng seq_rng(kSeed);
-  CountMinSketch sequential(CountMinOptions{5, 256}, seq_rng);
-  ProcessStream(sequential, stream);
-
-  for (const PartitionPolicy policy : kMergePolicies) {
-    for (const size_t shards : {size_t{1}, size_t{4}, size_t{8}}) {
-      for (const size_t producers : {size_t{2}, size_t{4}}) {
-        IngestEngineOptions options;
-        options.policy = policy;
-        options.max_producers = producers;
-        ShardedIngestor<CountMinSketch> ingest(options, [](size_t) {
-          Rng rng(kSeed);
-          return CountMinSketch(CountMinOptions{5, 256}, rng);
         });
         ingest.Open(shards);
         FeedConcurrently(ingest, stream, producers);

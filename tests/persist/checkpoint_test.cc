@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/two_pass_hh.h"
 #include "sketch/count_sketch.h"
 #include "stream/generators.h"
 #include "util/fault.h"
@@ -455,6 +456,56 @@ TEST_F(CheckpointTest, RestoreRejectsOverlongStagedChunk) {
         image->producer.staged[1].assign(kStreamBatchSize, Update{3, 1});
       },
       "shard 1");
+}
+
+// A checkpoint records no pass index, so a two-pass sink is refused both
+// when checkpointing starts and when an image is restored into it.
+ShardedIngestor<TwoPassHeavyHitter> MakeTwoPassIngestor() {
+  IngestEngineOptions options;
+  options.shards = 2;
+  return ShardedIngestor<TwoPassHeavyHitter>(options, [](size_t) {
+    TwoPassHHOptions two_pass;
+    two_pass.count_sketch = {4, 64};
+    two_pass.candidates = 8;
+    Rng rng(kSeed);
+    return TwoPassHeavyHitter(two_pass, rng);
+  });
+}
+
+TEST(CheckpointDeathTest, RunWithCheckpointsRefusesTwoPassSink) {
+  const Stream stream = MakeTestStream();
+  ShardedIngestor<TwoPassHeavyHitter> ingest = MakeTwoPassIngestor();
+  CheckpointOptions ckpt;
+  ckpt.interval_updates = 2 * kStreamBatchSize;
+  ckpt.path = TempPath("ckpt_two_pass.gckp");
+  EXPECT_DEATH(
+      {
+        ingest.Open(2);
+        RunWithCheckpoints<TwoPassHeavyHitter>(ingest, stream, 0, ckpt);
+      },
+      "no pass index");
+}
+
+TEST_F(CheckpointTest, RestoreRefusesTwoPassSink) {
+  const Stream stream = MakeTestStream();
+  ShardedIngestor<TwoPassHeavyHitter> source = MakeTwoPassIngestor();
+  source.Open(2);
+  source.Submit(stream.updates().data(), 2 * kStreamBatchSize);
+  const CheckpointImage image =
+      SnapshotIngestor(source, 2 * kStreamBatchSize);
+  source.Drain();
+
+  ShardedIngestor<TwoPassHeavyHitter> fresh = MakeTwoPassIngestor();
+  fresh.Open(2);
+  const std::string untouched = SerializeSketch(fresh.replicas()[0]);
+  const LoadStatus status = RestoreIngestor(image, &fresh);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error, LoadError::kDomainError);
+  EXPECT_EQ(status.message,
+            "a checkpoint records no pass index, so a 2-pass sink cannot be "
+            "restored");
+  EXPECT_EQ(SerializeSketch(fresh.replicas()[0]), untouched);
+  fresh.Drain();
 }
 
 }  // namespace

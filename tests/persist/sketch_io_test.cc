@@ -23,7 +23,6 @@
 #include "core/recursive_sketch.h"
 #include "core/two_pass_hh.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
@@ -49,11 +48,6 @@ CountSketchTopK MakeTopK(uint64_t seed = kSeed) {
 AmsSketch MakeAms(uint64_t seed = kSeed) {
   Rng rng(seed);
   return AmsSketch(AmsOptions{8, 3}, rng);
-}
-
-CountMinSketch MakeCountMin(uint64_t seed = kSeed) {
-  Rng rng(seed);
-  return CountMinSketch(CountMinOptions{3, 64}, rng);
 }
 
 GnpHeavyHitter MakeGnp(uint64_t seed = kSeed, size_t substreams = 8,
@@ -176,7 +170,6 @@ TEST_F(SketchIoTest, RoundtripCountSketch) {
   }
 }
 
-TEST_F(SketchIoTest, RoundtripCountMin) { RoundtripCase<CountMinSketch>(MakeCountMin); }
 TEST_F(SketchIoTest, RoundtripAms) { RoundtripCase<AmsSketch>(MakeAms); }
 TEST_F(SketchIoTest, RoundtripGnp) {
   RoundtripCase<GnpHeavyHitter>([](uint64_t seed) { return MakeGnp(seed); });
@@ -339,7 +332,7 @@ TEST_F(SketchIoTest, VersionSkewIsReported) {
 }
 
 TEST_F(SketchIoTest, TypeMismatchIsReported) {
-  CountMinSketch original = MakeCountMin();
+  AmsSketch original = MakeAms();
   Feed(original);
   const std::string blob = SerializeSketch(original);
   CountSketch dst = MakeCountSketch();
@@ -362,8 +355,6 @@ TEST_F(SketchIoTest, FingerprintMismatchIsReported) {
   constexpr LoadError kWant = LoadError::kFingerprintMismatch;
   ExpectMismatch("count_sketch", MakeCountSketch(kSeed),
                  MakeCountSketch(kOtherSeed), kWant);
-  ExpectMismatch("count_min", MakeCountMin(kSeed), MakeCountMin(kOtherSeed),
-                 kWant);
   ExpectMismatch("ams", MakeAms(kSeed), MakeAms(kOtherSeed), kWant);
   ExpectMismatch("gnp", MakeGnp(kSeed), MakeGnp(kOtherSeed), kWant);
   ExpectMismatch("count_sketch_topk", MakeTopK(kSeed), MakeTopK(kOtherSeed),
@@ -385,10 +376,6 @@ TEST_F(SketchIoTest, GeometryMismatchIsReported) {
                  Seeded<CountSketch>(kSeed, CountSketchOptions{5, 64}), kWant);
   ExpectMismatch("count_sketch buckets", MakeCountSketch(),
                  Seeded<CountSketch>(kSeed, CountSketchOptions{3, 128}), kWant);
-  ExpectMismatch("count_min rows", MakeCountMin(),
-                 Seeded<CountMinSketch>(kSeed, CountMinOptions{5, 64}), kWant);
-  ExpectMismatch("count_min buckets", MakeCountMin(),
-                 Seeded<CountMinSketch>(kSeed, CountMinOptions{3, 128}), kWant);
   ExpectMismatch("ams group_size", MakeAms(),
                  Seeded<AmsSketch>(kSeed, AmsOptions{16, 3}), kWant);
   ExpectMismatch("ams groups", MakeAms(),
@@ -496,7 +483,7 @@ TEST(SketchIoDeathTest, MergingWrongSeedBlobDies) {
 }
 
 TEST(SketchIoDeathTest, MergingWrongTypeBlobDies) {
-  CountMinSketch original = MakeCountMin();
+  AmsSketch original = MakeAms();
   Feed(original);
   const std::string blob = SerializeSketch(original);
   CountSketch dst = MakeCountSketch();

@@ -39,7 +39,6 @@
 #include "persist/checkpoint.h"
 #include "persist/sketch_io.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
 #include "util/random.h"
@@ -149,7 +148,6 @@ class Walker {
     };
     switch (static_cast<SketchKind>(ReadLe(bytes_, begin + 8, 4))) {
       case SketchKind::kCountSketch:
-      case SketchKind::kCountMin:
       case SketchKind::kAms:
         geometry(2);
         break;
@@ -190,6 +188,8 @@ class Walker {
         }
         break;
       }
+      default:  // tag 2 is retired: no target writes it
+        break;
     }
   }
 
@@ -412,13 +412,6 @@ std::vector<Target> AllTargets() {
       [] {
         Rng rng(kSeed);
         return CountSketch(CountSketchOptions{2, 16}, rng);
-      },
-      fed));
-  targets.push_back(MakeTarget<CountMinSketch>(
-      "count_min",
-      [] {
-        Rng rng(kSeed);
-        return CountMinSketch(CountMinOptions{2, 16}, rng);
       },
       fed));
   targets.push_back(MakeTarget<AmsSketch>(

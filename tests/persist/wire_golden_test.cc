@@ -1,11 +1,12 @@
-// Golden wire vectors for the persisted formats.  Every SketchKind and one
-// two-shard GCKP image is built from a fixed seed and stream at a small
+// Golden wire vectors for the persisted formats.  Every live SketchKind and
+// one two-shard GCKP image is built from a fixed seed and stream at a small
 // geometry and pinned by (size, digest).  The digest is an FNV-1a written
 // here, independent of persist::Checksum64, so a change to the writer, the
 // reader primitives or the trailer checksum that moves a single byte shows
 // up as a digest change.  On a mismatch the failure prints the
 // replacement table row.  Committed version-1 vectors pin the retired-
-// version rule and show that version 2 kept the payload layout.
+// version rule and show that version 2 kept the payload layout; a
+// committed blob of retired tag 2 pins its refusal.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,6 @@
 #include "persist/checkpoint.h"
 #include "persist/sketch_io.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
 
@@ -80,7 +80,7 @@ OnePassHHOptions OnePassOptions() {
   return options;
 }
 
-// One seeded blob per SketchKind, in tag order.
+// One seeded blob per live SketchKind, in tag order.
 std::vector<std::pair<std::string, std::string>> GoldenBlobs() {
   std::vector<std::pair<std::string, std::string>> blobs;
   {
@@ -88,12 +88,6 @@ std::vector<std::pair<std::string, std::string>> GoldenBlobs() {
     CountSketch s(CountSketchOptions{2, 8}, rng);
     Feed(s);
     blobs.emplace_back("count_sketch", SerializeSketch(s));
-  }
-  {
-    Rng rng(kSeed);
-    CountMinSketch s(CountMinOptions{2, 8}, rng);
-    Feed(s);
-    blobs.emplace_back("count_min", SerializeSketch(s));
   }
   {
     Rng rng(kSeed);
@@ -193,21 +187,30 @@ void ExpectGolden(const Golden& want, std::string_view blob) {
   EXPECT_EQ(TestDigest(blob), want.digest) << "re-pin as: " << row;
 }
 
+struct SketchGolden {
+  SketchKind kind;
+  Golden golden;
+};
+
 // Version 2 (XXH64 trailer).  The version 1 table differed in every
 // digest and in no size.  The AMS bit signs (sketch/ams.h) changed the
 // ams, one_pass_hh and recursive_gsum digests (new fingerprints and sums)
-// and no size, so the version stayed 2.
-constexpr Golden kSketchGoldens[] = {
-    {"count_sketch", 176, 0xce05fe79c078f50dULL},
-    {"count_min", 176, 0xdb1de15eb6a9cff8ULL},
-    {"ams", 112, 0x11623fc37b8a1155ULL},
-    {"gnp", 696, 0x308e423dea32b0a2ULL},
-    {"exact_frequency", 648, 0x1b9f3ce50c17bdceULL},
-    {"count_sketch_topk", 328, 0xc4afc9a01cf0fe63ULL},
-    {"exact_heavy_hitter", 688, 0xb1d64170865baf8fULL},
-    {"one_pass_hh", 488, 0x379fa50b42f056ceULL},
-    {"two_pass_hh", 444, 0xeb24afb0009f58e7ULL},
-    {"recursive_gsum", 1548, 0x005c63a222000dddULL},
+// and no size, so the version stayed 2.  Tag 2 is retired; a test
+// below pins its refusal.
+constexpr SketchGolden kSketchGoldens[] = {
+    {SketchKind::kCountSketch, {"count_sketch", 176, 0xce05fe79c078f50dULL}},
+    {SketchKind::kAms, {"ams", 112, 0x11623fc37b8a1155ULL}},
+    {SketchKind::kGnp, {"gnp", 696, 0x308e423dea32b0a2ULL}},
+    {SketchKind::kExactFrequency,
+     {"exact_frequency", 648, 0x1b9f3ce50c17bdceULL}},
+    {SketchKind::kCountSketchTopK,
+     {"count_sketch_topk", 328, 0xc4afc9a01cf0fe63ULL}},
+    {SketchKind::kExactHeavyHitter,
+     {"exact_heavy_hitter", 688, 0xb1d64170865baf8fULL}},
+    {SketchKind::kOnePassHH, {"one_pass_hh", 488, 0x379fa50b42f056ceULL}},
+    {SketchKind::kTwoPassHH, {"two_pass_hh", 444, 0xeb24afb0009f58e7ULL}},
+    {SketchKind::kRecursiveGSum,
+     {"recursive_gsum", 1548, 0x005c63a222000dddULL}},
 };
 
 constexpr Golden kCheckpointGolden = {"gckp_two_shards", 512,
@@ -218,10 +221,9 @@ TEST(SketchIoGoldenTest, EveryKindMatchesItsPinnedBytes) {
   ASSERT_EQ(blobs.size(), std::size(kSketchGoldens));
   for (size_t i = 0; i < blobs.size(); ++i) {
     SCOPED_TRACE(blobs[i].first);
-    ASSERT_EQ(blobs[i].first, kSketchGoldens[i].name);
-    ASSERT_EQ(PeekSketchKind(blobs[i].second),
-              static_cast<SketchKind>(i + 1));
-    ExpectGolden(kSketchGoldens[i], blobs[i].second);
+    ASSERT_EQ(blobs[i].first, kSketchGoldens[i].golden.name);
+    ASSERT_EQ(PeekSketchKind(blobs[i].second), kSketchGoldens[i].kind);
+    ExpectGolden(kSketchGoldens[i].golden, blobs[i].second);
   }
 }
 
@@ -316,6 +318,37 @@ TEST(CheckpointGoldenTest, V2KeepsTheV1PayloadLayout) {
       EncodeCheckpoint(TinyImage(FromHex(kV1CountSketchHex)));
   EXPECT_EQ(ToHex(BodyAsVersion(v2, 1)),
             ToHex(BodyAsVersion(FromHex(kV1CheckpointHex), 1)));
+}
+
+// ---------------------------------------------------------------------------
+// The last count_min blob, written before tag 2 was retired: the old
+// "count_min" golden (2x8, the golden seed and stream).  No sketch reads
+// tag 2 any more and no new kind may take it.
+// ---------------------------------------------------------------------------
+
+constexpr std::string_view kRetiredCountMinHex =
+    "47534b42020000000200000000000000e77b8ef855a88f3e0200000000000000"
+    "08000000000000000300000000000000faffffffffffffff0800000000000000"
+    "f7ffffffffffffff0a00000000000000effffffffffffffffeffffffffffffff"
+    "0d000000000000000000000000000000ffffffffffffffff0200000000000000"
+    "fdffffffffffffff0100000000000000fdffffffffffffff0100000000000000"
+    "0300000000000000477662a799747383";
+
+// The blob is intact, so the loader gets as far as the tag and names what
+// the blob holds; the destination is left untouched.
+TEST(SketchIoGoldenTest, RetiredCountMinBlobIsTypeMismatch) {
+  const std::string blob = FromHex(kRetiredCountMinHex);
+  ExpectGolden({"count_min", 176, 0xdb1de15eb6a9cff8ULL}, blob);
+  ASSERT_EQ(PeekSketchKind(blob), SketchKind::kRetiredCountMin);
+  Rng rng(kSeed);
+  CountSketch dst(CountSketchOptions{2, 8}, rng);
+  Feed(dst);
+  const std::string before = SerializeSketch(dst);
+  const LoadStatus status = DeserializeSketch(blob, &dst);
+  EXPECT_EQ(status.error, LoadError::kTypeMismatch) << status.message;
+  EXPECT_EQ(status.message,
+            "blob holds count_min, destination is count_sketch");
+  EXPECT_EQ(SerializeSketch(dst), before);
 }
 
 // ---------------------------------------------------------------------------

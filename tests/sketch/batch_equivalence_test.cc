@@ -22,7 +22,6 @@
 #include "core/two_pass_hh.h"
 #include "gfunc/catalog.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
 #include "sketch/subsampler.h"
@@ -66,15 +65,6 @@ TEST(BatchEquivalenceTest, CountSketchCountersBitIdentical) {
   Rng r1(7), r2(7);
   CountSketch single(CountSketchOptions{5, 256}, r1);
   CountSketch batched(CountSketchOptions{5, 256}, r2);
-  DriveBoth(single, batched, stream);
-  EXPECT_EQ(single.counters(), batched.counters());
-}
-
-TEST(BatchEquivalenceTest, CountMinCountersBitIdentical) {
-  const Stream stream = MakeTurnstileStream(102);
-  Rng r1(8), r2(8);
-  CountMinSketch single(CountMinOptions{5, 256}, r1);
-  CountMinSketch batched(CountMinOptions{5, 256}, r2);
   DriveBoth(single, batched, stream);
   EXPECT_EQ(single.counters(), batched.counters());
 }
@@ -180,16 +170,6 @@ TEST(BatchEquivalenceTest, MergeFromAfterBatchMatchesConcatenatedStream) {
   ProcessStream(ams_ref, both);
   ams_a.MergeFrom(ams_b);
   EXPECT_EQ(ams_a.sums(), ams_ref.sums());
-
-  Rng rg(23), rh(23), ri(23);
-  CountMinSketch cm_a(CountMinOptions{5, 512}, rg);
-  CountMinSketch cm_b(CountMinOptions{5, 512}, rh);
-  CountMinSketch cm_ref(CountMinOptions{5, 512}, ri);
-  ProcessStream(cm_a, left);
-  ProcessStream(cm_b, right);
-  ProcessStream(cm_ref, both);
-  cm_a.MergeFrom(cm_b);
-  EXPECT_EQ(cm_a.counters(), cm_ref.counters());
 }
 
 TEST(BatchEquivalenceTest, TwoPassTabulationBatchMatchesSingle) {

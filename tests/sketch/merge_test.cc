@@ -12,7 +12,6 @@
 
 #include "core/gnp_sketch.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
@@ -113,20 +112,6 @@ TEST(MergeDeathTest, AmsRejectsDifferentGeometry) {
   Rng r1(kSeed), r2(kSeed);
   AmsSketch a(AmsOptions{8, 3}, r1);
   AmsSketch b(AmsOptions{8, 5}, r2);
-  EXPECT_DEATH(a.MergeFrom(b), "GSTREAM_CHECK");
-}
-
-TEST(MergeDeathTest, CountMinRejectsDifferentSeeds) {
-  const CountMinOptions geometry{3, 64};
-  Rng r1(1), r2(2);
-  CountMinSketch a(geometry, r1), b(geometry, r2);
-  EXPECT_DEATH(a.MergeFrom(b), "GSTREAM_CHECK");
-}
-
-TEST(MergeDeathTest, CountMinRejectsDifferentGeometry) {
-  Rng r1(kSeed), r2(kSeed);
-  CountMinSketch a(CountMinOptions{3, 64}, r1);
-  CountMinSketch b(CountMinOptions{3, 128}, r2);
   EXPECT_DEATH(a.MergeFrom(b), "GSTREAM_CHECK");
 }
 
@@ -320,27 +305,6 @@ TEST(MergeDeathTest, GnpTypeErasedMergeRejectsForeignType) {
   ExactHeavyHitterSketch exact;
   GHeavyHitterSketch& erased = gnp;
   EXPECT_DEATH(erased.MergeFrom(exact), "GSTREAM_CHECK");
-}
-
-TEST(MergeTest, CountMinShardedEqualsMonolithic) {
-  // Happy-path companion to the death tests above: same-seed Count-Min
-  // shards merge to exactly the monolithic sketch.
-  const Workload w = ShardableWorkload();
-  const CountMinOptions geometry{5, 512};
-  Rng mono_rng(kSeed);
-  CountMinSketch monolithic(geometry, mono_rng);
-  ProcessStream(monolithic, w.stream);
-
-  Rng r1(kSeed), r2(kSeed);
-  CountMinSketch a(geometry, r1), b(geometry, r2);
-  const auto& updates = w.stream.updates();
-  for (size_t i = 0; i < updates.size(); ++i) {
-    (i % 2 == 0 ? a : b).Update(updates[i].item, updates[i].delta);
-  }
-  a.MergeFrom(b);
-  for (const auto& [item, value] : w.frequencies) {
-    EXPECT_EQ(a.EstimateMedian(item), monolithic.EstimateMedian(item));
-  }
 }
 
 }  // namespace

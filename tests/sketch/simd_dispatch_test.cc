@@ -20,7 +20,6 @@
 
 #include "core/gnp_sketch.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
 #include "stream/generators.h"
@@ -98,9 +97,8 @@ TEST_P(SimdDispatchTest, KernelOpsMatchScalarReference) {
   ops.eval4_row(c0, c1, c2, c3, xm.data(), x2.data(), x3.data(), n, h.data());
   EXPECT_EQ(h, rh);
 
-  // prepare_batch2 feeds the 2-wise kernels below, as in Count-Min and
-  // gnp; field_powers feeds the same canonical 4-wise chain as
-  // prepare_batch.
+  // prepare_batch2 feeds the 2-wise kernels below, as in gnp;
+  // field_powers feeds the same canonical 4-wise chain as prepare_batch.
   std::vector<uint64_t> xm2(n);
   ops.prepare_batch2(ups.data(), n, xm2.data(), delta.data());
   EXPECT_EQ(delta, rdelta);
@@ -190,9 +188,6 @@ TEST_P(SimdDispatchTest, SketchStatesMatchScalarTier) {
   CountSketch cs_ref(CountSketchOptions{5, 320}, r1);  // non-pow-2 buckets
   ProcessStream(cs_ref, stream);
   const std::vector<int64_t> cs_est_ref = cs_ref.EstimateAll(probes);
-  Rng r2(32);
-  CountMinSketch cm_ref(CountMinOptions{5, 320}, r2);
-  ProcessStream(cm_ref, stream);
   Rng r3(33);
   AmsSketch ams_ref(AmsOptions{16, 5}, r3);
   ProcessStream(ams_ref, stream);
@@ -213,16 +208,6 @@ TEST_P(SimdDispatchTest, SketchStatesMatchScalarTier) {
   EXPECT_EQ(cs.counters(), cs_ref.counters());
   EXPECT_EQ(cs.EstimateAll(probes), cs_est_ref);
   EXPECT_DOUBLE_EQ(cs.EstimateF2(), cs_ref.EstimateF2());
-
-  Rng t2(32);
-  CountMinSketch cm(CountMinOptions{5, 320}, t2);
-  ProcessStream(cm, stream);
-  EXPECT_EQ(cm.Fingerprint(), cm_ref.Fingerprint());
-  EXPECT_EQ(cm.counters(), cm_ref.counters());
-  for (const ItemId probe : probes) {
-    EXPECT_EQ(cm.EstimateMin(probe), cm_ref.EstimateMin(probe));
-    EXPECT_EQ(cm.EstimateMedian(probe), cm_ref.EstimateMedian(probe));
-  }
 
   Rng t3(33);
   AmsSketch ams(AmsOptions{16, 5}, t3);
@@ -303,8 +288,8 @@ TEST_P(SimdDispatchTest, MergePinsHoldUnderForcedTier) {
 
 // Whole-sketch conflict storms: streams whose batches are adversarial
 // duplicate-bucket patterns, pinned batch == single under the forced tier.
-// This drives every duplicate fold through the real sketch scatter passes
-// (CountSketch signed, Count-Min unsigned) and the duplicate-probe decode.
+// This drives every duplicate fold through CountSketch's signed scatter
+// pass and the duplicate-probe decode.
 TEST_P(SimdDispatchTest, SketchConflictStormBatchSinglePin) {
   ASSERT_TRUE(simd::ForceIsaTier(GetParam()));
   Rng srng(0x5701);
@@ -335,26 +320,19 @@ TEST_P(SimdDispatchTest, SketchConflictStormBatchSinglePin) {
                          static_cast<int64_t>(srng.UniformInt(-9, 9))});
   }
 
-  Rng r1(77), r2(77), r3(78), r4(78);
+  Rng r1(77), r2(77);
   CountSketch cs_single(CountSketchOptions{4, 320}, r1);
   CountSketch cs_batched(CountSketchOptions{4, 320}, r2);
-  CountMinSketch cm_single(CountMinOptions{4, 320}, r3);
-  CountMinSketch cm_batched(CountMinOptions{4, 320}, r4);
-  for (const Update& u : ups) {
-    cs_single.Update(u.item, u.delta);
-    cm_single.Update(u.item, u.delta);
-  }
+  for (const Update& u : ups) cs_single.Update(u.item, u.delta);
   // Deliberately uneven chunking so block boundaries cut duplicate runs.
   size_t consumed = 0, chunk = 5;
   while (consumed < ups.size()) {
     const size_t m = std::min(chunk, ups.size() - consumed);
     cs_batched.UpdateBatch(ups.data() + consumed, m);
-    cm_batched.UpdateBatch(ups.data() + consumed, m);
     consumed += m;
     chunk = chunk * 2 + 1;
   }
   EXPECT_EQ(cs_single.counters(), cs_batched.counters());
-  EXPECT_EQ(cm_single.counters(), cm_batched.counters());
 
   // The gather_signed decode path: duplicate probes in one batch.
   std::vector<ItemId> probes(130, ItemId{42});

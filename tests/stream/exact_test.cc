@@ -78,11 +78,6 @@ TEST(ExactGHeavyHittersTest, SingletonIsAlwaysHeavy) {
   EXPECT_EQ(ExactGHeavyHitters(freq, g, 1e9).size(), 1u);
 }
 
-TEST(MaxAbsFrequencyTest, Basic) {
-  EXPECT_EQ(MaxAbsFrequency({}), 0);
-  EXPECT_EQ(MaxAbsFrequency({{0, 3}, {1, -9}, {2, 5}}), 9);
-}
-
 TEST(ExactFrequencySketchTest, TracksAndPrunesZeros) {
   ExactFrequencySketch sketch;
   sketch.Update(1, 5);

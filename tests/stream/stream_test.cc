@@ -17,8 +17,6 @@ TEST(StreamTest, EmptyStream) {
   Stream s(10);
   EXPECT_EQ(s.domain(), 10u);
   EXPECT_EQ(s.length(), 0u);
-  EXPECT_TRUE(s.IsInsertionOnly());
-  EXPECT_EQ(s.MaxPrefixFrequency(), 0);
   EXPECT_TRUE(ExactFrequencies(s).empty());
 }
 
@@ -41,39 +39,6 @@ TEST(StreamTest, ZeroNetFrequenciesDropped) {
   const FrequencyMap freq = ExactFrequencies(s);
   EXPECT_EQ(freq.size(), 1u);
   EXPECT_FALSE(freq.contains(1));
-}
-
-TEST(StreamTest, InsertionOnlyDetection) {
-  Stream s(4);
-  s.Append(0, 1);
-  s.Append(1, 1);
-  EXPECT_TRUE(s.IsInsertionOnly());
-  s.Append(2, 2);
-  EXPECT_FALSE(s.IsInsertionOnly());
-}
-
-TEST(StreamTest, NegativeDeltaBreaksInsertionOnly) {
-  Stream s(4);
-  s.Append(0, 1);
-  s.Append(0, -1);
-  EXPECT_FALSE(s.IsInsertionOnly());
-}
-
-TEST(StreamTest, MaxPrefixFrequencySeesTransientPeaks) {
-  Stream s(4);
-  s.Append(0, 10);
-  s.Append(0, -9);
-  // Final frequency is 1 but the prefix reached 10: the turnstile bound M
-  // must account for it.
-  EXPECT_EQ(s.MaxPrefixFrequency(), 10);
-  EXPECT_EQ(ExactFrequencies(s).at(0), 1);
-}
-
-TEST(StreamTest, MaxPrefixFrequencyTracksNegatives) {
-  Stream s(4);
-  s.Append(2, -7);
-  s.Append(2, 3);
-  EXPECT_EQ(s.MaxPrefixFrequency(), 7);
 }
 
 TEST(StreamTest, AppendStreamConcatenates) {

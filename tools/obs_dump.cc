@@ -4,7 +4,7 @@
 //   obs_dump --mode=trace trace.json       # chrome trace-event file
 //   obs_dump file.json                     # mode inferred from the schema
 //
-// `snapshot` renders an aligned instrument table (counters, gauges, then
+// `snapshot` renders an aligned instrument table (counters, then
 // histograms with count/mean/percentiles); `trace` renders one line per
 // span -- name, category, tid, start and duration in ms -- sorted by start
 // time, plus a per-category rollup.  Both modes parse with the bundled
@@ -38,10 +38,9 @@ double NumberOr(const obs::JsonValue* v, double fallback) {
 int DumpSnapshot(const obs::JsonValue& root) {
   if (!root.is_object()) return Fail("snapshot root is not an object");
   const obs::JsonValue* counters = root.Find("counters");
-  const obs::JsonValue* gauges = root.Find("gauges");
   const obs::JsonValue* histograms = root.Find("histograms");
   size_t width = 12;
-  for (const obs::JsonValue* section : {counters, gauges, histograms}) {
+  for (const obs::JsonValue* section : {counters, histograms}) {
     if (section == nullptr || !section->is_object()) continue;
     for (const auto& [name, value] : section->object) {
       (void)value;
@@ -52,12 +51,6 @@ int DumpSnapshot(const obs::JsonValue& root) {
   if (counters != nullptr && counters->is_object()) {
     std::printf("counters:\n");
     for (const auto& [name, value] : counters->object) {
-      std::printf("  %-*s %20.0f\n", w, name.c_str(), NumberOr(&value, 0));
-    }
-  }
-  if (gauges != nullptr && gauges->is_object()) {
-    std::printf("gauges:\n");
-    for (const auto& [name, value] : gauges->object) {
       std::printf("  %-*s %20.0f\n", w, name.c_str(), NumberOr(&value, 0));
     }
   }

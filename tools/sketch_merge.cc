@@ -21,7 +21,7 @@
 //   sketch_merge --mode=single --out=/tmp/ref.gskb
 //   sketch_merge --mode=inspect /tmp/merged.gskb
 //
-// Common flags: --type=count_sketch|count_min|ams|topk|exact, --seed,
+// Common flags: --type=count_sketch|ams|topk|exact, --seed,
 // --stream-seed, --domain, --items, --rows, --buckets, --k.  --stats=json
 // appends the process-wide metrics-registry snapshot (obs JSON) to stdout
 // after a successful run.
@@ -36,7 +36,6 @@
 #include "obs/snapshot.h"
 #include "persist/sketch_io.h"
 #include "sketch/ams.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "stream/exact.h"
 #include "stream/stream.h"
@@ -206,12 +205,6 @@ int RunMode(const Flags& f) {
     return RunTyped<CountSketch>(f, [&] {
       Rng rng(f.seed);
       return CountSketch(CountSketchOptions{f.rows, f.buckets}, rng);
-    });
-  }
-  if (f.type == "count_min") {
-    return RunTyped<CountMinSketch>(f, [&] {
-      Rng rng(f.seed);
-      return CountMinSketch(CountMinOptions{f.rows, f.buckets}, rng);
     });
   }
   if (f.type == "ams") {

@@ -188,9 +188,24 @@ void CountSketch::EstimateRecordedInto(const uint32_t* bucket,
 
 void CountSketch::RowMediansInto(const int64_t* vals, size_t m,
                                  int64_t* out) const {
-  // Insertion sort per item: the rows are few, and the middle order
-  // statistic is the value MedianInPlace's nth_element selects.
+  // The middle order statistic, the value MedianInPlace's nth_element
+  // selects.  Five rows take a branch-free network: f = max(min(a, b),
+  // min(c, d)) and g = min(max(a, b), max(c, d)) are the middle pair of
+  // {a, b, c, d} (in either order), and the median of five is the median
+  // of e, f and g.
   const size_t rows = options_.rows;
+  if (rows == 5) {
+    constexpr size_t k = simd::kSimdBlock;
+    for (size_t i = 0; i < m; ++i) {
+      const int64_t a = vals[i], b = vals[k + i], c = vals[2 * k + i];
+      const int64_t d = vals[3 * k + i], e = vals[4 * k + i];
+      const int64_t f = std::max(std::min(a, b), std::min(c, d));
+      const int64_t g = std::min(std::max(a, b), std::max(c, d));
+      out[i] = std::max(std::min(e, f), std::min(std::max(e, f), g));
+    }
+    return;
+  }
+  // Other row counts: insertion sort per item, the rows being few.
   int64_t* sorted = row_scratch_.data();
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < rows; ++j) {

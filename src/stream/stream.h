@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/logging.h"
 
 namespace gstream {
 
@@ -53,6 +54,20 @@ class Stream {
   // feeds that know the stream length up front call this to avoid
   // reallocation churn while appending.
   void Reserve(size_t n) { updates_.reserve(n); }
+
+  // Sets the length to exactly `n`, allocating once; new updates are
+  // (0, 0).  For a writer that knows the length up front and fills the
+  // updates out of order with Set, e.g. several threads on disjoint index
+  // ranges.
+  void Resize(size_t n) { updates_.resize(n); }
+
+  // Overwrites update `index` (< length()); `item` must lie in
+  // [0, domain), as for Append.
+  void Set(size_t index, ItemId item, int64_t delta) {
+    GSTREAM_CHECK_LT(item, domain_);
+    GSTREAM_DCHECK(index < updates_.size());
+    updates_[index] = Update{item, delta};
+  }
 
   // Appends all updates of `other` (domains must agree).  Models protocol
   // concatenation, e.g. Alice's stream followed by Bob's.

@@ -37,12 +37,28 @@
 // "<item> <delta>" line per update, single spaces, '\n' line ends, no signs
 // on nonnegative values.
 //
-// Memory contract: LoadStream holds one read window of kStreamWindowBytes
-// plus the parsed stream, never the whole file; the window grows only to
-// fit a single line longer than it.  StreamFromText holds only the text it
-// is given plus the parsed stream.  SaveStream formats into one window of
-// kStreamWindowBytes and writes it out as it fills.  One line parser and
-// one line formatter serve the file and the in-memory functions alike.
+// Loading a regular file of at least two read windows takes three steps:
+// one pass counts the newlines of each window, the stream is allocated
+// once at its exact length, and min(HardwareThreads(), windows) threads
+// parse line-aligned segments of the file (each starts at a window
+// boundary, moved to the next line start) straight into their own updates.
+// The segments take only the header on line 1 and the canonical update
+// lines SaveStream writes; any other line, any failing line and any pread
+// error stop them all, and the file is read again by the one-window loop,
+// which parses it in order with the same line parser as StreamFromText.
+// Pipes and files shorter than two windows take that loop directly.
+// Either way the result, and every diagnostic, is what StreamFromText
+// returns for the same text.  The parse threads start and end inside the
+// call, and inherit the calling thread's CPU affinity.
+//
+// Memory contract: LoadStream holds at most HardwareThreads() read
+// windows of kStreamWindowBytes plus the exactly sized stream, never the
+// whole file; the one-window loop holds one window plus the stream, and
+// grows its window only to fit a single line longer than it.
+// StreamFromText holds only the text it is given plus the parsed stream.
+// SaveStream formats into one window of kStreamWindowBytes and writes it
+// out as it fills.  One line parser and one line formatter serve the file
+// and the in-memory functions alike.
 
 #ifndef GSTREAM_STREAM_STREAM_IO_H_
 #define GSTREAM_STREAM_STREAM_IO_H_

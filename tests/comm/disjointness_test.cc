@@ -61,7 +61,9 @@ TEST(DisjReductionTest, StreamRealizesLemma24Frequencies) {
   EXPECT_EQ(freq.at(inst.common), expected_common);
   for (const auto& set : inst.sets) {
     for (const ItemId i : set) {
-      if (i != inst.common) EXPECT_EQ(freq.at(i), 10);
+      if (i != inst.common) {
+        EXPECT_EQ(freq.at(i), 10);
+      }
     }
   }
 }

@@ -125,7 +125,7 @@ TEST(CatalogTest, InverseFunctionsDecrease) {
 }
 
 TEST(CatalogTest, SinModulatedWithinEnvelope) {
-  for (const GFunctionPtr g :
+  for (const GFunctionPtr& g :
        {MakeSinModulated(), MakeSinSqrtModulated(), MakeSinLogModulated()}) {
     SCOPED_TRACE(g->name());
     for (int64_t x : {2, 10, 100, 5000, 100000}) {

@@ -4,7 +4,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "persist/sketch_io.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
 #include "util/stats.h"
@@ -105,6 +110,66 @@ TEST(CountSketchTest, SpaceBytesScalesWithGeometry) {
   CountSketch big(CountSketchOptions{8, 512}, rng);
   EXPECT_GT(big.SpaceBytes(), small.SpaceBytes() * 16);
   EXPECT_GE(small.SpaceBytes(), 2 * 32 * sizeof(int64_t));
+}
+
+// Plants `counters` (row-major) into `cs` through the wire format, whose
+// counter array ends just before the trailing checksum.
+void PlantCounters(const std::vector<int64_t>& counters, CountSketch* cs) {
+  std::string blob = SerializeSketch(*cs);
+  const size_t body = blob.size() - 8;
+  std::memcpy(blob.data() + body - 8 * counters.size(), counters.data(),
+              8 * counters.size());
+  const uint64_t checksum =
+      persist::Checksum64(std::string_view(blob).substr(0, body));
+  for (size_t i = 0; i < 8; ++i) {
+    blob[body + i] = static_cast<char>(checksum >> (8 * i));
+  }
+  ASSERT_TRUE(DeserializeSketch(blob, cs).ok());
+}
+
+TEST(CountSketchTest, EstimateAllEqualsEstimateAtExtremes) {
+  // One bucket per row, so every item reads counter j times its sign in
+  // row j.  Counters are drawn from the int64 extremes and small values,
+  // with repeats, so the rows tie often.  -INT64_MIN overflows in
+  // Estimate and in the batched gather alike, so items whose sign is -1
+  // in a row holding INT64_MIN are not probed.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t palette[] = {kMin, kMax, kMin + 1, kMax - 1, -1, 0, 1, 7, 7};
+  Rng pick(14);
+  for (size_t rows = 1; rows <= 7; ++rows) {
+    SCOPED_TRACE(rows);
+    const CountSketchOptions options{rows, 1};
+    Rng signs_rng(100 + rows);
+    CountSketch signs(options, signs_rng);
+    std::vector<std::vector<int64_t>> item_signs;
+    for (ItemId x = 0; x < 256; ++x) {
+      signs.Update(x, 1);
+      item_signs.emplace_back(signs.counters().begin(),
+                              signs.counters().end());
+      signs.Update(x, -1);
+    }
+    for (int trial = 0; trial < 64; ++trial) {
+      std::vector<int64_t> counters(rows);
+      for (int64_t& c : counters) c = palette[pick.NextUint64() % 9];
+      Rng rng(100 + rows);
+      CountSketch cs(options, rng);
+      PlantCounters(counters, &cs);
+      std::vector<ItemId> items;
+      for (ItemId x = 0; x < 256; ++x) {
+        bool negates_min = false;
+        for (size_t j = 0; j < rows; ++j) {
+          negates_min |= counters[j] == kMin && item_signs[x][j] < 0;
+        }
+        if (!negates_min) items.push_back(x);
+      }
+      const std::vector<int64_t> all = cs.EstimateAll(items);
+      ASSERT_EQ(all.size(), items.size());
+      for (size_t i = 0; i < items.size(); ++i) {
+        ASSERT_EQ(all[i], cs.Estimate(items[i])) << "item " << items[i];
+      }
+    }
+  }
 }
 
 TEST(CountSketchTopKTest, FindsPlantedHeavyHitter) {

@@ -126,7 +126,9 @@ TEST(GeneratorsTest, PlantedHeavyHitter) {
   EXPECT_EQ(w.frequencies.at(heavy), 100000);
   EXPECT_EQ(w.frequencies.size(), 201u);
   for (const auto& [item, value] : w.frequencies) {
-    if (item != heavy) EXPECT_LE(value, 10);
+    if (item != heavy) {
+      EXPECT_LE(value, 10);
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "stream/exact.h"
 #include "stream/generators.h"
 
@@ -616,6 +617,134 @@ TEST(StreamIoWindowTest, LastLineWithoutNewlineEndsAtTheBoundary) {
     EXPECT_EQ(loaded->updates().back().item, 9u);
     EXPECT_EQ(loaded->updates().back().delta, 2);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Segmented loads: a regular file of two or more windows is counted, then
+// parsed in line-aligned segments that start at window boundaries, and any
+// line off the canonical form sends it back through the one-window loop.
+// Either way the load must be exactly StreamFromText of the same text.
+// ---------------------------------------------------------------------------
+
+// Canonical update lines: seeded items < 2^20 and deltas of either sign.
+const std::string& CanonicalPool() {
+  static const std::string pool = [] {
+    std::string text;
+    uint64_t state = 7;
+    while (text.size() < 12 * kStreamWindowBytes) {
+      const uint64_t r = SplitMix64(state);
+      text += std::to_string(r % 100000) + " " +
+              std::to_string(static_cast<int64_t>((r >> 32) % 2001) - 1000) +
+              "\n";
+    }
+    return text;
+  }();
+  return pool;
+}
+
+// Appends canonical update lines to `text` until it is exactly `size`
+// bytes long: whole lines of the pool from a line start picked by `seed`,
+// then short lines sized to land there.  Needs at least 4 bytes to fill.
+void CanonicalPadTo(std::string* text, size_t size, size_t seed) {
+  const std::string& pool = CanonicalPool();
+  const size_t from = pool.find('\n', seed % kStreamWindowBytes) + 1;
+  const size_t room = size - text->size() - 4;
+  if (const size_t nl = pool.rfind('\n', from + room - 1);
+      room > 0 && nl != std::string::npos && nl >= from) {
+    text->append(pool, from, nl + 1 - from);
+  }
+  while (size - text->size() >= 8) text->append("7 1\n");
+  text->append(size - text->size() - 3, '7');
+  text->append(" 1\n");
+}
+
+// A canonical text of about `windows` windows whose line `probe` starts at
+// byte `at`.
+std::string ProbeAt(const std::string& probe, size_t at, size_t windows,
+                    size_t seed) {
+  std::string text = "gstream-v1 1048576\n";
+  CanonicalPadTo(&text, at, seed);
+  text += probe;
+  CanonicalPadTo(&text, std::max(text.size() + 4, windows * kStreamWindowBytes),
+                 seed + 1);
+  return text;
+}
+
+// Counts the loads whose segmented parse handed the file back to the
+// one-window loop (always 0 when the observability layer is compiled out).
+uint64_t Fallbacks() {
+  return obs::Registry::Get().GetCounter("stream_io/load_fallbacks")->Value();
+}
+
+// Loads `text` both ways, as ExpectFileLoadsLikeText, and checks that a
+// file of two or more windows falls back exactly when `canonical` is false.
+void ExpectSegmentedLoad(const std::string& text, bool canonical,
+                         const std::string& path) {
+  const uint64_t before = Fallbacks();
+  ExpectFileLoadsLikeText(text, path);
+  const bool segmented = text.size() >= 2 * kStreamWindowBytes;
+  EXPECT_EQ(Fallbacks() - before,
+            obs::kEnabled && segmented && !canonical ? 1u : 0u);
+}
+
+TEST(StreamIoSegmentTest, LoadsLikeTextAroundEveryWindowBoundary) {
+  const std::string path = ::testing::TempDir() + "/gstream_io_segments.txt";
+  const std::string kProbes[] = {
+      "0 0\n",                                            // canonical
+      "1048575 -999999999999999999\n",                    // canonical
+      "\n",                                               // blank
+      "# note\n",                                         // comment
+      "12 3\r\n",                                         // CRLF
+      "3" + std::string(kStreamWindowBytes + 100, ' ') + "4\n",  // long
+      "5 x\n",                                            // bad
+  };
+  for (size_t windows = 1; windows <= 9; ++windows) {
+    SCOPED_TRACE(windows);
+    for (size_t b = 1; b <= windows; ++b) {
+      const size_t boundary = b * kStreamWindowBytes;
+      for (const size_t at : {boundary - 1, boundary, boundary + 1}) {
+        SCOPED_TRACE(at);
+        for (size_t i = 0; i < std::size(kProbes); ++i) {
+          SCOPED_TRACE(i);
+          ExpectSegmentedLoad(ProbeAt(kProbes[i], at, windows, at + i),
+                              i < 2, path);
+        }
+        // The last line ends the file at `at`, without a '\n'.
+        std::string text = "gstream-v1 1048576\n";
+        CanonicalPadTo(&text, at - 3, at);
+        text += "9 2";
+        ExpectSegmentedLoad(text, true, path);
+      }
+    }
+  }
+}
+
+TEST(StreamIoSegmentTest, HeaderOffLineOneLoadsLikeText) {
+  const std::string path = ::testing::TempDir() + "/gstream_io_header.txt";
+  for (const char* lead : {"\n", "# saved\n", " \t\n"}) {
+    std::string text = std::string(lead) + "gstream-v1 1048576\n";
+    CanonicalPadTo(&text, 4 * kStreamWindowBytes, 3);
+    ExpectSegmentedLoad(text, false, path);
+  }
+}
+
+TEST(StreamIoSegmentTest, RepeatedLoadsAreBitEqual) {
+  // Four windows: as many segments as the host has threads, up to four.
+  std::string text = "gstream-v1 1048576\n";
+  CanonicalPadTo(&text, 4 * kStreamWindowBytes, 4);
+  const std::optional<Stream> expected = StreamFromText(text);
+  ASSERT_TRUE(expected.has_value());
+  const std::string path = ::testing::TempDir() + "/gstream_io_repeat.txt";
+  WriteFile(path, text);
+  const uint64_t fallbacks = Fallbacks();
+  for (int i = 0; i < 200; ++i) {
+    SCOPED_TRACE(i);
+    const std::optional<Stream> loaded = LoadStream(path);
+    ASSERT_TRUE(loaded.has_value());
+    ExpectSameUpdates(*loaded, *expected);
+  }
+  EXPECT_EQ(Fallbacks(), fallbacks);
+  std::remove(path.c_str());
 }
 
 TEST(StreamIoRoundTripTest, SavedFileIsTheTextAcrossWindows) {

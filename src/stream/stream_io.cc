@@ -469,8 +469,6 @@ std::optional<Stream> LoadSegments(int fd, const LineCount& count) {
   }
   uint64_t newlines = 0;
   for (const uint64_t n : count.newlines) newlines += n;
-  Stream stream(header.domain());
-  stream.Resize(newlines - count.ends_in_newline);
   const size_t windows = count.newlines.size();
   const size_t parts = std::min<size_t>(HardwareThreads(), windows);
   std::vector<Segment> segments(parts);
@@ -489,8 +487,10 @@ std::optional<Stream> LoadSegments(int fd, const LineCount& count) {
   }
   // The file's final '\n', if it ends in one, starts no line.
   segments.back().to = count.bytes - count.ends_in_newline;
-  segments.back().last = stream.length();
+  segments.back().last = newlines - count.ends_in_newline;
   if (segments.back().first > segments.back().last) return std::nullopt;
+  Stream stream(header.domain());
+  stream.Resize(segments.back().last);
   std::atomic<bool> stop{false};
   auto parse = [&](const Segment& segment) {
     if (!ParseSegment(fd, count.bytes, segment, stop, &stream)) {

@@ -34,8 +34,6 @@
 //                  threads feed t shards through the multi-producer front
 //                  end; recorded as the report's "scaling" block
 //                  (default 4, capped at 8)
-//   --pin          pin engine workers and producers to cores during the
-//                  sweep (IngestEngineOptions::pin_threads)
 
 #include <algorithm>
 #include <cmath>
@@ -318,13 +316,11 @@ struct MultiProducerRun {
   std::vector<uint64_t> producer_stall_ns;
 };
 
-MultiProducerRun DriveMultiProducer(const Stream& stream, size_t threads,
-                                    bool pin) {
+MultiProducerRun DriveMultiProducer(const Stream& stream, size_t threads) {
   IngestEngineOptions options;
   options.shards = threads;
   options.policy = PartitionPolicy::kRoundRobinChunks;
   options.max_producers = threads;
-  options.pin_threads = pin;
   ShardedIngestor<CountSketch> ingest(options, [](size_t) {
     Rng rng(1);
     return CountSketch(CountSketchOptions{5, 1024}, rng);
@@ -370,7 +366,6 @@ int Run(int argc, char** argv) {
   size_t cs_updates = 10000000;
   size_t divisor = 1;
   size_t max_threads = 4;
-  bool pin = false;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -384,8 +379,6 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       max_threads = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
       max_threads = std::min(std::max<size_t>(max_threads, 1), size_t{8});
-    } else if (std::strcmp(argv[i], "--pin") == 0) {
-      pin = true;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 1;
@@ -528,7 +521,7 @@ int Run(int argc, char** argv) {
       entry.seconds = -1.0;
       for (size_t r = 0; r < 3; ++r) {
         bench::WallTimer timer;
-        MultiProducerRun run = DriveMultiProducer(stream, t, pin);
+        MultiProducerRun run = DriveMultiProducer(stream, t);
         const double s = timer.Seconds();
         if (entry.seconds < 0.0 || s < entry.seconds) {
           entry.seconds = s;
@@ -544,7 +537,7 @@ int Run(int argc, char** argv) {
               : 0.0;
       scaling.push_back(std::move(entry));
     }
-    report.SetScaling("count_sketch/mpsc", pin, std::move(scaling));
+    report.SetScaling("count_sketch/mpsc", std::move(scaling));
   }
 
   // AMS (16 x 5 estimators).

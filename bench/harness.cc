@@ -67,10 +67,9 @@ void BenchReport::SetIngest(const std::string& benchmark,
   ingest_stats_ = stats;
 }
 
-void BenchReport::SetScaling(const std::string& benchmark, bool pinned,
+void BenchReport::SetScaling(const std::string& benchmark,
                              std::vector<ScalingEntry> entries) {
   scaling_benchmark_ = benchmark;
-  scaling_pinned_ = pinned;
   scaling_entries_ = std::move(entries);
 }
 
@@ -154,9 +153,8 @@ bool BenchReport::WriteJson(const std::string& path) const {
   if (!scaling_entries_.empty()) {
     std::fprintf(f,
                  "  \"scaling\": {\"benchmark\": \"%s\", "
-                 "\"hardware_threads\": %u, \"pinned\": %s, \"entries\": [\n",
-                 JsonEscape(scaling_benchmark_).c_str(), HardwareThreads(),
-                 scaling_pinned_ ? "true" : "false");
+                 "\"hardware_threads\": %u, \"entries\": [\n",
+                 JsonEscape(scaling_benchmark_).c_str(), HardwareThreads());
     const double base = scaling_entries_.front().updates_per_sec;
     for (size_t i = 0; i < scaling_entries_.size(); ++i) {
       const ScalingEntry& e = scaling_entries_[i];

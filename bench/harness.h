@@ -110,11 +110,11 @@ class BenchReport {
   void SetIngest(const std::string& benchmark, const std::string& overload_policy,
                  const IngestStats& stats);
 
-  // The thread-scaling sweep (`benchmark` names the driven workload,
-  // `pinned` records whether pin_threads was on).  Serialized as the
-  // report's "scaling" block; entries should be ordered by thread count
-  // with entry 0 at 1 thread, the per-entry speedup_vs_1 baseline.
-  void SetScaling(const std::string& benchmark, bool pinned,
+  // The thread-scaling sweep (`benchmark` names the driven workload).
+  // Serialized as the report's "scaling" block; entries should be ordered
+  // by thread count with entry 0 at 1 thread, the per-entry speedup_vs_1
+  // baseline.
+  void SetScaling(const std::string& benchmark,
                   std::vector<ScalingEntry> entries);
 
   // A pre-rendered registry-snapshot JSON object (obs::SnapshotJson with
@@ -155,7 +155,6 @@ class BenchReport {
   std::string ingest_overload_policy_;
   IngestStats ingest_stats_;
   std::string scaling_benchmark_;
-  bool scaling_pinned_ = false;
   std::vector<ScalingEntry> scaling_entries_;
   std::string obs_json_;
   std::vector<BenchResult> results_;

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/thread_affinity.h"
 
 namespace gstream {
 
@@ -80,16 +79,6 @@ ProducerHandle::ProducerHandle(IngestEngine* engine, size_t index)
   stats_.shard_updates_applied.assign(engine_->shards_.size(), 0);
   stats_.shard_updates_shed.assign(engine_->shards_.size(), 0);
   stats_.shard_ring_highwater.assign(engine_->shards_.size(), 0);
-}
-
-void ProducerHandle::MaybePinSelf() {
-  if (pin_checked_) return;
-  pin_checked_ = true;
-  if (!engine_->options_.pin_threads) return;
-  // Producers take the cpus after the workers in the core map; best
-  // effort -- a failed affinity call changes nothing but placement.
-  PinCurrentThreadToCpu(static_cast<int>(
-      (engine_->shards_.size() + index_) % HardwareThreads()));
 }
 
 UpdateChunk* ProducerHandle::ReserveSlot(size_t s) {
@@ -194,7 +183,6 @@ SubmitResult ProducerHandle::Submit(const Update* updates, size_t n) {
   GSTREAM_CHECK(!closed_.load(std::memory_order_relaxed));
   SubmitResult result;
   if (n == 0) return result;
-  MaybePinSelf();
   obs::TraceSpan span("engine/submit", "engine");
   const size_t chunk = engine_->options_.chunk_updates;
   switch (engine_->options_.policy) {
@@ -317,10 +305,6 @@ IngestEngine::IngestEngine(const IngestEngineOptions& options,
   // their own shard.
   for (auto& shard : shards_) {
     shard->worker = std::thread(&IngestEngine::WorkerLoop, this, shard.get());
-    if (options.pin_threads) {
-      PinThreadToCpu(shard->worker.native_handle(),
-                     static_cast<int>(shard->index % HardwareThreads()));
-    }
   }
   if (options.watchdog_ns > 0) {
     watchdog_ = std::thread(&IngestEngine::WatchdogLoop, this);

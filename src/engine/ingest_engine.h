@@ -55,11 +55,6 @@
 // named EngineError that Flush()/Close() return and error() exposes.
 // Recovery is checkpoint/restart from the last good GCKP image
 // (docs/robustness.md has the recipe).
-//
-// Core-aware placement: with options.pin_threads (default off), shard
-// worker s is pinned to cpu `s % HardwareThreads()` and producer p pins
-// itself to cpu `(shards + p) % HardwareThreads()` on its first Submit --
-// best effort, never fatal (util/thread_affinity.h).
 
 #ifndef GSTREAM_ENGINE_INGEST_ENGINE_H_
 #define GSTREAM_ENGINE_INGEST_ENGINE_H_
@@ -158,10 +153,6 @@ struct IngestEngineOptions {
   // other producer).  Lanes are preallocated at construction, so ring
   // memory scales with shards * max_producers * ring_chunks.
   size_t max_producers = 1;
-  // Pin worker threads (at construction) and producer threads (at first
-  // Submit) to cores as described in the header comment.  Best effort;
-  // default off.
-  bool pin_threads = false;
   // Full-ring behavior.
   OverloadPolicy overload = OverloadPolicy::kBlock;
   // Per-reserve wait bound for kDeadline, in nanoseconds.
@@ -325,8 +316,6 @@ class ProducerHandle {
   // Tracks the occupancy high-water of this producer's lane on shard `s`
   // after a commit (producer-side; see SpscRing::SizeApprox).
   void NoteOccupancy(size_t s);
-  // One-shot best-effort self-pinning (options.pin_threads).
-  void MaybePinSelf();
 
   IngestEngine* const engine_;
   const size_t index_;  // lane index on every shard
@@ -334,7 +323,6 @@ class ProducerHandle {
   std::vector<UpdateChunk*> open_;
   size_t round_robin_next_ = 0;
   IngestStats stats_;
-  bool pin_checked_ = false;
   // Set last in Close() (release); the engine's Close() acquires it, which
   // is the happens-before edge that makes reading stats_ from the engine
   // thread race-free.
@@ -417,7 +405,6 @@ class IngestEngine {
   void RestoreProducerState(const IngestProducerState& state);
 
   size_t shards() const { return shards_.size(); }
-  size_t max_producers() const { return producers_.size(); }
   bool closed() const { return closed_; }
 
   // Aggregated counters across all claimed producers and shard workers:

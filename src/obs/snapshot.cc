@@ -1,6 +1,5 @@
 #include "obs/snapshot.h"
 
-#include <cinttypes>
 #include <cstdio>
 
 namespace gstream {
@@ -32,8 +31,7 @@ std::string Double(double v) {
   return buf;
 }
 
-}  // namespace
-
+// One histogram as a JSON object (the inner {...} of the header's schema).
 std::string HistogramJson(const HistogramSnapshot& h) {
   std::string out = "{";
   out += "\"count\": " + U64(h.count);
@@ -47,6 +45,8 @@ std::string HistogramJson(const HistogramSnapshot& h) {
   out += "}";
   return out;
 }
+
+}  // namespace
 
 std::string SnapshotJson(const RegistrySnapshot& snapshot,
                          const std::string& line_prefix) {
@@ -75,21 +75,6 @@ std::string SnapshotJson(const RegistrySnapshot& snapshot,
 
 std::string CurrentSnapshotJson(const std::string& line_prefix) {
   return SnapshotJson(Registry::Get().Snapshot(), line_prefix);
-}
-
-void PrintSnapshot(const RegistrySnapshot& snapshot, FILE* out) {
-  for (const auto& [name, value] : snapshot.counters) {
-    std::fprintf(out, "%-44s counter   %20" PRIu64 "\n", name.c_str(), value);
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    std::fprintf(out,
-                 "%-44s histogram count=%" PRIu64 " mean=%.1f p50=%" PRIu64
-                 " p90=%" PRIu64 " p99=%" PRIu64 " p999=%" PRIu64
-                 " max=%" PRIu64 "\n",
-                 name.c_str(), h.count, h.Mean(), h.ValueAtPercentile(0.50),
-                 h.ValueAtPercentile(0.90), h.ValueAtPercentile(0.99),
-                 h.ValueAtPercentile(0.999), h.max);
-  }
 }
 
 }  // namespace obs

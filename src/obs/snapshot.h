@@ -1,6 +1,6 @@
-// Exporters for RegistrySnapshot: a structured JSON block (embedded in
-// BENCH_sketch.json and dumped by the tools' --stats=json flag) and an
-// aligned human-readable table (tools/obs_dump).
+// The exporter for RegistrySnapshot: a structured JSON block (embedded in
+// BENCH_sketch.json and dumped by the tools' --stats=json flag; the
+// tools/obs_dump pretty-printer reads it back).
 //
 // JSON schema ("gstream-obs-v1", stable key order -- maps are sorted):
 //
@@ -20,16 +20,12 @@
 #ifndef GSTREAM_OBS_SNAPSHOT_H_
 #define GSTREAM_OBS_SNAPSHOT_H_
 
-#include <cstdio>
 #include <string>
 
 #include "obs/metrics.h"
 
 namespace gstream {
 namespace obs {
-
-// One histogram as a JSON object (the inner {...} above).
-std::string HistogramJson(const HistogramSnapshot& h);
 
 // The whole snapshot as a JSON object.  Every line after the first is
 // prefixed with `line_prefix`, so the block can be embedded at any
@@ -39,9 +35,6 @@ std::string SnapshotJson(const RegistrySnapshot& snapshot,
 
 // Convenience: Registry::Get().Snapshot() serialized.
 std::string CurrentSnapshotJson(const std::string& line_prefix = "");
-
-// Aligned text table (one instrument per line) on `out`.
-void PrintSnapshot(const RegistrySnapshot& snapshot, FILE* out);
 
 }  // namespace obs
 }  // namespace gstream

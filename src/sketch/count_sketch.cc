@@ -81,7 +81,9 @@ void CountSketch::MergeFrom(const CountSketch& other) {
   GSTREAM_CHECK_EQ(options_.buckets, other.options_.buckets);
   GSTREAM_CHECK_EQ(hash_fingerprint_, other.hash_fingerprint_);
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
+    counters_[i] = static_cast<int64_t>(
+        static_cast<uint64_t>(counters_[i]) +
+        static_cast<uint64_t>(other.counters_[i]));
   }
 }
 
@@ -91,8 +93,12 @@ void CountSketch::Update(ItemId item, int64_t delta) {
   const size_t b = options_.buckets;
   for (size_t j = 0; j < options_.rows; ++j) {
     const uint64_t h = RowHash(j, xm, x2, x3);
-    const int64_t signed_delta = (h & 1) ? delta : -delta;
-    counters_[j * b + FastRange61(h, b)] += signed_delta;
+    // Mod-2^64 arithmetic, as in the batched kernels and MergeFrom:
+    // counters wrap at the int64 edge instead of overflowing.
+    int64_t& counter = counters_[j * b + FastRange61(h, b)];
+    counter = static_cast<int64_t>(
+        static_cast<uint64_t>(counter) +
+        static_cast<uint64_t>(ApplyRowSign(h, delta)));
   }
 }
 
@@ -224,8 +230,7 @@ int64_t CountSketch::Estimate(ItemId item) const {
   const size_t b = options_.buckets;
   for (size_t j = 0; j < options_.rows; ++j) {
     const uint64_t h = RowHash(j, xm, x2, x3);
-    const int64_t c = counters_[j * b + FastRange61(h, b)];
-    row_scratch_[j] = (h & 1) ? c : -c;
+    row_scratch_[j] = ApplyRowSign(h, counters_[j * b + FastRange61(h, b)]);
   }
   return MedianInPlace(row_scratch_);
 }

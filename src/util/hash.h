@@ -158,6 +158,15 @@ inline uint64_t FastRange61(uint64_t h, uint64_t range) {
   return static_cast<uint64_t>((static_cast<__uint128_t>(h) * range) >> 61);
 }
 
+// (h & 1) ? v : -v, mod 2^64: a CountSketch row sign applied to a delta
+// or a counter.  Free of signed overflow (-INT64_MIN wraps to INT64_MIN)
+// and branch-free: the hash bit is a coin flip a branch would mispredict
+// half the time.
+inline int64_t ApplyRowSign(uint64_t h, int64_t v) {
+  const uint64_t flip = (h & 1) - 1;  // 0 keeps v, all ones negates it
+  return static_cast<int64_t>((static_cast<uint64_t>(v) ^ flip) - flip);
+}
+
 // One FNV-1a step, (h ^ v) * prime, folding a 64-bit word into a running
 // fingerprint started at kFnvOffsetBasis: the combiner of every sketch's
 // hash Fingerprint() merge guard.

@@ -2,44 +2,11 @@
 
 #include <cstdlib>
 #include <deque>
-#include <limits>
 #include <unordered_map>
 
 #include "util/logging.h"
 
 namespace gstream {
-
-int64_t Gcd(int64_t a, int64_t b) {
-  a = std::llabs(a);
-  b = std::llabs(b);
-  while (b != 0) {
-    const int64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
-BezoutCoefficients ExtendedGcd(int64_t a, int64_t b) {
-  GSTREAM_CHECK(a >= 0 && b >= 0 && (a != 0 || b != 0));
-  // Iterative extended Euclid maintaining r = x*a + y*b.
-  int64_t old_r = a, r = b;
-  int64_t old_x = 1, x = 0;
-  int64_t old_y = 0, y = 1;
-  while (r != 0) {
-    const int64_t q = old_r / r;
-    int64_t t = old_r - q * r;
-    old_r = r;
-    r = t;
-    t = old_x - q * x;
-    old_x = x;
-    x = t;
-    t = old_y - q * y;
-    old_y = y;
-    y = t;
-  }
-  return BezoutCoefficients{old_r, old_x, old_y};
-}
 
 std::optional<LinearCombination> MinimalCombination(
     const std::vector<int64_t>& u, int64_t d, int max_terms) {
@@ -94,20 +61,5 @@ std::optional<LinearCombination> MinimalCombination(
   }
   return std::nullopt;
 }
-
-int64_t PowSaturated(int64_t x, int p) {
-  GSTREAM_CHECK_GE(x, 0);
-  GSTREAM_CHECK_GE(p, 0);
-  int64_t result = 1;
-  for (int i = 0; i < p; ++i) {
-    if (x != 0 && result > std::numeric_limits<int64_t>::max() / x) {
-      return std::numeric_limits<int64_t>::max();
-    }
-    result *= x;
-  }
-  return result;
-}
-
-bool IsPowerOfTwo(int64_t x) { return x >= 1 && (x & (x - 1)) == 0; }
 
 }  // namespace gstream

@@ -1,5 +1,5 @@
-// Integer arithmetic helpers used by the ShortLinearCombination machinery
-// (Appendix C of the paper) and by generators.
+// The minimal integer combination behind the ShortLinearCombination
+// machinery (Appendix C of the paper).
 
 #ifndef GSTREAM_UTIL_MATH_UTIL_H_
 #define GSTREAM_UTIL_MATH_UTIL_H_
@@ -9,20 +9,6 @@
 #include <vector>
 
 namespace gstream {
-
-// Greatest common divisor of |a| and |b|; Gcd(0, 0) == 0.
-int64_t Gcd(int64_t a, int64_t b);
-
-// Result of the extended Euclidean algorithm: g = gcd(a, b) = x*a + y*b.
-struct BezoutCoefficients {
-  int64_t g = 0;
-  int64_t x = 0;
-  int64_t y = 0;
-};
-
-// Computes g = gcd(a, b) together with Bezout coefficients x, y such that
-// x*a + y*b == g.  Requires a, b >= 0, not both zero.
-BezoutCoefficients ExtendedGcd(int64_t a, int64_t b);
 
 // A solution to sum_i q_i * u_i == d minimizing the L1 norm q = sum_i |q_i|.
 struct LinearCombination {
@@ -42,12 +28,6 @@ struct LinearCombination {
 // gcd(u) does not divide d).
 std::optional<LinearCombination> MinimalCombination(
     const std::vector<int64_t>& u, int64_t d, int max_terms = 64);
-
-// x^p for non-negative integer p with saturation at INT64_MAX.
-int64_t PowSaturated(int64_t x, int p);
-
-// True iff `x` is a power of two (x >= 1).
-bool IsPowerOfTwo(int64_t x);
 
 }  // namespace gstream
 

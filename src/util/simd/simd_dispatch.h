@@ -87,9 +87,9 @@ struct SimdOps {
 
   // Fused CountSketch row kernel: with h_i the canonical Eval4Wise value,
   // writes idx[i] = FastRange61(h_i, range) and the signed delta
-  // sd[i] = (h_i & 1) ? delta[i] : -delta[i].  The hash never touches
-  // memory, and the caller's scatter degenerates to
-  // counters[idx[i]] += sd[i].  1 <= range < 2^32.
+  // sd[i] = (h_i & 1) ? delta[i] : -delta[i] (mod 2^64, so -INT64_MIN
+  // is INT64_MIN).  The hash never touches memory, and the caller's
+  // scatter degenerates to counters[idx[i]] += sd[i].  1 <= range < 2^32.
   void (*eval4_bucket)(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
                        const uint64_t* xm, const uint64_t* x2,
                        const uint64_t* x3, const int64_t* delta,
@@ -112,17 +112,17 @@ struct SimdOps {
   void (*eval2_parity_or)(uint64_t a0, uint64_t a1, const uint64_t* xm,
                           size_t n, unsigned bit, uint64_t* masks);
 
-  // counters[idx[i]] += sd[i] for i < n: the one counter update, fed by
-  // eval4_bucket's signed deltas (CountSketch).  idx values must be
-  // in-range for `counters`; duplicate indices within the batch fold in
-  // stream order.  Every tier points this entry (and the one below) at the
-  // simd_scalar_ref.h loop: vector scatter/gather kernels were built and
-  // measured losing (docs/simd.md).
+  // counters[idx[i]] += sd[i] (mod 2^64) for i < n: the one counter
+  // update, fed by eval4_bucket's signed deltas (CountSketch).  idx values
+  // must be in-range for `counters`; duplicate indices within the batch
+  // fold in stream order.  Every tier points this entry (and the one
+  // below) at the simd_scalar_ref.h loop: vector scatter/gather kernels
+  // were built and measured losing (docs/simd.md).
   void (*scatter_add_signed)(int64_t* counters, const uint32_t* idx,
                              const int64_t* sd, size_t n);
 
-  // out[i] = counters[idx[i]] * sign[i] with sign[i] in {+1, -1} -- the
-  // estimate-side decode (CountSketch EstimateAllInto).
+  // out[i] = counters[idx[i]] * sign[i] (mod 2^64) with sign[i] in
+  // {+1, -1} -- the estimate-side decode (CountSketch EstimateAllInto).
   void (*gather_signed)(const int64_t* counters, const uint32_t* idx,
                         const int64_t* sign, size_t n, int64_t* out);
 };

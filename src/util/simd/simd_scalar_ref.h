@@ -62,7 +62,7 @@ inline void ScalarEval4Bucket(uint64_t c0, uint64_t c1, uint64_t c2,
   for (size_t i = 0; i < n; ++i) {
     const uint64_t h = Eval4Wise(c0, c1, c2, c3, xm[i], x2[i], x3[i]);
     idx[i] = static_cast<uint32_t>(FastRange61(h, range));
-    sd[i] = (h & 1) ? delta[i] : -delta[i];
+    sd[i] = ApplyRowSign(h, delta[i]);
   }
 }
 
@@ -96,19 +96,22 @@ inline void ScalarEval2ParityOr(uint64_t a0, uint64_t a1, const uint64_t* xm,
 }
 
 // The counter scatter/gather kernels of every tier: sequential stream-order
-// accumulation and multiply-by-sign decode.
+// accumulation and multiply-by-sign decode, both mod 2^64 so a counter at
+// the int64 edge wraps instead of overflowing.
 
 inline void ScalarScatterAddSigned(int64_t* counters, const uint32_t* idx,
                                    const int64_t* sd, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    counters[idx[i]] += sd[i];
+    counters[idx[i]] = static_cast<int64_t>(
+        static_cast<uint64_t>(counters[idx[i]]) + static_cast<uint64_t>(sd[i]));
   }
 }
 
 inline void ScalarGatherSigned(const int64_t* counters, const uint32_t* idx,
                                const int64_t* sign, size_t n, int64_t* out) {
   for (size_t i = 0; i < n; ++i) {
-    out[i] = counters[idx[i]] * sign[i];
+    out[i] = static_cast<int64_t>(static_cast<uint64_t>(counters[idx[i]]) *
+                                  static_cast<uint64_t>(sign[i]));
   }
 }
 

@@ -15,16 +15,6 @@ double Mean(const std::vector<double>& xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double Variance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double mu = Mean(xs);
-  double ss = 0.0;
-  for (double x : xs) ss += (x - mu) * (x - mu);
-  return ss / static_cast<double>(xs.size() - 1);
-}
-
-double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
-
 double Quantile(std::vector<double> xs, double q) {
   GSTREAM_CHECK(!xs.empty());
   GSTREAM_CHECK(q >= 0.0 && q <= 1.0);

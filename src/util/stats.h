@@ -11,12 +11,6 @@ namespace gstream {
 // Arithmetic mean; 0 for an empty sample.
 double Mean(const std::vector<double>& xs);
 
-// Unbiased sample variance; 0 for fewer than two points.
-double Variance(const std::vector<double>& xs);
-
-// Sample standard deviation.
-double StdDev(const std::vector<double>& xs);
-
 // The q-quantile (0 <= q <= 1) by nearest-rank on a sorted copy.
 double Quantile(std::vector<double> xs, double q);
 

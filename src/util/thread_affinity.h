@@ -1,26 +1,10 @@
-// Best-effort CPU pinning for engine worker and producer threads.
-//
-// Core-aware placement (IngestEngineOptions::pin_threads) maps shard
-// workers onto cpus [0, shards) and producer threads onto the cpus after
-// them, modulo the hardware thread count -- on a machine with enough
-// cores every worker and every producer gets its own core and the SPSC
-// cache lines stop migrating.  Pinning is telemetry-neutral and
-// correctness-neutral, so failures (cpuset restrictions, non-Linux hosts)
-// are reported but never fatal: the engine runs identically, just with
-// the scheduler free to migrate threads.
-//
-// Linux-only (pthread_setaffinity_np); on other platforms both functions
-// are no-ops returning false.
+// Hardware thread count, for sizing thread fan-outs (the parallel stream
+// loader's segment count, the bench report's scaling block).
 
 #ifndef GSTREAM_UTIL_THREAD_AFFINITY_H_
 #define GSTREAM_UTIL_THREAD_AFFINITY_H_
 
 #include <thread>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace gstream {
 
@@ -29,30 +13,6 @@ namespace gstream {
 inline unsigned HardwareThreads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
-}
-
-// Pins `handle` to `cpu`.  Returns true iff the affinity call succeeded.
-inline bool PinThreadToCpu(std::thread::native_handle_type handle, int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(handle, sizeof(set), &set) == 0;
-#else
-  (void)handle;
-  (void)cpu;
-  return false;
-#endif
-}
-
-// Pins the calling thread (producers pin themselves at first Submit).
-inline bool PinCurrentThreadToCpu(int cpu) {
-#if defined(__linux__)
-  return PinThreadToCpu(pthread_self(), cpu);
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 }  // namespace gstream

@@ -23,7 +23,6 @@
 #include "sketch/count_sketch.h"
 #include "sketch/linear_sketch.h"
 #include "stream/generators.h"
-#include "util/thread_affinity.h"
 
 namespace gstream {
 namespace {
@@ -280,42 +279,6 @@ TEST(MultiProducerTest, EngineSubmitCoexistsWithExternalProducer) {
   ingest.Submit(ups.data(), half);
   external.join();
   EXPECT_EQ(ingest.Close().counters(), sequential.counters());
-}
-
-TEST(MultiProducerTest, PinnedPlacementStaysBitExact) {
-  // pin_threads is placement-only: with workers and producers pinned the
-  // result must not change.  On a 1-cpu host everything pins to cpu 0 and
-  // this degenerates to a smoke test of the affinity path -- which is the
-  // point: pinning must be correctness-neutral everywhere.
-  const Stream stream = MakeTurnstileStream(307);
-  Rng seq_rng(kSeed);
-  CountSketch sequential(CountSketchOptions{5, 256}, seq_rng);
-  ProcessStream(sequential, stream);
-
-  IngestEngineOptions options;
-  options.policy = PartitionPolicy::kRoundRobinChunks;
-  options.max_producers = 2;
-  options.pin_threads = true;
-  ShardedIngestor<CountSketch> ingest(options, [](size_t) {
-    Rng rng(kSeed);
-    return CountSketch(CountSketchOptions{5, 256}, rng);
-  });
-  ingest.Open(2);
-  FeedConcurrently(ingest, stream, 2);
-  EXPECT_EQ(ingest.Close().counters(), sequential.counters());
-}
-
-TEST(MultiProducerTest, PinCurrentThreadSucceedsOnLinux) {
-  // Exercised off the main thread so the gtest process affinity is
-  // untouched.
-  bool pinned = false;
-  std::thread t([&pinned] { pinned = PinCurrentThreadToCpu(0); });
-  t.join();
-#if defined(__linux__)
-  EXPECT_TRUE(pinned);
-#else
-  EXPECT_FALSE(pinned);
-#endif
 }
 
 TEST(MultiProducerDeathTest, AddProducerBeyondMaxProducersChecks) {

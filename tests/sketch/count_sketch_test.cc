@@ -130,9 +130,9 @@ void PlantCounters(const std::vector<int64_t>& counters, CountSketch* cs) {
 TEST(CountSketchTest, EstimateAllEqualsEstimateAtExtremes) {
   // One bucket per row, so every item reads counter j times its sign in
   // row j.  Counters are drawn from the int64 extremes and small values,
-  // with repeats, so the rows tie often.  -INT64_MIN overflows in
-  // Estimate and in the batched gather alike, so items whose sign is -1
-  // in a row holding INT64_MIN are not probed.
+  // with repeats, so the rows tie often.  Every item is probed: a row
+  // holding INT64_MIN with sign -1 reads INT64_MIN again (mod 2^64) in
+  // Estimate and in the batched gather alike.
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   const int64_t palette[] = {kMin, kMax, kMin + 1, kMax - 1, -1, 0, 1, 7, 7};
@@ -140,35 +140,57 @@ TEST(CountSketchTest, EstimateAllEqualsEstimateAtExtremes) {
   for (size_t rows = 1; rows <= 7; ++rows) {
     SCOPED_TRACE(rows);
     const CountSketchOptions options{rows, 1};
-    Rng signs_rng(100 + rows);
-    CountSketch signs(options, signs_rng);
-    std::vector<std::vector<int64_t>> item_signs;
-    for (ItemId x = 0; x < 256; ++x) {
-      signs.Update(x, 1);
-      item_signs.emplace_back(signs.counters().begin(),
-                              signs.counters().end());
-      signs.Update(x, -1);
-    }
     for (int trial = 0; trial < 64; ++trial) {
       std::vector<int64_t> counters(rows);
       for (int64_t& c : counters) c = palette[pick.NextUint64() % 9];
       Rng rng(100 + rows);
       CountSketch cs(options, rng);
       PlantCounters(counters, &cs);
-      std::vector<ItemId> items;
-      for (ItemId x = 0; x < 256; ++x) {
-        bool negates_min = false;
-        for (size_t j = 0; j < rows; ++j) {
-          negates_min |= counters[j] == kMin && item_signs[x][j] < 0;
-        }
-        if (!negates_min) items.push_back(x);
-      }
+      std::vector<ItemId> items(256);
+      for (ItemId x = 0; x < 256; ++x) items[x] = x;
       const std::vector<int64_t> all = cs.EstimateAll(items);
       ASSERT_EQ(all.size(), items.size());
       for (size_t i = 0; i < items.size(); ++i) {
         ASSERT_EQ(all[i], cs.Estimate(items[i])) << "item " << items[i];
       }
     }
+  }
+}
+
+TEST(CountSketchTest, UpdateAndMergeWrapAtInt64Edge) {
+  // Counters are sums mod 2^64: Update, UpdateBatch and MergeFrom all
+  // wrap at the int64 edge to the same counters (the sanitizer leg sees
+  // no signed overflow).  One bucket per row, so each counter is the
+  // sign-weighted sum of every delta.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<Update> ups = {
+      {1, kMax}, {1, kMax}, {2, kMin}, {3, kMin}, {2, 5}, {3, kMax}};
+  const CountSketchOptions options{3, 1};
+  const auto make = [&options] {
+    Rng rng(15);
+    return CountSketch(options, rng);
+  };
+  std::vector<uint64_t> expected(options.rows, 0);
+  for (const Update& u : ups) {
+    CountSketch probe = make();
+    probe.Update(u.item, 1);
+    for (size_t j = 0; j < options.rows; ++j) {
+      expected[j] += static_cast<uint64_t>(probe.counters()[j]) *
+                     static_cast<uint64_t>(u.delta);
+    }
+  }
+  CountSketch single = make();
+  for (const Update& u : ups) single.Update(u.item, u.delta);
+  CountSketch batched = make();
+  batched.UpdateBatch(ups.data(), ups.size());
+  for (size_t j = 0; j < options.rows; ++j) {
+    EXPECT_EQ(static_cast<uint64_t>(single.counters()[j]), expected[j]);
+    EXPECT_EQ(batched.counters()[j], single.counters()[j]);
+  }
+  single.MergeFrom(batched);
+  for (size_t j = 0; j < options.rows; ++j) {
+    EXPECT_EQ(static_cast<uint64_t>(single.counters()[j]), 2 * expected[j]);
   }
 }
 

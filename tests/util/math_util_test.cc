@@ -2,37 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
 #include "util/random.h"
 
 namespace gstream {
 namespace {
-
-TEST(GcdTest, BasicCases) {
-  EXPECT_EQ(Gcd(12, 18), 6);
-  EXPECT_EQ(Gcd(17, 5), 1);
-  EXPECT_EQ(Gcd(0, 7), 7);
-  EXPECT_EQ(Gcd(7, 0), 7);
-  EXPECT_EQ(Gcd(0, 0), 0);
-}
-
-TEST(GcdTest, HandlesNegatives) {
-  EXPECT_EQ(Gcd(-12, 18), 6);
-  EXPECT_EQ(Gcd(12, -18), 6);
-  EXPECT_EQ(Gcd(-12, -18), 6);
-}
-
-TEST(ExtendedGcdTest, BezoutIdentityHolds) {
-  Rng rng(41);
-  for (int i = 0; i < 500; ++i) {
-    const int64_t a = rng.UniformInt(0, 100000);
-    const int64_t b = rng.UniformInt(1, 100000);
-    const BezoutCoefficients bez = ExtendedGcd(a, b);
-    EXPECT_EQ(bez.g, Gcd(a, b));
-    EXPECT_EQ(bez.x * a + bez.y * b, bez.g);
-  }
-}
 
 TEST(MinimalCombinationTest, DirectHit) {
   // d equals 2 * u_0.
@@ -87,36 +60,12 @@ TEST(MinimalCombinationTest, CoefficientsReconstructTarget) {
     const int64_t b = rng.UniformInt(2, 30);
     const int64_t d = rng.UniformInt(1, 40);
     const auto combo = MinimalCombination({a, b}, d, /*max_terms=*/32);
-    if (!combo.has_value()) {
-      EXPECT_TRUE(d % Gcd(a, b) != 0 || true);  // absence is allowed
-      continue;
-    }
+    if (!combo.has_value()) continue;  // absence is allowed
     EXPECT_EQ(combo->coefficients[0] * a + combo->coefficients[1] * b, d);
     int64_t norm = 0;
     for (int64_t c : combo->coefficients) norm += std::abs(c);
     EXPECT_EQ(norm, combo->l1_norm);
   }
-}
-
-TEST(PowSaturatedTest, SmallPowers) {
-  EXPECT_EQ(PowSaturated(2, 10), 1024);
-  EXPECT_EQ(PowSaturated(3, 0), 1);
-  EXPECT_EQ(PowSaturated(0, 5), 0);
-  EXPECT_EQ(PowSaturated(1, 100), 1);
-}
-
-TEST(PowSaturatedTest, SaturatesInsteadOfOverflowing) {
-  EXPECT_EQ(PowSaturated(2, 100), std::numeric_limits<int64_t>::max());
-  EXPECT_EQ(PowSaturated(10, 40), std::numeric_limits<int64_t>::max());
-}
-
-TEST(IsPowerOfTwoTest, Classification) {
-  EXPECT_TRUE(IsPowerOfTwo(1));
-  EXPECT_TRUE(IsPowerOfTwo(2));
-  EXPECT_TRUE(IsPowerOfTwo(1024));
-  EXPECT_FALSE(IsPowerOfTwo(0));
-  EXPECT_FALSE(IsPowerOfTwo(-4));
-  EXPECT_FALSE(IsPowerOfTwo(6));
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace gstream {
 namespace {
 
@@ -11,16 +9,6 @@ TEST(StatsTest, MeanBasic) {
   EXPECT_DOUBLE_EQ(Mean({1.0, 2.0, 3.0}), 2.0);
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
   EXPECT_DOUBLE_EQ(Mean({-5.0, 5.0}), 0.0);
-}
-
-TEST(StatsTest, VarianceUnbiased) {
-  EXPECT_DOUBLE_EQ(Variance({1.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(Variance({2.0, 2.0, 2.0}), 0.0);
-  EXPECT_DOUBLE_EQ(Variance({7.0}), 0.0);
-}
-
-TEST(StatsTest, StdDevIsSqrtVariance) {
-  EXPECT_NEAR(StdDev({1.0, 3.0}), std::sqrt(2.0), 1e-12);
 }
 
 TEST(StatsTest, MedianOddAndEven) {

@@ -13,6 +13,9 @@
 //   * conservation, exactly:  shard_updates[s] ==
 //     shard_updates_applied[s] + shard_updates_shed[s] per shard, and
 //     updates_submitted == updates_applied + updates_shed in total;
+//   * the accounting is coherent: the stall count and the stall time
+//     agree on whether any producer stalled, and every shard's ring
+//     high-water is within the ring capacity;
 //   * under --policy=block with no engine error and nothing shed, the
 //     merged sketch is BIT-EXACT with a sequential pass (faults slow the
 //     engine, they must not corrupt it);
@@ -221,6 +224,20 @@ bool RunSeed(uint64_t seed, const Flags& f, const Stream& stream,
          std::to_string(routed) + ", applied " +
          std::to_string(stats.updates_applied) + ", shed " +
          std::to_string(stats.updates_shed));
+  }
+
+  // Accounting coherence.
+  if ((stats.producer_stalls > 0) != (stats.producer_stall_ns > 0)) {
+    fail("stall count " + std::to_string(stats.producer_stalls) +
+         " and stall time " + std::to_string(stats.producer_stall_ns) +
+         " ns disagree");
+  }
+  for (size_t s = 0; s < f.shards; ++s) {
+    if (stats.shard_ring_highwater[s] > options.ring_chunks) {
+      fail("shard " + std::to_string(s) + " ring high-water " +
+           std::to_string(stats.shard_ring_highwater[s]) +
+           " exceeds capacity " + std::to_string(options.ring_chunks));
+    }
   }
 
   std::string verdict;

@@ -17,8 +17,7 @@
 // one-pass heavy hitter sequential vs engine-fed (`one_pass_hh/batched`
 // vs `one_pass_hh/sharded{1,4}`, exercising the candidate-union merge),
 // and, for CountSketch, the sharded ingestion engine at 1/2/4/8 worker
-// threads (round-robin chunks; `sharded4_hash` uses hash-by-item,
-// `sharded4_deadline` reruns the 4-shard config under
+// threads (`sharded4_deadline` reruns the 4-shard config under
 // OverloadPolicy::kDeadline to price the bounded-backpressure
 // bookkeeping) -- the Open -> Submit -> Close -> merge lifecycle of
 // src/engine/.
@@ -278,13 +277,11 @@ size_t DriveBatched(LinearSketch& sketch, const Stream& stream) {
 // `stats_out` is given, the run's ingest accounting (producer stalls,
 // per-shard routing) is copied out for the JSON report.
 template <typename MakeFn>
-size_t DriveSharded(const Stream& stream, size_t shards,
-                    PartitionPolicy policy, MakeFn&& make,
+size_t DriveSharded(const Stream& stream, size_t shards, MakeFn&& make,
                     IngestStats* stats_out = nullptr,
                     OverloadPolicy overload = OverloadPolicy::kBlock) {
   IngestEngineOptions options;
   options.shards = shards;
-  options.policy = policy;
   options.overload = overload;
   // A generous budget: the deadline variant measures the policy's
   // bookkeeping overhead on a healthy engine, not actual load shedding --
@@ -303,7 +300,7 @@ size_t DriveSharded(const Stream& stream, size_t shards,
 
 // One multi-producer pass for the --threads sweep: `threads` producer
 // threads, each with its own ProducerHandle, feed `threads` shards with
-// contiguous slices of the stream (round-robin chunks), then the engine
+// contiguous slices of the stream, then the engine
 // closes and merges.  Returns the full lifecycle's accounting -- the
 // engine aggregate plus the per-producer split -- alongside the merged
 // sketch's space, so the timed best run can donate its stats to the
@@ -319,7 +316,6 @@ struct MultiProducerRun {
 MultiProducerRun DriveMultiProducer(const Stream& stream, size_t threads) {
   IngestEngineOptions options;
   options.shards = threads;
-  options.policy = PartitionPolicy::kRoundRobinChunks;
   options.max_producers = threads;
   ShardedIngestor<CountSketch> ingest(options, [](size_t) {
     Rng rng(1);
@@ -453,11 +449,10 @@ int Run(int argc, char** argv) {
   report.Add(MeasureBatched(sketch_batch_ns, "count_sketch/batched_simd",
                             stream.length(), repeats, run_cs_batched));
 
-  // Sharded ingestion engine scaling (1/2/4/8 workers, round-robin chunks,
-  // plus hash-by-item at 4): the full Open -> Submit -> Close -> merge
-  // lifecycle per run.  Scaling is real only on multi-core hosts; on a
-  // single-core runner these bound the engine's overhead instead (see
-  // bench/README.md).
+  // Sharded ingestion engine scaling (1/2/4/8 workers): the full Open ->
+  // Submit -> Close -> merge lifecycle per run.  Scaling is real only on
+  // multi-core hosts; on a single-core runner these bound the engine's
+  // overhead instead (see bench/README.md).
   IngestStats sharded4_stats;
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     // The 4-shard run donates its ingest accounting (producer stalls,
@@ -467,7 +462,7 @@ int Run(int argc, char** argv) {
         engine_batch_ns, "count_sketch/sharded" + std::to_string(shards),
         stream.length(), repeats, [&, shards, stats_out] {
           return DriveSharded(
-              stream, shards, PartitionPolicy::kRoundRobinChunks,
+              stream, shards,
               [](size_t) {
                 Rng rng(1);
                 return CountSketch(CountSketchOptions{5, 1024}, rng);
@@ -477,14 +472,6 @@ int Run(int argc, char** argv) {
   }
   report.SetIngest("count_sketch/sharded4",
                    OverloadPolicyName(OverloadPolicy::kBlock), sharded4_stats);
-  report.Add(MeasureBatched(
-      engine_batch_ns, "count_sketch/sharded4_hash", stream.length(), repeats,
-      [&] {
-        return DriveSharded(stream, 4, PartitionPolicy::kHashItem, [](size_t) {
-          Rng rng(1);
-          return CountSketch(CountSketchOptions{5, 1024}, rng);
-        });
-      }));
   // Same 4-shard lifecycle under kDeadline with a budget no healthy run
   // hits: what the bounded-backpressure bookkeeping (deadline arithmetic
   // on the stall path, SubmitResult accounting) costs relative to kBlock.
@@ -494,7 +481,7 @@ int Run(int argc, char** argv) {
       engine_batch_ns, "count_sketch/sharded4_deadline", stream.length(),
       repeats, [&] {
         return DriveSharded(
-            stream, 4, PartitionPolicy::kRoundRobinChunks,
+            stream, 4,
             [](size_t) {
               Rng rng(1);
               return CountSketch(CountSketchOptions{5, 1024}, rng);
@@ -751,8 +738,6 @@ int Run(int argc, char** argv) {
                     "count_sketch/sharded8", "count_sketch/batched_simd");
   report.AddSpeedup("count_sketch_sharded4_vs_seed", "count_sketch/sharded4",
                     "count_sketch/seed_single");
-  report.AddSpeedup("count_sketch_sharded4_hash_vs_batched_simd",
-                    "count_sketch/sharded4_hash", "count_sketch/batched_simd");
   // ~1.0 when healthy: kDeadline differs from kBlock only in stall-path
   // arithmetic, which a lossless run barely touches.
   report.AddSpeedup("count_sketch_sharded4_deadline_vs_sharded4",

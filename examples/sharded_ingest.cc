@@ -49,12 +49,10 @@ int main() {
     feeds.push_back(std::move(w.stream));
   }
 
-  // Shard across workers by item hash: every worker owns a sub-domain of
-  // users, and the fingerprint-guarded merge at Close() reassembles the
-  // exact global sketch.
+  // Whole chunks rotate across the workers, and the fingerprint-guarded
+  // merge at Close() reassembles the exact global sketch.
   const uint64_t kSketchSeed = 0xc11c;
   IngestEngineOptions options;
-  options.policy = PartitionPolicy::kHashItem;
   options.max_producers = regions;  // one ProducerHandle per collector
   ShardedIngestor<CountSketch> ingest(options, [kSketchSeed](size_t) {
     Rng sketch_rng(kSketchSeed);

@@ -56,7 +56,7 @@ void GnpHeavyHitter::MergeFrom(const GnpHeavyHitter& other) {
   GSTREAM_CHECK_EQ(options_.id_bits, other.options_.id_bits);
   GSTREAM_CHECK_EQ(hash_fingerprint_, other.hash_fingerprint_);
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
+    counters_[i] = WrapAdd(counters_[i], other.counters_[i]);
   }
 }
 
@@ -79,14 +79,15 @@ void GnpHeavyHitter::Update(ItemId item, int64_t delta) {
   for (size_t t = 0; t < options_.trials; ++t) {
     if (!TrialSampled(t, xm)) continue;
     int64_t* base = counters_.data() + SlotIndex(s, t, 0);
-    base[0] += delta;
+    base[0] = WrapAdd(base[0], delta);
     // Walk only the set bits of the id instead of testing all id_bits.
     uint64_t bits =
         item & ((options_.id_bits >= 64) ? ~uint64_t{0}
                                          : ((uint64_t{1} << options_.id_bits) -
                                             1));
     while (bits != 0) {
-      base[1 + LowestSetBit(bits)] += delta;
+      int64_t& cell = base[1 + LowestSetBit(bits)];
+      cell = WrapAdd(cell, delta);
       bits &= bits - 1;
     }
   }
@@ -139,10 +140,11 @@ void GnpHeavyHitter::UpdateBatch(const gstream::Update* updates, size_t n) {
         while (sampled != 0) {
           const size_t t = (w << 6) + LowestSetBit(sampled);
           int64_t* cell = sub_base + t * slots;
-          cell[0] += d;
+          cell[0] = WrapAdd(cell[0], d);
           uint64_t bits = masked_id;
           while (bits != 0) {
-            cell[1 + LowestSetBit(bits)] += d;
+            int64_t& slot = cell[1 + LowestSetBit(bits)];
+            slot = WrapAdd(slot, d);
             bits &= bits - 1;
           }
           sampled &= sampled - 1;

@@ -8,7 +8,6 @@
 
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/random.h"
 
 namespace gstream {
 
@@ -57,24 +56,11 @@ std::string IngestStatsJson(const IngestStats& stats) {
   return json + "}";
 }
 
-// Item->shard routing uses SplitMix64 as a stateless mixer: independent of
-// every sketch hash family, so partitioning never correlates with bucket
-// placement, and unseeded so the same item always lands on the same shard
-// across engines.  The reduction is Lemire's multiply-shift rather than a
-// hardware `%` -- this runs once per update under kHashItem.
-size_t IngestEngine::ShardOfItem(ItemId item, size_t n_shards) {
-  uint64_t state = item;
-  const uint64_t h = SplitMix64(state);
-  return static_cast<size_t>(
-      (static_cast<__uint128_t>(h) * n_shards) >> 64);
-}
-
 // ---------------------------------------------------------------------------
 // ProducerHandle
 
 ProducerHandle::ProducerHandle(IngestEngine* engine, size_t index)
     : engine_(engine), index_(index) {
-  open_.assign(engine_->shards_.size(), nullptr);
   stats_.shard_updates.assign(engine_->shards_.size(), 0);
   stats_.shard_updates_applied.assign(engine_->shards_.size(), 0);
   stats_.shard_updates_shed.assign(engine_->shards_.size(), 0);
@@ -128,36 +114,6 @@ void ProducerHandle::NoteOccupancy(size_t s) {
   }
 }
 
-ProducerHandle::RouteOutcome ProducerHandle::AppendToShard(size_t s,
-                                                           const Update& u) {
-  UpdateChunk*& open = open_[s];
-  if (open == nullptr) {
-    open = ReserveSlot(s);
-    if (open == nullptr) {
-      if (engine_->options_.overload == OverloadPolicy::kDeadline) {
-        return RouteOutcome::kTimeout;  // update not consumed
-      }
-      // Shed: the update is accepted-and-dropped.  It still counts as
-      // routed to `s` so the per-shard conservation invariant
-      // (routed == applied + shed) closes exactly.
-      ++stats_.shard_updates[s];
-      ++stats_.shard_updates_shed[s];
-      ++stats_.updates_shed;
-      return RouteOutcome::kShed;
-    }
-    open->n = 0;
-  }
-  open->updates[open->n++] = u;
-  ++stats_.shard_updates[s];
-  if (open->n == engine_->options_.chunk_updates) {
-    engine_->shards_[s]->lanes[index_]->ring.Commit();
-    open = nullptr;
-    ++stats_.chunks_committed;
-    NoteOccupancy(s);
-  }
-  return RouteOutcome::kOk;
-}
-
 ProducerHandle::RouteOutcome ProducerHandle::CopyChunkToShard(
     size_t s, const Update* updates, size_t n) {
   UpdateChunk* slot = ReserveSlot(s);
@@ -185,40 +141,20 @@ SubmitResult ProducerHandle::Submit(const Update* updates, size_t n) {
   if (n == 0) return result;
   obs::TraceSpan span("engine/submit", "engine");
   const size_t chunk = engine_->options_.chunk_updates;
-  switch (engine_->options_.policy) {
-    case PartitionPolicy::kHashItem: {
-      const size_t n_shards = engine_->shards_.size();
-      for (size_t i = 0; i < n; ++i) {
-        const RouteOutcome outcome = AppendToShard(
-            IngestEngine::ShardOfItem(updates[i].item, n_shards), updates[i]);
-        if (outcome == RouteOutcome::kTimeout) {
-          result.accepted = i;
-          result.timed_out = true;
-          stats_.updates_submitted += i;
-          return result;
-        }
-        if (outcome == RouteOutcome::kShed) ++result.shed;
-      }
-      break;
+  for (size_t i = 0; i < n; i += chunk) {
+    const size_t len = std::min(chunk, n - i);
+    const size_t s = round_robin_next_;
+    const RouteOutcome outcome = CopyChunkToShard(s, updates + i, len);
+    if (outcome == RouteOutcome::kTimeout) {
+      // The cursor stays on `s`: a retry re-targets the same shard,
+      // preserving rotation balance.
+      result.accepted = i;
+      result.timed_out = true;
+      stats_.updates_submitted += i;
+      return result;
     }
-    case PartitionPolicy::kRoundRobinChunks: {
-      for (size_t i = 0; i < n; i += chunk) {
-        const size_t len = std::min(chunk, n - i);
-        const size_t s = round_robin_next_;
-        const RouteOutcome outcome = CopyChunkToShard(s, updates + i, len);
-        if (outcome == RouteOutcome::kTimeout) {
-          // The cursor stays on `s`: a retry re-targets the same shard,
-          // preserving rotation balance.
-          result.accepted = i;
-          result.timed_out = true;
-          stats_.updates_submitted += i;
-          return result;
-        }
-        round_robin_next_ = (round_robin_next_ + 1) % engine_->shards_.size();
-        if (outcome == RouteOutcome::kShed) result.shed += len;
-      }
-      break;
-    }
+    round_robin_next_ = (round_robin_next_ + 1) % engine_->shards_.size();
+    if (outcome == RouteOutcome::kShed) result.shed += len;
   }
   result.accepted = n;
   stats_.updates_submitted += n;
@@ -231,22 +167,10 @@ SubmitResult ProducerHandle::SubmitStream(const Stream& stream) {
 
 void ProducerHandle::Close() {
   if (closed_.load(std::memory_order_relaxed)) return;
-  for (size_t s = 0; s < engine_->shards_.size(); ++s) {
-    IngestEngine::Lane& lane = *engine_->shards_[s]->lanes[index_];
-    if (open_[s] != nullptr) {
-      if (open_[s]->n > 0) {
-        lane.ring.Commit();
-        ++stats_.chunks_committed;
-        // The final commit is an occupancy event like any other -- without
-        // this the high-water under-reports streams whose last chunk is
-        // partial.
-        NoteOccupancy(s);
-      }
-      open_[s] = nullptr;
-    }
+  for (const auto& shard : engine_->shards_) {
     // Commit-before-done (release) pairs with the worker's acquire load:
     // the worker's post-done emptiness re-check observes the final chunks.
-    lane.done.store(true, std::memory_order_release);
+    shard->lanes[index_]->done.store(true, std::memory_order_release);
   }
   // Release everything above (final stats included) to whoever acquires
   // closed() -- the engine's Close() does, so stats() may fold them.
@@ -565,7 +489,6 @@ IngestProducerState IngestEngine::SnapshotProducerState() const {
   // that shed or timed out cannot be replayed from a cursor.
   GSTREAM_CHECK(options_.overload == OverloadPolicy::kBlock);
   IngestProducerState state;
-  state.staged.resize(shards_.size());
   state.stats.shard_updates.assign(shards_.size(), 0);
   if (internal_ == nullptr) return state;
   const IngestStats& routed = internal_->stats_;
@@ -574,12 +497,6 @@ IngestProducerState IngestEngine::SnapshotProducerState() const {
   state.stats.chunks_committed = routed.chunks_committed;
   state.stats.producer_stalls = routed.producer_stalls;
   state.stats.shard_updates = routed.shard_updates;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const UpdateChunk* open = internal_->open_[s];
-    if (open != nullptr) {
-      state.staged[s].assign(open->updates, open->updates + open->n);
-    }
-  }
   return state;
 }
 
@@ -591,26 +508,7 @@ void IngestEngine::RestoreProducerState(const IngestProducerState& state) {
   // no external handles claimed.
   GSTREAM_CHECK_EQ(ClaimedProducers(), 1u);
   GSTREAM_CHECK_EQ(internal_->stats_.updates_submitted, 0u);
-  GSTREAM_CHECK_EQ(state.staged.size(), shards_.size());
   GSTREAM_CHECK_EQ(state.stats.shard_updates.size(), shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    GSTREAM_CHECK(internal_->open_[s] == nullptr);
-    // A full chunk would have been committed, never staged.
-    GSTREAM_CHECK_LT(state.staged[s].size(), options_.chunk_updates);
-    for (const Update& u : state.staged[s]) {
-      UpdateChunk*& open = internal_->open_[s];
-      if (open == nullptr) {
-        // Fresh engine, empty rings: reservation cannot fail under
-        // kBlock (checked above).
-        open = internal_->ReserveSlot(s);
-        GSTREAM_CHECK(open != nullptr);
-        open->n = 0;
-      }
-      open->updates[open->n++] = u;
-    }
-  }
-  // Adopt the routing counters last: the re-staging above must not be
-  // double-counted (the snapshot's stats already include those updates).
   internal_->round_robin_next_ = state.round_robin_next;
   IngestStats& adopted = internal_->stats_;
   adopted.updates_submitted = state.stats.updates_submitted;
@@ -618,12 +516,11 @@ void IngestEngine::RestoreProducerState(const IngestProducerState& state) {
   adopted.producer_stalls = state.stats.producer_stalls;
   adopted.shard_updates = state.stats.shard_updates;
   // Applied counts span the logical run like the routed ones: every routed
-  // update not staged was applied before the snapshot (kBlock sheds
-  // nothing), so routed == applied + shed holds after the resume too.
+  // update was applied before the snapshot (kBlock sheds nothing), so
+  // routed == applied + shed holds after the resume too.
   for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->applied_updates.fetch_add(
-        state.stats.shard_updates[s] - state.staged[s].size(),
-        std::memory_order_relaxed);
+    shards_[s]->applied_updates.fetch_add(state.stats.shard_updates[s],
+                                          std::memory_order_relaxed);
   }
 }
 
@@ -634,10 +531,10 @@ EngineError IngestEngine::Close() {
   if (internal_ != nullptr) internal_->Close();
   const size_t claimed = ClaimedProducers();
   for (size_t p = 0; p < claimed; ++p) {
-    // External handles must be closed by their owning threads first: the
-    // engine cannot safely flush another thread's staging chunks.  The
-    // acquire in closed() is also the happens-before edge that makes
-    // stats() race-free once Close() returns.
+    // External handles must be closed by their owning threads first: only
+    // the owner may mark its lanes done.  The acquire in closed() is also
+    // the happens-before edge that makes stats() race-free once Close()
+    // returns.
     GSTREAM_CHECK(producers_[p]->closed());
   }
   for (size_t p = claimed; p < producers_.size(); ++p) {

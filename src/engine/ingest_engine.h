@@ -8,38 +8,32 @@
 // that observation into a subsystem: producer threads submit runs of
 // updates, the engine frames them into chunks of at most `chunk_updates`
 // (kStreamBatchSize by default, the same framing Stream::ForEachBatch
-// uses), routes each chunk to a worker according to the partitioning
-// policy, and each worker drains its fixed-capacity SPSC rings straight
-// into its sink's UpdateBatch kernel.  Close() joins the workers and
-// leaves the per-shard sinks ready to merge.
+// uses), hands whole chunks to the workers in rotation, and each worker
+// drains its fixed-capacity SPSC rings straight into its sink's
+// UpdateBatch kernel.  Close() joins the workers and leaves the per-shard
+// sinks ready to merge.
 //
 // Multi-producer ingest (ProducerHandle): up to `max_producers` threads
 // may feed one engine concurrently.  Each producer claims a handle via
-// AddProducer() and owns one private SPSC *lane* (ring + staging chunk)
-// per shard -- lanes fan into the shard worker, which rotates across them,
-// so every ring keeps exactly one writer and one reader and the lock-free
-// SPSC protocol carries over unchanged.  Producers submitting disjoint
-// stream slices end bit-identical to a sequential pass over the
-// concatenated slices under kHashItem and kRoundRobinChunks: each
-// producer's chunk framing is deterministic, and merge order across lanes
-// is irrelevant by linearity (docs/engine.md has the full happens-before
-// argument).  IngestEngine::Submit() remains the single-producer
-// convenience: it lazily claims an internal handle.
+// AddProducer() and owns one private SPSC *lane* (ring) per shard --
+// lanes fan into the shard worker, which rotates across them, so every
+// ring keeps exactly one writer and one reader and the lock-free SPSC
+// protocol carries over unchanged.  Producers submitting disjoint stream
+// slices end bit-identical to a sequential pass over the concatenated
+// slices: each producer's chunk framing is deterministic, and merge order
+// across lanes is irrelevant by linearity (docs/engine.md has the full
+// happens-before argument).  IngestEngine::Submit() remains the
+// single-producer convenience: it lazily claims an internal handle.
 //
-// Partitioning policies:
-//   * kHashItem        -- shard = mix(item) % N: each shard sees a fixed
-//                         sub-domain, so per-shard sketches are sketches of
-//                         disjoint sub-vectors (useful when shards are also
-//                         queried individually).  Updates are scattered
-//                         into per-shard staging chunks.
-//   * kRoundRobinChunks-- whole chunks rotate across shards (per producer):
-//                         perfectly load-balanced regardless of item skew.
-// Merge-after-close is exact under both by linearity.
+// Partitioning: each producer's whole chunks rotate across the shards, so
+// the load balances regardless of item skew.  The sketches are linear, so
+// any split of the stream merges to the sequential state; routing matters
+// only for speed, and whole-chunk rotation is the fast one.
 //
 // Backpressure: memory stays bounded at
-// shards * max_producers * ring_chunks * 8 KiB regardless of policy; what
-// happens when a destination ring is full is the engine's *overload
-// policy* (OverloadPolicy below, docs/robustness.md).  kBlock (default)
+// shards * max_producers * ring_chunks * 8 KiB; what happens when a
+// destination ring is full is the engine's *overload policy*
+// (OverloadPolicy below, docs/robustness.md).  kBlock (default)
 // spins + yields until the worker frees a slot -- the bit-exact path.
 // kDeadline bounds the wait by options.stall_budget_ns and makes Submit
 // return a typed SubmitResult instead of spinning forever.  kShedIncoming
@@ -77,7 +71,6 @@
 namespace gstream {
 
 enum class PartitionPolicy {
-  kHashItem,
   kRoundRobinChunks,
 };
 
@@ -141,12 +134,14 @@ struct SubmitResult {
 struct IngestEngineOptions {
   // Worker threads, each owning one sink.
   size_t shards = 4;
+  // The one routing policy.  The enum and this field stay only because
+  // perfbench/workloads.cc assigns them; they can go with that line.
   PartitionPolicy policy = PartitionPolicy::kRoundRobinChunks;
   // Ring capacity per lane, in chunks (rounded up to a power of two).
   size_t ring_chunks = 32;
   // Updates per chunk; must be in [1, kStreamBatchSize].  Keeping the
-  // default preserves ForEachBatch framing, so a kRoundRobinChunks feed
-  // hands each sink whole ProcessStream batches.
+  // default preserves ForEachBatch framing, so each sink receives whole
+  // ProcessStream batches.
   size_t chunk_updates = kStreamBatchSize;
   // Producer lanes per shard.  AddProducer() may be called at most this
   // many times (the engine's own Submit() claims one lazily, like any
@@ -235,19 +230,17 @@ struct IngestRoutingStats {
 
 // Producer-side routing state beyond the sinks: everything a checkpoint
 // must carry so a fresh engine resumes routing *exactly* where this one
-// stopped.  Composite sinks (top-k trackers) depend on chunk framing, not
-// just on the multiset of updates, so resuming bit-exactly requires
-// replaying the staged partial chunks and the round-robin position -- not
-// merely the stream cursor.  Snapshot/restore cover the engine's internal
-// default producer only (the checkpointed single-producer lifecycle);
-// engines with external ProducerHandles are not checkpointable.
+// stopped.  Composite sinks (top-k trackers) depend on which shard sees
+// which chunk, not just on the multiset of updates, so resuming
+// bit-exactly requires the round-robin position as well as the stream
+// cursor.  Every routed update has left the producer as a committed chunk,
+// so there is nothing else to carry.  Snapshot/restore cover the engine's
+// internal default producer only (the checkpointed single-producer
+// lifecycle); engines with external ProducerHandles are not
+// checkpointable.
 struct IngestProducerState {
   size_t round_robin_next = 0;
   IngestRoutingStats stats;
-  // Per-shard reserved-but-uncommitted staging contents (kHashItem
-  // scatter); always shorter than one chunk, empty under the other
-  // policies.
-  std::vector<std::vector<Update>> staged;
 };
 
 // A shard's consumer: called once per drained chunk, on that shard's worker
@@ -258,23 +251,23 @@ using BatchSink = std::function<void(const Update*, size_t)>;
 class IngestEngine;
 
 // One producer's private front end into the engine: a claimed lane index
-// plus per-shard staging chunks, routing cursor, and stats.  Obtained from
-// IngestEngine::AddProducer(); owned by the engine (handles stay valid
-// until the engine is destroyed).
+// plus its round-robin cursor and stats.  Obtained from
+// IngestEngine::AddProducer(); owned by the engine (handles stay valid until
+// the engine is destroyed).
 //
 // Threading contract: all calls on one handle must come from one thread at
 // a time (the handle is the per-thread object -- one per producer thread
 // is the point).  Different handles are fully concurrent.  The owning
 // thread must call Close() before the engine's Close(); the engine
-// CHECK-fails on a still-open external handle, because it cannot safely
-// flush another thread's staging chunks.
+// CHECK-fails on a still-open external handle, because only the owning
+// thread may mark its lanes done.
 class ProducerHandle {
  public:
   ProducerHandle(const ProducerHandle&) = delete;
   ProducerHandle& operator=(const ProducerHandle&) = delete;
 
-  // Routes `n` contiguous updates according to the engine's partitioning
-  // policy.  A full destination lane is handled per options.overload:
+  // Frames `n` contiguous updates into chunks and rotates them across the
+  // shards.  A full destination lane is handled per options.overload:
   // kBlock spins (the returned result is trivially all-accepted);
   // kDeadline may return early with timed_out set and the batch tail
   // unconsumed; the shed policies always consume the whole batch but may
@@ -282,10 +275,10 @@ class ProducerHandle {
   SubmitResult Submit(const Update* updates, size_t n);
   SubmitResult SubmitStream(const Stream& stream);
 
-  // Commits this producer's partial staging chunks and marks its lanes
-  // done.  Idempotent; must run on the owning thread, before the engine's
-  // Close().  After Close() the handle's stats are stable and may be read
-  // from any thread that observed closed() == true.
+  // Marks this producer's lanes done.  Idempotent; must run on the owning
+  // thread, before the engine's Close().  After Close() the handle's stats
+  // are stable and may be read from any thread that observed
+  // closed() == true.
   void Close();
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
@@ -306,12 +299,8 @@ class ProducerHandle {
   // when the overload policy gave up (deadline exhausted, or a shed
   // policy declining to wait).  kBlock never returns nullptr.
   UpdateChunk* ReserveSlot(size_t s);
-  // Appends one update to the shard's open staging chunk, committing when
-  // the chunk fills.  kShed means the update was counted and dropped;
-  // kTimeout means it was not consumed at all.
-  RouteOutcome AppendToShard(size_t s, const Update& u);
-  // Copies one pre-framed chunk into the shard's lane (same outcome
-  // contract, over the whole chunk).
+  // Copies one pre-framed chunk into the shard's lane.  kShed means the
+  // chunk was counted and dropped; kTimeout means it was not consumed.
   RouteOutcome CopyChunkToShard(size_t s, const Update* updates, size_t n);
   // Tracks the occupancy high-water of this producer's lane on shard `s`
   // after a commit (producer-side; see SpscRing::SizeApprox).
@@ -319,8 +308,6 @@ class ProducerHandle {
 
   IngestEngine* const engine_;
   const size_t index_;  // lane index on every shard
-  // Per-shard reserved-but-uncommitted slots being filled (hash scatter).
-  std::vector<UpdateChunk*> open_;
   size_t round_robin_next_ = 0;
   IngestStats stats_;
   // Set last in Close() (release); the engine's Close() acquires it, which
@@ -366,12 +353,10 @@ class IngestEngine {
   // counters account exactly for the rest.
   EngineError Close();
 
-  // Quiesce barrier: returns once every *committed* chunk has been applied
-  // to its sink (rings observed empty; see SpscRing::Empty for the
-  // happens-before argument).  Staged partial chunks are deliberately NOT
-  // flushed -- committing them would change chunk framing versus an
-  // uninterrupted run, which composite sinks observe.  Callers must not
-  // Submit concurrently (quiesce means quiesce); after Flush() the sinks
+  // Quiesce barrier: returns once every routed chunk has been applied to
+  // its sink (rings observed empty; see SpscRing::Empty for the
+  // happens-before argument).  Callers must not Submit concurrently
+  // (quiesce means quiesce); after Flush() the sinks
   // may be read race-free until the next Submit, the workers stay parked
   // on their rings.  On a closed engine this is a no-op: every chunk was
   // applied before the workers joined, so the barrier is trivially
@@ -394,14 +379,13 @@ class IngestEngine {
   IngestProducerState SnapshotProducerState() const;
 
   // Restores a snapshot into a freshly constructed engine (nothing
-  // submitted yet, same shard count and chunk framing): re-stages the
-  // partial chunks without re-counting them, then adopts the routing
+  // submitted yet, same shard count and chunk framing): adopts the routing
   // counters and round-robin cursor.  Subsequent Submit calls continue as
   // if this engine had routed everything the snapshot's stats describe.
-  // Each shard's applied count starts at its routed count minus its staged
-  // updates (checkpoints require kBlock, so nothing was shed), keeping
-  // routed == applied + shed over the whole logical run; the rest of
-  // IngestStats counts this engine's own run from zero.
+  // Each shard's applied count starts at its routed count (checkpoints
+  // require kBlock, so nothing was shed), keeping routed == applied + shed
+  // over the whole logical run; the rest of IngestStats counts this
+  // engine's own run from zero.
   void RestoreProducerState(const IngestProducerState& state);
 
   size_t shards() const { return shards_.size(); }
@@ -414,10 +398,6 @@ class IngestEngine {
   // is racy and must be avoided (single-producer engines may read between
   // their own Submit calls).
   IngestStats stats() const;
-
-  // The shard an item routes to under kHashItem with `n_shards` shards.
-  // Exposed so tests and callers can reason about sub-domain ownership.
-  static size_t ShardOfItem(ItemId item, size_t n_shards);
 
  private:
   friend class ProducerHandle;

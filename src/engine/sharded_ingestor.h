@@ -11,7 +11,7 @@
 // final merge.  Because the sketch states are linear over int64 counters --
 // and integer addition is commutative and associative even under wraparound
 // -- the merged sketch is bit-identical to one that processed the whole
-// stream sequentially, for any partitioning policy and any thread
+// stream sequentially, for any split of the stream and any thread
 // interleaving.  tests/engine/ingest_engine_test.cc pins exactly that.
 // (Composite units additionally carry non-linear candidate metadata; see
 // docs/engine.md on the candidate-union merge for what is exact there.)
@@ -99,9 +99,8 @@ class ShardedIngestor {
   }
 
   // Drains the rings and joins the workers WITHOUT merging, leaving every
-  // replica's state intact -- the point where per-shard queries (e.g. a
-  // kHashItem shard's sub-domain sketch) are race-free.  Close() may still
-  // be called afterwards to merge.  Returns the engine's first recorded
+  // replica's state intact and race-free to read.  Close() may still be
+  // called afterwards to merge.  Returns the engine's first recorded
   // error (EngineError::ok() on a healthy run).
   EngineError Drain() {
     GSTREAM_CHECK(engine_ != nullptr);

@@ -20,13 +20,9 @@ LoadStatus Truncated(const std::string& what) {
 
 std::string EncodeCheckpoint(const CheckpointImage& image) {
   const size_t shards = image.shard_blobs.size();
-  GSTREAM_CHECK_EQ(image.producer.staged.size(), shards);
   GSTREAM_CHECK_EQ(image.producer.stats.shard_updates.size(), shards);
-  // The header, the shard counts and the checksum, then the records.
+  // The header, the shard counts and the checksum, then the blobs.
   size_t total = kCheckpointEnvelope.header_bytes + 8 * shards + 8;
-  for (const auto& staged : image.producer.staged) {
-    total += 8 + 16 * staged.size();
-  }
   for (const std::string& blob : image.shard_blobs) total += 8 + blob.size();
   persist::ByteWriter w;
   w.Reserve(total);
@@ -39,13 +35,6 @@ std::string EncodeCheckpoint(const CheckpointImage& image) {
   w.PutU64(image.producer.stats.chunks_committed);
   w.PutU64(image.producer.stats.producer_stalls);
   for (const uint64_t u : image.producer.stats.shard_updates) w.PutU64(u);
-  for (const auto& staged : image.producer.staged) {
-    w.PutU64(staged.size());
-    for (const Update& u : staged) {
-      w.PutU64(u.item);
-      w.PutI64(u.delta);
-    }
-  }
   for (const std::string& blob : image.shard_blobs) w.PutBlob(blob);
   w.PutChecksum(0);
   return w.Take();
@@ -73,18 +62,6 @@ LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image) {
   out.producer.stats.shard_updates.resize(static_cast<size_t>(shards));
   for (uint64_t& u : out.producer.stats.shard_updates) {
     if (!r.GetU64(&u)) return Truncated("shard update counts");
-  }
-  out.producer.staged.resize(static_cast<size_t>(shards));
-  for (auto& staged : out.producer.staged) {
-    uint64_t n = 0;
-    if (!r.GetU64(&n)) return Truncated("staged chunk counts");
-    if (n > r.remaining() / 16) return Truncated("staged updates");
-    staged.resize(static_cast<size_t>(n));
-    for (Update& u : staged) {
-      if (!r.GetU64(&u.item) || !r.GetI64(&u.delta)) {
-        return Truncated("staged updates");
-      }
-    }
   }
   out.shard_blobs.resize(static_cast<size_t>(shards));
   for (uint64_t s = 0; s < shards; ++s) {

@@ -1,8 +1,8 @@
 // Crash-consistent checkpoint/restart for the sharded ingestion engine.
 //
 // A checkpoint captures a running ingestion at a quiescent chunk boundary:
-// the stream cursor, the producer routing state (round-robin position,
-// staged partial chunks, stats -- see IngestProducerState), and one
+// the stream cursor, the producer routing state (round-robin position and
+// stats -- see IngestProducerState), and one
 // serialized sketch blob per shard.  The file is written with the
 // write-tmp / fsync / rename / fsync-parent sequence (WriteFileAtomic), so
 // a crash at any instant leaves either the previous complete checkpoint or
@@ -10,18 +10,17 @@
 // inject a fault at every phase and assert exactly that.
 //
 // Restart contract (the bit-exactness pin): Open() a fresh ingestor with
-// the writer's factory (same seed), shard count, policy, and chunk
-// framing; RestoreIngestor() the image; resume submitting at image.cursor
-// in slices that are multiples of chunk_updates (RunWithCheckpoints does
-// this).  The final merged sketch -- including candidate metadata of
-// composite sinks, which observes chunk framing, not just the update
-// multiset -- is then bit-identical to an uninterrupted run.  That is why
-// the checkpoint carries staged partial chunks and the round-robin cursor
-// rather than merely an update count, and why CheckpointOptions::
-// interval_updates must be a multiple of the engine's chunk_updates
-// (checked).
+// the writer's factory (same seed), shard count and chunk framing;
+// RestoreIngestor() the image; resume submitting at image.cursor in slices
+// that are multiples of chunk_updates (RunWithCheckpoints does this).  The
+// final merged sketch -- including candidate metadata of composite sinks,
+// which observes chunk framing and routing, not just the update multiset
+// -- is then bit-identical to an uninterrupted run.  That is why the
+// checkpoint carries the round-robin cursor rather than merely an update
+// count, and why CheckpointOptions::interval_updates must be a multiple of
+// the engine's chunk_updates (checked).
 //
-// File layout (little-endian, version 2, sharing the persist byte
+// File layout (little-endian, version 3, sharing the persist byte
 // primitives):
 //
 //   bytes 0-3   magic "GCKP"
@@ -31,12 +30,12 @@
 //   u64         round_robin_next
 //   u64 x3      stats: updates_submitted, chunks_committed, producer_stalls
 //   u64 x S     stats: shard_updates
-//   per shard   u64 staged count, then (u64 item, i64 delta) pairs
 //   per shard   length-prefixed sketch blob (self-validating, sketch_io.h)
 //   u64         XXH64 (seed 0) of every preceding byte
 //
-// Version history: 1 = FNV-1a trailer (retired, reported as version skew),
-// 2 = XXH64 trailer.
+// Version history: 1 = FNV-1a trailer, 2 = XXH64 trailer and per-shard
+// staged partial chunks before the blobs, 3 = no staged chunks.  Versions
+// 1 and 2 are retired and reported as version skew.
 
 #ifndef GSTREAM_PERSIST_CHECKPOINT_H_
 #define GSTREAM_PERSIST_CHECKPOINT_H_
@@ -58,7 +57,7 @@
 
 namespace gstream {
 
-inline constexpr uint32_t kCheckpointFormatVersion = 2;
+inline constexpr uint32_t kCheckpointFormatVersion = 3;
 
 // In-memory image of one checkpoint.
 struct CheckpointImage {
@@ -146,26 +145,13 @@ LoadStatus RestoreIngestor(const CheckpointImage& image,
             " shards, ingestor opened with " + std::to_string(shards));
   }
   // The checksum does not vouch for the producer state; check it before
-  // any replica is touched.  Only kHashItem stages, and never a full chunk.
+  // any replica is touched.
   const IngestProducerState& producer = image.producer;
   if (producer.round_robin_next >= shards) {
     return LoadStatus::Fail(
         LoadError::kDomainError,
         "round_robin_next " + std::to_string(producer.round_robin_next) +
             " is past the last of " + std::to_string(shards) + " shards");
-  }
-  const IngestEngineOptions& options = ingest->engine_options();
-  const size_t max_staged = options.policy == PartitionPolicy::kHashItem
-                                ? options.chunk_updates - 1
-                                : 0;
-  for (size_t s = 0; s < producer.staged.size(); ++s) {
-    if (producer.staged[s].size() > max_staged) {
-      return LoadStatus::Fail(
-          LoadError::kDomainError,
-          "shard " + std::to_string(s) + " stages " +
-              std::to_string(producer.staged[s].size()) +
-              " updates, this ingestor at most " + std::to_string(max_staged));
-    }
   }
   for (size_t s = 0; s < image.shard_blobs.size(); ++s) {
     LoadStatus status =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/bit.h"
 #include "util/logging.h"
 #include "util/simd/simd_dispatch.h"
 #include "util/simd/simd_scalar_ref.h"
@@ -46,7 +47,9 @@ void AmsSketch::MergeFrom(const AmsSketch& other) {
   GSTREAM_CHECK_EQ(options_.group_size, other.options_.group_size);
   GSTREAM_CHECK_EQ(options_.groups, other.options_.groups);
   GSTREAM_CHECK_EQ(hash_fingerprint_, other.hash_fingerprint_);
-  for (size_t i = 0; i < sums_.size(); ++i) sums_[i] += other.sums_[i];
+  for (size_t i = 0; i < sums_.size(); ++i) {
+    sums_[i] = WrapAdd(sums_[i], other.sums_[i]);
+  }
 }
 
 void AmsSketch::Update(ItemId item, int64_t delta) {

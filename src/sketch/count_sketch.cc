@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdlib>
 #include <span>
 
+#include "util/bit.h"
 #include "util/logging.h"
 #include "util/simd/simd_dispatch.h"
 
@@ -22,13 +22,19 @@ T MedianInPlace(std::vector<T>& v) {
   return v[mid];
 }
 
+// |v| as uint64_t, defined for every int64 (|INT64_MIN| is 2^63).
+inline uint64_t Magnitude(int64_t v) {
+  return v < 0 ? 0 - static_cast<uint64_t>(v) : static_cast<uint64_t>(v);
+}
+
 // Strength order for candidate maintenance: larger |estimate| first, item
 // id as the total-order tiebreak so pruning is deterministic regardless of
-// the candidates' storage order.
+// the candidates' storage order.  Counters wrap, so an estimate may be
+// INT64_MIN; it is the strongest.
 inline bool Stronger(const CandidateTable::Entry& a,
                      const CandidateTable::Entry& b) {
-  const int64_t aa = std::llabs(a.estimate);
-  const int64_t bb = std::llabs(b.estimate);
+  const uint64_t aa = Magnitude(a.estimate);
+  const uint64_t bb = Magnitude(b.estimate);
   if (aa != bb) return aa > bb;
   return a.item < b.item;
 }
@@ -81,9 +87,7 @@ void CountSketch::MergeFrom(const CountSketch& other) {
   GSTREAM_CHECK_EQ(options_.buckets, other.options_.buckets);
   GSTREAM_CHECK_EQ(hash_fingerprint_, other.hash_fingerprint_);
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] = static_cast<int64_t>(
-        static_cast<uint64_t>(counters_[i]) +
-        static_cast<uint64_t>(other.counters_[i]));
+    counters_[i] = WrapAdd(counters_[i], other.counters_[i]);
   }
 }
 
@@ -96,9 +100,7 @@ void CountSketch::Update(ItemId item, int64_t delta) {
     // Mod-2^64 arithmetic, as in the batched kernels and MergeFrom:
     // counters wrap at the int64 edge instead of overflowing.
     int64_t& counter = counters_[j * b + FastRange61(h, b)];
-    counter = static_cast<int64_t>(
-        static_cast<uint64_t>(counter) +
-        static_cast<uint64_t>(ApplyRowSign(h, delta)));
+    counter = WrapAdd(counter, ApplyRowSign(h, delta));
   }
 }
 

@@ -31,6 +31,13 @@ inline int Log2Ceil(uint64_t x) {
 // Smallest power of two >= x.  Requires x >= 1.
 inline uint64_t NextPow2(uint64_t x) { return uint64_t{1} << Log2Ceil(x); }
 
+// a + b mod 2^64, the sketch counters' addition: a counter at the int64
+// edge wraps instead of overflowing, and merges stay exact by linearity.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 }  // namespace gstream
 
 #endif  // GSTREAM_UTIL_BIT_H_

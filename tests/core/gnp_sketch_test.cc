@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/recursive_sketch.h"
 #include "gfunc/catalog.h"
@@ -137,6 +139,46 @@ TEST(GnpSketchTest, SpaceAccountsCountersAndHashes) {
       options.substreams * options.trials *
       (static_cast<size_t>(options.id_bits) + 1) * sizeof(int64_t);
   EXPECT_GE(hh.SpaceBytes(), counters);
+}
+
+TEST(GnpSketchTest, UpdateAndMergeWrapAtInt64Edge) {
+  // Counters are sums mod 2^64: Update, UpdateBatch and MergeFrom all
+  // wrap at the int64 edge to the same counters (the sanitizer leg sees
+  // no signed overflow).  A unit-delta probe shows which counters each
+  // update touches.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<Update> ups = {
+      {1, kMax}, {1, kMax}, {2, kMin}, {3, kMin}, {2, 5}, {3, kMax}};
+  GnpSketchOptions options;
+  options.substreams = 2;
+  options.trials = 8;
+  options.id_bits = 2;
+  const auto make = [&options] {
+    Rng rng(15);
+    return GnpHeavyHitter(options, rng);
+  };
+  std::vector<uint64_t> expected(make().counters().size(), 0);
+  for (const Update& u : ups) {
+    GnpHeavyHitter probe = make();
+    probe.Update(u.item, 1);
+    for (size_t c = 0; c < expected.size(); ++c) {
+      expected[c] += static_cast<uint64_t>(probe.counters()[c]) *
+                     static_cast<uint64_t>(u.delta);
+    }
+  }
+  GnpHeavyHitter single = make();
+  for (const Update& u : ups) single.Update(u.item, u.delta);
+  GnpHeavyHitter batched = make();
+  batched.UpdateBatch(ups.data(), ups.size());
+  for (size_t c = 0; c < expected.size(); ++c) {
+    EXPECT_EQ(static_cast<uint64_t>(single.counters()[c]), expected[c]);
+    EXPECT_EQ(batched.counters()[c], single.counters()[c]);
+  }
+  single.MergeFrom(batched);
+  for (size_t c = 0; c < expected.size(); ++c) {
+    EXPECT_EQ(static_cast<uint64_t>(single.counters()[c]), 2 * expected[c]);
+  }
 }
 
 TEST(GnpSketchDeathTest, SinglePassOnly) {

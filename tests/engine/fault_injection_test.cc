@@ -197,7 +197,6 @@ TEST_F(FaultInjectionTest, SinkExceptionPoisonsShardAndNamesTheError) {
       21, {{"engine/shard/0/sink_throw", 1.0, 0, /*max_fires=*/1}});
 
   IngestEngineOptions options;
-  options.policy = PartitionPolicy::kRoundRobinChunks;
   ShardedIngestor<CountSketch> ingest(options,
                                       [](size_t) { return MakeReplica(); });
   ingest.Open(2);
@@ -234,7 +233,6 @@ TEST_F(FaultInjectionTest, WatchdogConvertsSilentStallIntoNamedError) {
             /*max_fires=*/1}});
 
   IngestEngineOptions options;
-  options.policy = PartitionPolicy::kRoundRobinChunks;
   options.ring_chunks = 4;
   options.chunk_updates = 64;
   options.watchdog_ns = 25'000'000;  // 25 ms
@@ -271,7 +269,6 @@ TEST_F(FaultInjectionTest, BlockPolicyStaysBitExactUnderLosslessFaults) {
            {"engine/shard/1/sink_stall", 0.02, /*param=*/100'000, 0}});
 
   IngestEngineOptions options;
-  options.policy = PartitionPolicy::kHashItem;
   options.ring_chunks = 4;
   ShardedIngestor<CountSketch> ingest(options,
                                       [](size_t) { return MakeReplica(); });
@@ -494,8 +491,6 @@ ChaosOutcome RunChaosSchedule(uint64_t seed, OverloadPolicy policy,
   fault::Registry::Get().Arm(seed, specs);
 
   IngestEngineOptions options;
-  options.policy = seed % 2 == 0 ? PartitionPolicy::kHashItem
-                                 : PartitionPolicy::kRoundRobinChunks;
   options.ring_chunks = 4;
   options.chunk_updates = 64;
   options.max_producers = 3;

@@ -1,5 +1,5 @@
-// Determinism of the sharded ingestion engine: for every partitioning
-// policy and shard count, sharded ingestion followed by the fingerprint-
+// Determinism of the sharded ingestion engine: for every shard count,
+// sharded ingestion followed by the fingerprint-
 // guarded merge must leave the sketch state *bit-identical* to a
 // sequential UpdateBatch pass -- the engine-level extension of the pinning
 // discipline in tests/sketch/batch_equivalence_test.cc.  Linearity over
@@ -59,7 +59,7 @@ void SubmitIrregular(IngestorT& ingest, const Stream& stream) {
 }
 
 const std::vector<PartitionPolicy> kMergePolicies = {
-    PartitionPolicy::kHashItem, PartitionPolicy::kRoundRobinChunks};
+    PartitionPolicy::kRoundRobinChunks};
 const std::vector<size_t> kShardCounts = {1, 2, 3, 4, 8};
 
 TEST(IngestEngineTest, CountSketchShardedBitIdenticalToSequential) {
@@ -123,61 +123,9 @@ TEST(IngestEngineTest, ProcessStreamShardedMatchesProcessStream) {
   EXPECT_EQ(merged.counters(), sequential.counters());
 }
 
-TEST(IngestEngineTest, HashPolicyGivesEachShardASubDomain) {
-  // Under kHashItem a shard's sink must receive exactly the updates of the
-  // items ShardOfItem assigns it -- no leakage across sub-domains.  Record
-  // what each shard actually sees through a raw engine and check every
-  // delivered update against the routing function, and that the shards
-  // together deliver the exact multiset of stream updates (here: all of
-  // each item's deltas, to its owner shard only).
-  const Stream stream = MakeTurnstileStream(205);
-  constexpr size_t kShards = 4;
-  std::vector<FrequencyMap> seen(kShards);
-  std::vector<uint64_t> delivered(kShards, 0);
-  std::vector<BatchSink> sinks;
-  for (size_t s = 0; s < kShards; ++s) {
-    sinks.push_back([&, s](const Update* ups, size_t n) {
-      for (size_t i = 0; i < n; ++i) {
-        seen[s][ups[i].item] += ups[i].delta;
-        ++delivered[s];
-      }
-    });
-  }
-  IngestEngineOptions options;
-  options.shards = kShards;
-  options.policy = PartitionPolicy::kHashItem;
-  IngestEngine engine(options, std::move(sinks));
-  engine.SubmitStream(stream);
-  // Producer-side stats are exact between Submit calls, before Close.
-  uint64_t routed_mid_stream = 0;
-  for (const uint64_t u : engine.stats().shard_updates) routed_mid_stream += u;
-  EXPECT_EQ(routed_mid_stream, stream.length());
-  engine.Close();
-
-  uint64_t total_delivered = 0;
-  for (size_t s = 0; s < kShards; ++s) {
-    total_delivered += delivered[s];
-    for (const auto& [item, net] : seen[s]) {
-      EXPECT_EQ(IngestEngine::ShardOfItem(item, kShards), s)
-          << "item " << item << " leaked into shard " << s;
-    }
-    EXPECT_EQ(delivered[s], engine.stats().shard_updates[s]);
-  }
-  EXPECT_EQ(total_delivered, stream.length());
-  // Each owner shard saw its items' full net frequency.
-  const FrequencyMap exact = ExactFrequencies(stream);
-  for (const auto& [item, net] : exact) {
-    const size_t owner = IngestEngine::ShardOfItem(item, kShards);
-    auto it = seen[owner].find(item);
-    ASSERT_NE(it, seen[owner].end());
-    EXPECT_EQ(it->second, net);
-  }
-}
-
 TEST(IngestEngineTest, RoundRobinBalancesUpdatesAcrossShards) {
   const Stream stream = MakeTurnstileStream(206);
   IngestEngineOptions options;
-  options.policy = PartitionPolicy::kRoundRobinChunks;
   ShardedIngestor<CountSketch> ingest(options, [](size_t) {
     Rng rng(kSeed);
     return CountSketch(CountSketchOptions{5, 256}, rng);
@@ -279,7 +227,6 @@ TEST(IngestEngineTest, RestoreToleratesCheckpointsWithoutTelemetry) {
   };
   IngestEngineOptions options;
   options.shards = 2;
-  options.policy = PartitionPolicy::kHashItem;
   IngestEngine first(options, make_sinks());
   first.Submit(stream.updates().data(), stream.length() / 2);
   first.Flush();
@@ -304,7 +251,6 @@ TEST(IngestEngineTest, StatsJsonHasOneKeyPerField) {
   for (size_t s = 0; s < 3; ++s) sinks.push_back([](const Update*, size_t) {});
   IngestEngineOptions options;
   options.shards = 3;
-  options.policy = PartitionPolicy::kHashItem;
   IngestEngine engine(options, std::move(sinks));
   engine.SubmitStream(stream);
   engine.Close();
@@ -340,6 +286,7 @@ TEST(IngestEngineTest, StatsJsonHasOneKeyPerField) {
 }
 
 TEST(IngestEngineTest, CloseIsIdempotentAndFlushesPartialChunks) {
+  // Seven updates frame one partial chunk, which must reach a shard.
   Rng seq_rng(kSeed);
   CountSketch sequential(CountSketchOptions{3, 64}, seq_rng);
   Stream tiny(1 << 8);
@@ -347,7 +294,6 @@ TEST(IngestEngineTest, CloseIsIdempotentAndFlushesPartialChunks) {
   ProcessStream(sequential, tiny);
 
   IngestEngineOptions options;
-  options.policy = PartitionPolicy::kHashItem;  // staging chunks stay open
   ShardedIngestor<CountSketch> ingest(options, [](size_t) {
     Rng rng(kSeed);
     return CountSketch(CountSketchOptions{3, 64}, rng);
@@ -369,7 +315,6 @@ TEST(IngestEngineTest, DrainAllowsPerShardQueriesBeforeMerge) {
   ProcessStream(sequential, stream);
 
   IngestEngineOptions options;
-  options.policy = PartitionPolicy::kHashItem;
   ShardedIngestor<CountSketch> ingest(options, [](size_t) {
     Rng rng(kSeed);
     return CountSketch(CountSketchOptions{5, 256}, rng);
@@ -394,8 +339,7 @@ TEST(IngestEngineTest, RecursiveGSumShardedBitIdenticalToSequential) {
   // partition and fold at close.  With a candidate budget at least the
   // distinct-item count no level ever prunes, so not just the per-level
   // linear state (tracker counters, AMS sums) but the estimate itself must
-  // be bit-identical to the sequential batched pass, at every shard count
-  // under both merge policies.
+  // be bit-identical to the sequential batched pass, at every shard count.
   Rng workload_rng(215);
   StreamShapeOptions shape;
   shape.churn_pairs = 300;
@@ -505,7 +449,7 @@ TEST(IngestEngineTest, GSumEstimatorShardedProcessMatchesSequential) {
   // ProcessStreamSharded runs every repetition's full recursive stack
   // across the engine (pass 2 replicating the frozen candidate tables),
   // and in the no-pruning regime the median estimate is bit-identical to
-  // the sequential Process() at every shard count under both policies.
+  // the sequential Process() at every shard count.
   Rng workload_rng(217);
   StreamShapeOptions shape;
   shape.churn_pairs = 200;
@@ -568,7 +512,7 @@ TEST(IngestEngineDeathTest, GSumEstimatorMergeRejectsDifferentRepetitions) {
 
 TEST(IngestEngineTest, ExactFrequencySketchShardedBitIdenticalToSequential) {
   // The exact tabulator is linear with a trivial merge, so the engine must
-  // reproduce ExactFrequencies() exactly under every policy.
+  // reproduce ExactFrequencies() exactly at every shard count.
   const Stream stream = MakeTurnstileStream(211);
   const FrequencyMap expected = ExactFrequencies(stream);
   for (const PartitionPolicy policy : kMergePolicies) {
@@ -589,7 +533,7 @@ TEST(IngestEngineTest, OnePassHHShardedBitIdenticalToSequential) {
   // The full one-pass heavy hitter (CountSketchTopK tracker + AMS) through
   // the engine: the merged linear state -- tracker counters and AMS sums --
   // must be bit-identical to the sequential batched pass at every shard
-  // count under both merge policies.  (The candidate set is maintenance
+  // count.  (The candidate set is maintenance
   // metadata re-derived from those counters at merge; its decode-level
   // contract is pinned by MergeTest.TopKCandidateUnionMerge... and the
   // tests/verify/ statistical suite.)
@@ -745,31 +689,6 @@ TEST(IngestEngineTest, FlushAfterCloseIsANoOp) {
   engine.Flush();  // and stays idempotent
   EXPECT_EQ(delivered, stream.length());
   EXPECT_EQ(engine.stats().updates_submitted, stream.length());
-}
-
-TEST(IngestEngineTest, CloseCommitRecordsRingOccupancyHighwater) {
-  // Fewer updates than one chunk under the hash scatter: nothing commits
-  // before Close(), so the final partial-chunk commit is the *only*
-  // occupancy event -- and it must be recorded like any other (the
-  // high-water used to skip it and report 0).  The sleeping sink keeps the
-  // worker from popping the chunk before the producer-side occupancy read.
-  std::vector<BatchSink> sinks;
-  sinks.push_back([](const Update* /*ups*/, size_t /*n*/) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  });
-  IngestEngineOptions options;
-  options.shards = 1;
-  options.policy = PartitionPolicy::kHashItem;
-  options.chunk_updates = 64;
-  IngestEngine engine(options, std::move(sinks));
-  Stream tiny(1 << 8);
-  for (int i = 0; i < 7; ++i) tiny.Append(static_cast<ItemId>(i), 1);
-  engine.SubmitStream(tiny);
-  engine.Close();
-  const IngestStats& stats = engine.stats();
-  EXPECT_EQ(stats.chunks_committed, 1u);
-  ASSERT_EQ(stats.shard_ring_highwater.size(), 1u);
-  EXPECT_GE(stats.shard_ring_highwater[0], 1u);
 }
 
 TEST(IngestEngineTest, RestoreZerosNonPersistedTelemetry) {

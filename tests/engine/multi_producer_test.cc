@@ -39,7 +39,7 @@ Stream MakeTurnstileStream(uint64_t seed, size_t churn_pairs = 700) {
 }
 
 const std::vector<PartitionPolicy> kMergePolicies = {
-    PartitionPolicy::kHashItem, PartitionPolicy::kRoundRobinChunks};
+    PartitionPolicy::kRoundRobinChunks};
 
 // Splits the stream into `producers` contiguous slices and feeds slice p
 // from its own thread through its own ProducerHandle, in irregular run
@@ -77,8 +77,8 @@ std::vector<ProducerHandle*> FeedConcurrently(IngestorT& ingest,
   return handles;
 }
 
-// The tentpole pin: every shard count x producer count x policy,
-// bit-identical to sequential.
+// The central pin: every shard count x producer count, bit-identical to
+// sequential.
 TEST(MultiProducerTest, CountSketchBitIdenticalToSequential) {
   const Stream stream = MakeTurnstileStream(301);
   Rng seq_rng(kSeed);
@@ -262,7 +262,6 @@ TEST(MultiProducerTest, EngineSubmitCoexistsWithExternalProducer) {
   ProcessStream(sequential, stream);
 
   IngestEngineOptions options;
-  options.policy = PartitionPolicy::kHashItem;
   options.max_producers = 2;
   ShardedIngestor<CountSketch> ingest(options, [](size_t) {
     Rng rng(kSeed);
@@ -298,9 +297,9 @@ TEST(MultiProducerDeathTest, AddProducerBeyondMaxProducersChecks) {
 }
 
 TEST(MultiProducerDeathTest, CloseWithOpenExternalProducerChecks) {
-  // The engine cannot safely flush another thread's staging chunks, so an
-  // external handle left open at engine Close() is a contract violation,
-  // not a silent data loss.
+  // Only the owning thread may mark its lanes done, so an external handle
+  // left open at engine Close() is a contract violation, not a silent
+  // data loss.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ASSERT_DEATH(
       {

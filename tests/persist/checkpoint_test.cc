@@ -4,10 +4,9 @@
 //
 // The resume pin is deliberately run on CountSketchTopK -- a *composite*
 // sink whose candidate metadata observes chunk framing and routing order,
-// not just the multiset of updates -- and under both partitioning policies:
-// kRoundRobinChunks (round-robin cursor must be restored) and kHashItem
-// (staged partial chunks must be restored).  If a checkpoint carried only
-// the cursor and counters, these tests would fail.
+// not just the multiset of updates -- so the round-robin cursor must be
+// restored.  If a checkpoint carried only the stream cursor and counters,
+// these tests would fail.
 
 #include "persist/checkpoint.h"
 
@@ -38,11 +37,9 @@ Stream MakeTestStream() {
   return std::move(w.stream);
 }
 
-ShardedIngestor<CountSketchTopK> MakeIngestor(PartitionPolicy policy,
-                                              uint64_t seed = kSeed) {
+ShardedIngestor<CountSketchTopK> MakeIngestor(uint64_t seed = kSeed) {
   IngestEngineOptions options;
   options.shards = 3;
-  options.policy = policy;
   return ShardedIngestor<CountSketchTopK>(options, [seed](size_t) {
     Rng rng(seed);
     return CountSketchTopK(CountSketchOptions{4, 128}, 16, rng);
@@ -68,10 +65,9 @@ void ArmOnce(const char* site) {
 // Runs the whole stream with checkpointing enabled, never interrupted, and
 // returns the merged sketch's blob -- the reference the resumed runs must
 // hit byte-for-byte.
-std::string UninterruptedRun(PartitionPolicy policy,
-                             const CheckpointOptions& options) {
+std::string UninterruptedRun(const CheckpointOptions& options) {
   const Stream stream = MakeTestStream();
-  ShardedIngestor<CountSketchTopK> ingest = MakeIngestor(policy);
+  ShardedIngestor<CountSketchTopK> ingest = MakeIngestor();
   ingest.Open(3);
   const uint64_t end =
       RunWithCheckpoints<CountSketchTopK>(ingest, stream, 0, options);
@@ -79,23 +75,20 @@ std::string UninterruptedRun(PartitionPolicy policy,
   return SerializeSketch(ingest.Close());
 }
 
-void ResumeIsBitExact(PartitionPolicy policy) {
-  // Per-policy file names: ctest may run the two policy variants of this
-  // test concurrently in one TempDir, and shared paths would collide.
-  const std::string tag = std::to_string(static_cast<int>(policy));
+TEST_F(CheckpointTest, ResumeIsBitExactRoundRobin) {
   CheckpointOptions ckpt;
   ckpt.interval_updates = 2 * kStreamBatchSize;
-  ckpt.path = TempPath("ckpt_ref_" + tag + ".gckp");
-  const std::string reference = UninterruptedRun(policy, ckpt);
+  ckpt.path = TempPath("ckpt_ref.gckp");
+  const std::string reference = UninterruptedRun(ckpt);
   const std::string ref_path = ckpt.path;
 
   // Interrupted run: stop right after the second checkpoint lands ("the
   // process dies"), then restore into a brand-new ingestor and finish.
   const Stream stream = MakeTestStream();
-  ckpt.path = TempPath("ckpt_resume_" + tag + ".gckp");
+  ckpt.path = TempPath("ckpt_resume.gckp");
   uint64_t died_at = 0;
   {
-    ShardedIngestor<CountSketchTopK> ingest = MakeIngestor(policy);
+    ShardedIngestor<CountSketchTopK> ingest = MakeIngestor();
     ingest.Open(3);
     RunWithCheckpoints<CountSketchTopK>(ingest, stream, 0, ckpt,
                                         [&died_at](uint64_t cursor) {
@@ -113,7 +106,7 @@ void ResumeIsBitExact(PartitionPolicy policy) {
   ASSERT_TRUE(status.ok()) << status.message;
   EXPECT_EQ(image.cursor, died_at);
 
-  ShardedIngestor<CountSketchTopK> resumed = MakeIngestor(policy);
+  ShardedIngestor<CountSketchTopK> resumed = MakeIngestor();
   resumed.Open(3);
   status = RestoreIngestor(image, &resumed);
   ASSERT_TRUE(status.ok()) << status.message;
@@ -126,25 +119,13 @@ void ResumeIsBitExact(PartitionPolicy policy) {
   std::remove(ckpt.path.c_str());
 }
 
-TEST_F(CheckpointTest, ResumeIsBitExactRoundRobin) {
-  ResumeIsBitExact(PartitionPolicy::kRoundRobinChunks);
-}
-
-// kHashItem scatters per-update, so at almost every chunk boundary each
-// shard holds a reserved-but-uncommitted staging chunk; the checkpoint
-// must carry and re-stage those for the resumed framing to match.
-TEST_F(CheckpointTest, ResumeIsBitExactHashItemWithStagedChunks) {
-  ResumeIsBitExact(PartitionPolicy::kHashItem);
-}
-
 TEST_F(CheckpointTest, ResumePreservesIngestStats) {
   CheckpointOptions ckpt;
   ckpt.interval_updates = 2 * kStreamBatchSize;
   ckpt.path = TempPath("ckpt_stats.gckp");
   const Stream stream = MakeTestStream();
 
-  ShardedIngestor<CountSketchTopK> full =
-      MakeIngestor(PartitionPolicy::kHashItem);
+  ShardedIngestor<CountSketchTopK> full = MakeIngestor();
   full.Open(3);
   RunWithCheckpoints<CountSketchTopK>(full, stream, 0, ckpt);
   full.Drain();
@@ -219,12 +200,11 @@ TEST_F(CheckpointTest, RestoredStatsAgreeBetweenDecodedAndInProcessSnapshots) {
 
 TEST_F(CheckpointTest, ResumedEngineConservesRoutedUpdates) {
   // Routed counts adopted at restore span the whole logical run, so the
-  // applied counts must too: after a mid-stream snapshot with staged
-  // kHashItem chunks, a restore and the rest of the stream, every shard
-  // still satisfies routed == applied + shed.
+  // applied counts must too: after a mid-stream snapshot, a restore and
+  // the rest of the stream, every shard still satisfies
+  // routed == applied + shed.
   IngestEngineOptions options;
   options.shards = 3;
-  options.policy = PartitionPolicy::kHashItem;
   auto make_sinks = [] {
     return std::vector<BatchSink>(
         3, [](const Update* /*ups*/, size_t /*n*/) {});
@@ -238,9 +218,6 @@ TEST_F(CheckpointTest, ResumedEngineConservesRoutedUpdates) {
   first.Flush();
   const IngestProducerState snapshot = first.SnapshotProducerState();
   first.Close();
-  size_t staged = 0;
-  for (const auto& s : snapshot.staged) staged += s.size();
-  ASSERT_GT(staged, 0u);
 
   IngestEngine resumed(options, make_sinks());
   resumed.RestoreProducerState(snapshot);
@@ -266,7 +243,6 @@ TEST_F(CheckpointTest, ImageEncodeDecodeRoundtrip) {
   image.producer.stats.chunks_committed = 7;
   image.producer.stats.producer_stalls = 3;
   image.producer.stats.shard_updates = {500, 499};
-  image.producer.staged = {{{41, -2}, {77, 5}}, {}};
   image.shard_blobs = {"first shard blob", "second"};
   const std::string bytes = EncodeCheckpoint(image);
 
@@ -278,10 +254,6 @@ TEST_F(CheckpointTest, ImageEncodeDecodeRoundtrip) {
             image.producer.round_robin_next);
   EXPECT_EQ(decoded.producer.stats.shard_updates,
             image.producer.stats.shard_updates);
-  ASSERT_EQ(decoded.producer.staged.size(), 2u);
-  ASSERT_EQ(decoded.producer.staged[0].size(), 2u);
-  EXPECT_EQ(decoded.producer.staged[0][1].item, 77u);
-  EXPECT_EQ(decoded.producer.staged[0][1].delta, 5);
   EXPECT_EQ(decoded.shard_blobs, image.shard_blobs);
 }
 
@@ -290,7 +262,6 @@ TEST_F(CheckpointTest, DecoderRejectsCorruption) {
   image.cursor = 42;
   image.producer.round_robin_next = 1;
   image.producer.stats.shard_updates = {21, 21};
-  image.producer.staged = {{}, {{9, 9}}};
   image.shard_blobs = {"blob a", "blob b"};
   const std::string bytes = EncodeCheckpoint(image);
 
@@ -332,7 +303,6 @@ TEST_F(CheckpointTest, TornWriteAtEveryPhaseKeepsPreviousCheckpoint) {
   CheckpointImage v1;
   v1.cursor = 1024;
   v1.producer.stats.shard_updates = {512, 512};
-  v1.producer.staged = {{}, {}};
   v1.shard_blobs = {"v1 shard 0", "v1 shard 1"};
   ASSERT_TRUE(SaveCheckpoint(v1, path));
 
@@ -372,8 +342,7 @@ TEST_F(CheckpointTest, TornWriteAtEveryPhaseKeepsPreviousCheckpoint) {
 
 TEST_F(CheckpointTest, RestoreRejectsShardCountMismatch) {
   const Stream stream = MakeTestStream();
-  ShardedIngestor<CountSketchTopK> source =
-      MakeIngestor(PartitionPolicy::kRoundRobinChunks);
+  ShardedIngestor<CountSketchTopK> source = MakeIngestor();
   source.Open(3);
   source.Submit(stream.updates().data(), 2 * kStreamBatchSize);
   const CheckpointImage image =
@@ -395,16 +364,14 @@ TEST_F(CheckpointTest, RestoreRejectsShardCountMismatch) {
 
 TEST_F(CheckpointTest, RestoreRejectsWrongSeedReplicas) {
   const Stream stream = MakeTestStream();
-  ShardedIngestor<CountSketchTopK> source =
-      MakeIngestor(PartitionPolicy::kRoundRobinChunks);
+  ShardedIngestor<CountSketchTopK> source = MakeIngestor();
   source.Open(3);
   source.Submit(stream.updates().data(), 2 * kStreamBatchSize);
   const CheckpointImage image =
       SnapshotIngestor(source, 2 * kStreamBatchSize);
   source.Drain();
 
-  ShardedIngestor<CountSketchTopK> other =
-      MakeIngestor(PartitionPolicy::kRoundRobinChunks, /*seed=*/0xdeadULL);
+  ShardedIngestor<CountSketchTopK> other = MakeIngestor(/*seed=*/0xdeadULL);
   other.Open(3);
   const LoadStatus status = RestoreIngestor(image, &other);
   ASSERT_FALSE(status.ok());
@@ -417,12 +384,11 @@ TEST_F(CheckpointTest, RestoreRejectsWrongSeedReplicas) {
 // writes passes DecodeCheckpoint, so RestoreIngestor must reject it --
 // with a named error and before any replica is touched -- rather than let
 // the next Submit route past the last shard or CHECK-fail the restore.
-// `corrupt` edits a 2-shard `policy` image; the message must name `field`.
-void ExpectRestoreRejects(PartitionPolicy policy,
-                          const std::function<void(CheckpointImage*)>& corrupt,
+// `corrupt` edits a 2-shard image; the message must name `field`.
+void ExpectRestoreRejects(const std::function<void(CheckpointImage*)>& corrupt,
                           const std::string& field) {
   const Stream stream = MakeTestStream();
-  ShardedIngestor<CountSketchTopK> source = MakeIngestor(policy);
+  ShardedIngestor<CountSketchTopK> source = MakeIngestor();
   source.Open(2);
   source.Submit(stream.updates().data(), 2 * kStreamBatchSize);
   CheckpointImage image = SnapshotIngestor(source, 2 * kStreamBatchSize);
@@ -430,7 +396,7 @@ void ExpectRestoreRejects(PartitionPolicy policy,
   corrupt(&image);
   ASSERT_TRUE(DecodeCheckpoint(EncodeCheckpoint(image), &image).ok());
 
-  ShardedIngestor<CountSketchTopK> fresh = MakeIngestor(policy);
+  ShardedIngestor<CountSketchTopK> fresh = MakeIngestor();
   fresh.Open(2);
   const std::string untouched = SerializeSketch(fresh.replicas()[0]);
   const LoadStatus status = RestoreIngestor(image, &fresh);
@@ -443,19 +409,8 @@ void ExpectRestoreRejects(PartitionPolicy policy,
 
 TEST_F(CheckpointTest, RestoreRejectsRoundRobinCursorPastShards) {
   ExpectRestoreRejects(
-      PartitionPolicy::kRoundRobinChunks,
       [](CheckpointImage* image) { image->producer.round_robin_next = 7; },
       "round_robin_next 7");
-}
-
-TEST_F(CheckpointTest, RestoreRejectsOverlongStagedChunk) {
-  // A full chunk is committed, never staged.
-  ExpectRestoreRejects(
-      PartitionPolicy::kHashItem,
-      [](CheckpointImage* image) {
-        image->producer.staged[1].assign(kStreamBatchSize, Update{3, 1});
-      },
-      "shard 1");
 }
 
 // A checkpoint records no pass index, so a two-pass sink is refused both

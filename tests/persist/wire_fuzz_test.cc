@@ -4,7 +4,7 @@
 // checkpoint_test.cc mostly stop at the checksum.  This suite walks a
 // valid blob's layout -- the envelope, the length-prefixed child blobs
 // (recursively) and, for a GCKP, the shard table -- and mutates one
-// semantic field at a time: child lengths, entry / staged / shard counts,
+// semantic field at a time: child lengths, entry and shard counts,
 // geometry words, kind and version tags, the reserved flags word, and the
 // sorted entry lists -- top-k candidates and exact frequencies (a
 // duplicated id, two entries out of order, or, for a tracker, more than 2k
@@ -16,8 +16,8 @@
 // bytes and keeps every top-k tracker within its 2k-candidate bound, or
 // fails with a named LoadError and a message and leaves the destination
 // bit-unchanged.  A decoded GCKP mutant must also either restore into a
-// fresh ingestor under each partition policy that routes by producer state
-// and then take a chunk, or fail the restore with a named LoadError.
+// fresh ingestor and then take a chunk, or fail the restore with a named
+// LoadError.
 
 #include <gtest/gtest.h>
 
@@ -114,10 +114,6 @@ class Walker {
     const uint64_t shards = ReadLe(bytes_, 8, 8);
     // cursor, round-robin position, three stat words, per-shard counts.
     size_t pos = 16 + 5 * 8 + 8 * shards;
-    for (uint64_t s = 0; s < shards; ++s) {
-      Add(pos, 8, FieldClass::kCount);  // staged updates
-      pos += 8 + 16 * ReadLe(bytes_, pos, 8);
-    }
     for (uint64_t s = 0; s < shards; ++s) pos = Child(pos, 1);
     return Finish();
   }
@@ -531,7 +527,6 @@ TEST(CheckpointFuzzTest, TwoShardMutantsDecodeAndRestoreOrFailCleanly) {
   pristine.producer.stats.updates_submitted = 2048;
   pristine.producer.stats.chunks_committed = 3;
   pristine.producer.stats.shard_updates = {1030, 1018};
-  pristine.producer.staged = {{{5, 1}, {6, -2}}, {{7, 3}}};
   for (const uint64_t stream_seed : {31, 32}) {
     OnePassHeavyHitter s = MakeOnePass();
     Feed(s, stream_seed);
@@ -574,25 +569,20 @@ TEST(CheckpointFuzzTest, TwoShardMutantsDecodeAndRestoreOrFailCleanly) {
           CheckOutcome(shard, blob, before, shard.load(blob), i));
     }
     // The restore path also validates the producer state, which the
-    // checksum does not: the round-robin cursor and the staged chunks.
-    for (const PartitionPolicy policy :
-         {PartitionPolicy::kRoundRobinChunks, PartitionPolicy::kHashItem}) {
-      IngestEngineOptions options;
-      options.policy = policy;
-      ShardedIngestor<OnePassHeavyHitter> ingest(
-          options, [](size_t) { return MakeOnePass(); });
-      ingest.Open(2);
-      const LoadStatus restored = RestoreIngestor(image, &ingest);
-      if (restored.ok()) {
-        ingest.Submit(chunk.data(), chunk.size());
-        ingest.Close();
-        continue;
-      }
-      ASSERT_NE(std::string(LoadErrorName(restored.error)), "unknown")
-          << "mutant " << i;
-      ASSERT_FALSE(restored.message.empty()) << "mutant " << i;
-      ingest.Drain();
+    // checksum does not: the round-robin cursor.
+    ShardedIngestor<OnePassHeavyHitter> ingest(
+        IngestEngineOptions{}, [](size_t) { return MakeOnePass(); });
+    ingest.Open(2);
+    const LoadStatus restored = RestoreIngestor(image, &ingest);
+    if (restored.ok()) {
+      ingest.Submit(chunk.data(), chunk.size());
+      ingest.Close();
+      continue;
     }
+    ASSERT_NE(std::string(LoadErrorName(restored.error)), "unknown")
+        << "mutant " << i;
+    ASSERT_FALSE(restored.message.empty()) << "mutant " << i;
+    ingest.Drain();
   }
   // Shard-internal mutations pass the outer decode and reach the shard
   // loader.

@@ -4,9 +4,10 @@
 // here, independent of persist::Checksum64, so a change to the writer, the
 // reader primitives or the trailer checksum that moves a single byte shows
 // up as a digest change.  On a mismatch the failure prints the
-// replacement table row.  Committed version-1 vectors pin the retired-
-// version rule and show that version 2 kept the payload layout; a
-// committed blob of retired tag 2 pins its refusal.
+// replacement table row.  Committed version-1 vectors and the last
+// version-2 checkpoint pin the retired-version rule, and the v1 sketch
+// blob shows that GSKB version 2 kept the payload layout; a committed blob
+// of retired tag 2 pins its refusal.
 
 #include <gtest/gtest.h>
 
@@ -153,7 +154,7 @@ std::vector<std::pair<std::string, std::string>> GoldenBlobs() {
   return blobs;
 }
 
-// A two-shard image: seeded CountSketch replicas, one staged partial chunk.
+// A two-shard image of seeded CountSketch replicas.
 CheckpointImage GoldenImage() {
   CheckpointImage image;
   image.cursor = 4096;
@@ -162,7 +163,6 @@ CheckpointImage GoldenImage() {
   image.producer.stats.chunks_committed = 7;
   image.producer.stats.producer_stalls = 2;
   image.producer.stats.shard_updates = {2050, 2043};
-  image.producer.staged = {{{17, -1}, {300, 4}, {17, 2}}, {}};
   for (const uint64_t stream_seed : {21, 22}) {
     Rng rng(kSeed);
     CountSketch s(CountSketchOptions{2, 8}, rng);
@@ -213,8 +213,10 @@ constexpr SketchGolden kSketchGoldens[] = {
      {"recursive_gsum", 1548, 0x005c63a222000dddULL}},
 };
 
-constexpr Golden kCheckpointGolden = {"gckp_two_shards", 512,
-                                      0xb979eba373c24e14ULL};
+// GCKP version 3: the v2 golden (kV2CheckpointHex below) less its staged
+// chunk records.
+constexpr Golden kCheckpointGolden = {"gckp_two_shards", 448,
+                                      0x64716fe6db864277ULL};
 
 TEST(SketchIoGoldenTest, EveryKindMatchesItsPinnedBytes) {
   const auto blobs = GoldenBlobs();
@@ -232,8 +234,9 @@ TEST(CheckpointGoldenTest, TwoShardImageMatchesItsPinnedBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Committed v1 vectors: a 1x4 CountSketch blob and a two-shard GCKP whose
-// shards both hold that blob.
+// Committed retired vectors: a v1 1x4 CountSketch blob, a v1 two-shard
+// GCKP whose shards both hold that blob, and the last v2 GCKP golden (it
+// carried per-shard staged partial chunks).
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kV1CountSketchHex =
@@ -252,23 +255,29 @@ constexpr std::string_view kV1CheckpointHex =
     "01000000000000000400000000000000fffffffffffffffffaffffffffffffff"
     "03000000000000000200000000000000c481f3b3c67a775706147b71da7fce93";
 
+constexpr std::string_view kV2CheckpointHex =
+    "47434b5002000000020000000000000000100000000000000100000000000000"
+    "0010000000000000070000000000000002000000000000000208000000000000"
+    "fb0700000000000003000000000000001100000000000000ffffffffffffffff"
+    "2c01000000000000040000000000000011000000000000000200000000000000"
+    "0000000000000000b00000000000000047534b42020000000100000000000000"
+    "51398475980b3af6020000000000000008000000000000000100000000000000"
+    "06000000000000000e00000000000000fcfffffffffffffff6ffffffffffffff"
+    "0000000000000000010000000000000002000000000000000700000000000000"
+    "0e0000000000000001000000000000000f000000000000000500000000000000"
+    "f7fffffffffffffff4ffffffffffffff0b00000000000000bf884e0f835018f3"
+    "b00000000000000047534b4202000000010000000000000051398475980b3af6"
+    "020000000000000008000000000000001200000000000000f9ffffffffffffff"
+    "f8ffffffffffffff0000000000000000f1ffffffffffffff0300000000000000"
+    "f8fffffffffffffffffffffffffffffffbffffffffffffff0000000000000000"
+    "0200000000000000fafffffffffffffff4fffffffffffffffeffffffffffffff"
+    "10000000000000000100000000000000cfbd8298afe594c2f0160438c932cbb3";
+
 CountSketch FedTinyCountSketch() {
   Rng rng(kSeed);
   CountSketch s(CountSketchOptions{1, 4}, rng);
   Feed(s, 5, 40);
   return s;
-}
-
-// The image behind kV1CheckpointHex, with `shard_blob` in both shards.
-CheckpointImage TinyImage(const std::string& shard_blob) {
-  CheckpointImage image;
-  image.cursor = 1024;
-  image.producer.stats.updates_submitted = 1024;
-  image.producer.stats.chunks_committed = 2;
-  image.producer.stats.shard_updates = {512, 512};
-  image.producer.staged = {{{9, 3}}, {}};
-  image.shard_blobs = {shard_blob, shard_blob};
-  return image;
 }
 
 // Format version 1 is retired: its FNV-1a trailer cannot verify as XXH64,
@@ -285,15 +294,25 @@ TEST(SketchIoGoldenTest, RetiredV1BlobIsVersionSkew) {
   EXPECT_EQ(SerializeSketch(dst), before);
 }
 
-TEST(CheckpointGoldenTest, RetiredV1CheckpointIsVersionSkew) {
+// A retired checkpoint is refused by version, and the image is untouched.
+void ExpectRetiredCheckpoint(std::string_view hex, uint32_t version) {
   CheckpointImage image = GoldenImage();
   const std::string before = EncodeCheckpoint(image);
-  const LoadStatus status =
-      DecodeCheckpoint(FromHex(kV1CheckpointHex), &image);
+  const LoadStatus status = DecodeCheckpoint(FromHex(hex), &image);
   EXPECT_EQ(status.error, LoadError::kVersionSkew) << status.message;
-  EXPECT_EQ(status.message, "checkpoint version 1, this build reads " +
-                                std::to_string(kCheckpointFormatVersion));
+  EXPECT_EQ(status.message, "checkpoint version " + std::to_string(version) +
+                                ", this build reads 3");
   EXPECT_EQ(EncodeCheckpoint(image), before);
+}
+
+TEST(CheckpointGoldenTest, RetiredV1CheckpointIsVersionSkew) {
+  ExpectRetiredCheckpoint(kV1CheckpointHex, 1);
+}
+
+TEST(CheckpointGoldenTest, RetiredV2CheckpointIsVersionSkew) {
+  ExpectGolden({"gckp_two_shards_v2", 512, 0xb979eba373c24e14ULL},
+               FromHex(kV2CheckpointHex));
+  ExpectRetiredCheckpoint(kV2CheckpointHex, 2);
 }
 
 // Replaces a blob's version word and strips its checksum trailer.
@@ -305,19 +324,12 @@ std::string BodyAsVersion(std::string blob, uint32_t version) {
   return blob;
 }
 
-// Version 2 changed only the version word and the trailer: the bodies of
-// the committed v1 vectors are this build's bytes.
+// GSKB version 2 changed only the version word and the trailer: the body
+// of the committed v1 sketch blob is this build's bytes.
 TEST(SketchIoGoldenTest, V2KeepsTheV1PayloadLayout) {
   const std::string v2 = SerializeSketch(FedTinyCountSketch());
   EXPECT_EQ(ToHex(BodyAsVersion(v2, 1)),
             ToHex(BodyAsVersion(FromHex(kV1CountSketchHex), 1)));
-}
-
-TEST(CheckpointGoldenTest, V2KeepsTheV1PayloadLayout) {
-  const std::string v2 =
-      EncodeCheckpoint(TinyImage(FromHex(kV1CountSketchHex)));
-  EXPECT_EQ(ToHex(BodyAsVersion(v2, 1)),
-            ToHex(BodyAsVersion(FromHex(kV1CheckpointHex), 1)));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include "stream/exact.h"
@@ -121,6 +122,42 @@ TEST(AmsTest, SignsAreRowHashBits) {
   EXPECT_EQ(std::vector<int64_t>(single.sums().begin(), single.sums().end()),
             want);
   EXPECT_EQ(batched.sums(), single.sums());
+}
+
+TEST(AmsTest, UpdateAndMergeWrapAtInt64Edge) {
+  // Sums are mod 2^64: Update, UpdateBatch and MergeFrom all wrap at the
+  // int64 edge to the same sums (the sanitizer leg sees no signed
+  // overflow).  A unit-delta probe shows each estimator's sign per item.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<Update> ups = {
+      {1, kMax}, {1, kMax}, {2, kMin}, {3, kMin}, {2, 5}, {3, kMax}};
+  const AmsOptions options{4, 2};
+  const auto make = [&options] {
+    Rng rng(15);
+    return AmsSketch(options, rng);
+  };
+  std::vector<uint64_t> expected(make().sums().size(), 0);
+  for (const Update& u : ups) {
+    AmsSketch probe = make();
+    probe.Update(u.item, 1);
+    for (size_t j = 0; j < expected.size(); ++j) {
+      expected[j] += static_cast<uint64_t>(probe.sums()[j]) *
+                     static_cast<uint64_t>(u.delta);
+    }
+  }
+  AmsSketch single = make();
+  for (const Update& u : ups) single.Update(u.item, u.delta);
+  AmsSketch batched = make();
+  batched.UpdateBatch(ups.data(), ups.size());
+  for (size_t j = 0; j < expected.size(); ++j) {
+    EXPECT_EQ(static_cast<uint64_t>(single.sums()[j]), expected[j]);
+    EXPECT_EQ(batched.sums()[j], single.sums()[j]);
+  }
+  single.MergeFrom(batched);
+  for (size_t j = 0; j < expected.size(); ++j) {
+    EXPECT_EQ(static_cast<uint64_t>(single.sums()[j]), 2 * expected[j]);
+  }
 }
 
 TEST(AmsTest, DeterministicGivenSeed) {

@@ -112,19 +112,31 @@ TEST(CountSketchTest, SpaceBytesScalesWithGeometry) {
   EXPECT_GE(small.SpaceBytes(), 2 * 32 * sizeof(int64_t));
 }
 
-// Plants `counters` (row-major) into `cs` through the wire format, whose
-// counter array ends just before the trailing checksum.
-void PlantCounters(const std::vector<int64_t>& counters, CountSketch* cs) {
-  std::string blob = SerializeSketch(*cs);
+// Re-seals a blob's trailing checksum over the bytes before it.
+void Reseal(std::string* blob) {
+  const size_t body = blob->size() - 8;
+  const uint64_t checksum =
+      persist::Checksum64(std::string_view(*blob).substr(0, body));
+  for (size_t i = 0; i < 8; ++i) {
+    (*blob)[body + i] = static_cast<char>(checksum >> (8 * i));
+  }
+}
+
+// Plants `counters` (row-major) into a CountSketch blob, whose counter
+// array ends just before the trailing checksum.
+std::string PlantCounters(const std::vector<int64_t>& counters,
+                          std::string blob) {
   const size_t body = blob.size() - 8;
   std::memcpy(blob.data() + body - 8 * counters.size(), counters.data(),
               8 * counters.size());
-  const uint64_t checksum =
-      persist::Checksum64(std::string_view(blob).substr(0, body));
-  for (size_t i = 0; i < 8; ++i) {
-    blob[body + i] = static_cast<char>(checksum >> (8 * i));
-  }
-  ASSERT_TRUE(DeserializeSketch(blob, cs).ok());
+  Reseal(&blob);
+  return blob;
+}
+
+void PlantCounters(const std::vector<int64_t>& counters, CountSketch* cs) {
+  ASSERT_TRUE(
+      DeserializeSketch(PlantCounters(counters, SerializeSketch(*cs)), cs)
+          .ok());
 }
 
 TEST(CountSketchTest, EstimateAllEqualsEstimateAtExtremes) {
@@ -205,6 +217,48 @@ TEST(CountSketchTopKTest, FindsPlantedHeavyHitter) {
   ASSERT_FALSE(top.empty());
   EXPECT_EQ(top[0].first, heavy);
   EXPECT_NEAR(static_cast<double>(top[0].second), 100000.0, 1000.0);
+}
+
+TEST(CountSketchTopKTest, Int64MinEstimateRanksStrongest) {
+  // Counters wrap, so an estimate can be INT64_MIN, whose magnitude 2^63
+  // beats INT64_MAX's.  One row of two buckets: item `a` reads INT64_MIN
+  // and item `b` reads +-INT64_MAX once the counters are planted into the
+  // tracker's CountSketch blob and a merge re-estimates both candidates.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const auto make = [] {
+    Rng rng(16);
+    return CountSketchTopK(CountSketchOptions{1, 2}, 2, rng);
+  };
+  const auto bucket = [&make](ItemId item) {
+    CountSketchTopK probe = make();
+    probe.Update(item, 1);
+    return probe.sketch().counters()[0] != 0 ? 0 : 1;
+  };
+  const ItemId a = 0;
+  ItemId b = 1;
+  while (bucket(b) == bucket(a)) ++b;
+  std::vector<int64_t> counters(2);
+  counters[bucket(a)] = kMin;
+  counters[bucket(b)] = kMax;
+
+  CountSketchTopK topk = make();
+  topk.Update(a, 1);
+  topk.Update(b, 1);
+  std::string blob = SerializeSketch(topk);
+  const std::string child = SerializeSketch(topk.sketch());
+  const size_t at = blob.find(child);
+  ASSERT_NE(at, std::string::npos);
+  blob.replace(at, child.size(), PlantCounters(counters, child));
+  Reseal(&blob);
+  ASSERT_TRUE(DeserializeSketch(blob, &topk).ok());
+  topk.MergeFrom(make());
+
+  const auto top = topk.TopK();
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0], (std::pair<ItemId, int64_t>{a, kMin}));
+  EXPECT_EQ(top[1].first, b);
+  EXPECT_TRUE(top[1].second == kMax || top[1].second == -kMax);
 }
 
 TEST(CountSketchTopKTest, FindsNegativeHeavyHitter) {

@@ -7,8 +7,7 @@
 // bit-) equivalent: over >= 12 seeds each of Zipfian and
 // adversarial-deletion turnstile streams, half run sequentially and half
 // through whole-stack sharded ingestion (ProcessStreamSharded over the
-// whole GSumEstimator, alternating partition policies and shard counts
-// 2..8),
+// whole GSumEstimator over shard counts 2..8),
 //
 //   (1) ACCURACY: the median relative error per (family, ingest mode)
 //       bucket stays within the configured eps target -- the operating
@@ -103,8 +102,6 @@ void RunFamily(Family family, ModeStats& sequential, ModeStats& engine_fed) {
     if (sharded) {
       IngestEngineOptions engine_options;
       engine_options.shards = 2 + (s / 2) % 7;  // 2..8
-      engine_options.policy = (s % 4 == 1) ? PartitionPolicy::kHashItem
-                                           : PartitionPolicy::kRoundRobinChunks;
       estimate = ProcessStreamSharded(w.stream, engine_options, [&](size_t) {
                    return GSumEstimator(g, w.stream.domain(), options);
                  }).Estimate();

@@ -161,8 +161,6 @@ bool RunSeed(uint64_t seed, const Flags& f, const Stream& stream,
   const std::string schedule = ArmSchedule(seed, f.shards);
 
   IngestEngineOptions options;
-  options.policy = seed % 2 == 0 ? PartitionPolicy::kHashItem
-                                 : PartitionPolicy::kRoundRobinChunks;
   options.shards = f.shards;
   options.ring_chunks = 4;
   options.chunk_updates = 64;

@@ -111,7 +111,6 @@ int Run(const Flags& f) {
 
   IngestEngineOptions engine_options;
   engine_options.shards = f.shards;
-  engine_options.policy = PartitionPolicy::kRoundRobinChunks;
   ShardedIngestor<CountSketchTopK> ingest(engine_options, [&f](size_t) {
     Rng rng(f.seed);  // same seed per shard => mergeable replicas
     return CountSketchTopK(CountSketchOptions{f.rows, f.buckets}, f.k, rng);

@@ -81,7 +81,14 @@ bool OnePassHeavyHitter::SurvivesPruning(const GFunction& g, int64_t v_hat,
   if (e <= 0) return true;
   const double g_hat = g.ValueAbs(v_hat);
   auto stable_at = [&](int64_t y) {
-    const double g_shift = g.ValueAbs(v_hat + y);
+    // v_hat + y saturates at the int64 edge, where a wrapped estimate
+    // can sit.
+    int64_t shifted = 0;
+    if (__builtin_add_overflow(v_hat, y, &shifted)) {
+      shifted = y > 0 ? std::numeric_limits<int64_t>::max()
+                      : std::numeric_limits<int64_t>::min();
+    }
+    const double g_shift = g.ValueAbs(shifted);
     return std::fabs(g_hat - g_shift) <= epsilon * g_shift;
   };
   // Probe magnitudes: 1..8 exhaustively, then geometric up to E, then an
@@ -101,7 +108,10 @@ bool OnePassHeavyHitter::SurvivesPruning(const GFunction& g, int64_t v_hat,
     if (m > std::numeric_limits<int64_t>::max() / 2) break;
   }
   const int64_t step = std::max<int64_t>(1, e / 8);
-  for (int64_t m = step; m < e; m += step) magnitudes[count++] = m;
+  for (int64_t m = step; m < e; m += step) {
+    magnitudes[count++] = m;
+    if (m >= e - step) break;  // the next step reaches E (or past INT64_MAX)
+  }
   magnitudes[count++] = e;
   std::sort(magnitudes.begin(), magnitudes.begin() + count);
   const auto last = std::unique(magnitudes.begin(), magnitudes.begin() + count);

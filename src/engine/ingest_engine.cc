@@ -127,6 +127,7 @@ ProducerHandle::RouteOutcome ProducerHandle::CopyChunkToShard(
     return RouteOutcome::kShed;
   }
   slot->n = static_cast<uint32_t>(n);
+  slot->kind = ChunkKind::kUpdates;
   std::memcpy(slot->updates, updates, n * sizeof(Update));
   engine_->shards_[s]->lanes[index_]->ring.Commit();
   stats_.shard_updates[s] += n;
@@ -298,6 +299,27 @@ void IngestEngine::ApplyChunk(Shard* shard, UpdateChunk* chunk) {
   }
 }
 
+void IngestEngine::ApplyBarrier(Shard* shard) {
+  const bool poisoned = shard->poisoned.load(std::memory_order_relaxed);
+  BarrierState pending = BarrierState::kPending;
+  if (!shard->barrier.compare_exchange_strong(
+          pending, poisoned ? BarrierState::kSkipped : BarrierState::kRunning,
+          std::memory_order_acq_rel)) {
+    return;  // a marker of a barrier the producer gave up on
+  }
+  if (poisoned) return;
+  BarrierState done = BarrierState::kDone;
+  try {
+    (*barrier_fn_)(shard->index);
+  } catch (const std::exception& e) {
+    shard->poisoned.store(true, std::memory_order_relaxed);
+    RecordError(EngineErrorCode::kSinkException, shard->index,
+                std::string("barrier callback threw: ") + e.what());
+    done = BarrierState::kSkipped;
+  }
+  shard->barrier.store(done, std::memory_order_release);
+}
+
 void IngestEngine::WorkerLoop(Shard* shard) {
   const size_t n_lanes = shard->lanes.size();
   for (;;) {
@@ -310,7 +332,11 @@ void IngestEngine::WorkerLoop(Shard* shard) {
       UpdateChunk* chunk = lane.ring.Front();
       if (chunk == nullptr) continue;
       drained = true;
-      ApplyChunk(shard, chunk);
+      if (chunk->kind == ChunkKind::kBarrier) {
+        ApplyBarrier(shard);
+      } else {
+        ApplyChunk(shard, chunk);
+      }
       lane.ring.Pop();
       // Progress advances on every consumed chunk (applied or shed):
       // the watchdog distinguishes "no work" from "work, no progress".
@@ -442,6 +468,41 @@ IngestStats IngestEngine::stats() const {
   return stats;
 }
 
+// A poisoned worker still *consumes* (shedding), so rings drain after
+// sink exceptions and a wait completes normally.  Only a wedged worker --
+// the case the watchdog names -- cannot drain; once the error is up, a
+// wait gives it a grace period (long enough for poison to take effect on
+// a merely-slow sink call) and then returns the named error instead of
+// inheriting the hang.
+class IngestEngine::Grace {
+ public:
+  explicit Grace(const IngestEngine& engine)
+      : engine_(engine),
+        grace_ns_(engine.options_.watchdog_ns > 0
+                      ? 2 * engine.options_.watchdog_ns
+                      : 0) {}
+
+  // True once the engine has been in error for the whole grace period.
+  // Sticky: after the first true, every wait gives up at once.
+  bool Expired() {
+    if (expired_) return true;
+    if (grace_ns_ == 0 ||
+        !engine_.error_flag_.load(std::memory_order_acquire)) {
+      return false;
+    }
+    const uint64_t now = obs::NowNs();
+    if (error_seen_ns_ == 0) error_seen_ns_ = now;
+    expired_ = now - error_seen_ns_ >= grace_ns_;
+    return expired_;
+  }
+
+ private:
+  const IngestEngine& engine_;
+  const uint64_t grace_ns_;
+  uint64_t error_seen_ns_ = 0;
+  bool expired_ = false;
+};
+
 EngineError IngestEngine::Flush() {
   // Closed engines are already quiescent; the barrier below would also
   // deadlock-free trivially, but skipping keeps Flush safe to layer over
@@ -449,33 +510,76 @@ EngineError IngestEngine::Flush() {
   if (closed_) return error();
   obs::TraceSpan span("engine/flush", "engine");
   obs::ScopedTimer timer(obs_.flush_ns);
-  // A poisoned worker still *consumes* (shedding), so rings drain after
-  // sink exceptions and the barrier completes normally.  Only a wedged
-  // worker -- the case the watchdog names -- cannot drain; once the
-  // error is up, give it a grace period (long enough for poison to take
-  // effect on a merely-slow sink call) and then return the named error
-  // instead of inheriting the hang.
-  const uint64_t grace_ns =
-      options_.watchdog_ns > 0 ? 2 * options_.watchdog_ns : 0;
-  uint64_t error_seen_ns = 0;
-  bool degraded = false;
+  Grace grace(*this);
   for (auto& shard : shards_) {
-    if (degraded) break;
     for (auto& lane : shard->lanes) {
-      if (degraded) break;
-      while (!lane->ring.Empty()) {
-        if (grace_ns > 0 &&
-            error_flag_.load(std::memory_order_acquire)) {
-          const uint64_t now = obs::NowNs();
-          if (error_seen_ns == 0) {
-            error_seen_ns = now;
-          } else if (now - error_seen_ns >= grace_ns) {
-            degraded = true;
-            break;
-          }
-        }
+      while (!lane->ring.Empty() && !grace.Expired()) {
         std::this_thread::yield();
       }
+    }
+  }
+  return error();
+}
+
+EngineError IngestEngine::Barrier(
+    const std::function<void(size_t shard)>& at_marker) {
+  // Markers are admitted only where nothing is shed: a dropped marker
+  // would leave its shard out of the snapshot.
+  GSTREAM_CHECK(options_.overload == OverloadPolicy::kBlock &&
+                "barrier markers are admitted only under kBlock");
+  if (internal_ == nullptr && !closed_) internal_ = AddProducer();
+  GSTREAM_CHECK_EQ(ClaimedProducers(), internal_ == nullptr ? 0u : 1u);
+  if (closed_) {
+    for (const auto& shard : shards_) {
+      if (!shard->poisoned.load(std::memory_order_relaxed)) {
+        at_marker(shard->index);
+      }
+    }
+    return error();
+  }
+  obs::TraceSpan span("engine/barrier", "engine");
+  barrier_fn_ = &at_marker;
+  Grace grace(*this);
+  for (const auto& shard : shards_) {
+    // Arm before the marker is visible; the release publishes
+    // barrier_fn_ to whichever marker claims the armed state.
+    shard->barrier.store(BarrierState::kPending, std::memory_order_release);
+    SpscRing<UpdateChunk>& ring = shard->lanes[internal_->index_]->ring;
+    // Not ReserveSlot: a marker counts no stall and asks no fault site.
+    UpdateChunk* slot = nullptr;
+    while ((slot = ring.TryReserve()) == nullptr && !grace.Expired()) {
+      std::this_thread::yield();
+    }
+    if (slot == nullptr) continue;  // the wait below gives the shard up
+    slot->n = 0;
+    slot->kind = ChunkKind::kBarrier;
+    ring.Commit();
+  }
+  bool complete = true;
+  for (const auto& shard : shards_) {
+    for (;;) {
+      BarrierState state = shard->barrier.load(std::memory_order_acquire);
+      if (state == BarrierState::kDone) break;
+      if (state == BarrierState::kSkipped) {
+        complete = false;
+        break;
+      }
+      // Only an unclaimed marker can be given up on; a claimed callback
+      // is running and is waited out.
+      if (state == BarrierState::kPending && grace.Expired() &&
+          shard->barrier.compare_exchange_strong(state, BarrierState::kIdle,
+                                                 std::memory_order_acq_rel)) {
+        complete = false;
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  if (!complete) {
+    // A shard skips its marker only once poisoned, and every poisoning
+    // records an error; the watchdog poisons first, so wait for it.
+    while (!error_flag_.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
     }
   }
   return error();

@@ -42,6 +42,11 @@
 // Stall counts and stall time are reported per producer and in the
 // aggregated stats() under every policy.
 //
+// Barrier snapshots: Barrier() queues a marker chunk per shard behind
+// everything routed, and each worker runs a callback on its own sink when
+// it pops the marker (docs/engine.md).  Checkpoints use it so the shards
+// serialize themselves, in parallel.
+//
 // Failure reporting: a worker whose sink throws, or one the watchdog
 // (options.watchdog_ns) catches making no progress past its deadline, is
 // *poisoned*: it stops applying and sheds queued chunks (so producers
@@ -160,12 +165,22 @@ struct IngestEngineOptions {
   uint64_t watchdog_ns = 0;
 };
 
+// What a chunk in a ring carries.  A barrier marker carries no updates
+// (n == 0): its worker runs the barrier callback instead of the sink
+// (IngestEngine::Barrier).  No counter counts a marker.
+enum class ChunkKind : uint32_t {
+  kUpdates = 0,
+  kBarrier = 1,
+};
+
 // One framed chunk as it crosses a ring: a fixed 8 KiB update array plus
-// its fill count.
+// its fill count and kind (which sit in the header's 8 bytes).
 struct UpdateChunk {
   uint32_t n = 0;
+  ChunkKind kind = ChunkKind::kUpdates;
   Update updates[kStreamBatchSize];
 };
+static_assert(sizeof(UpdateChunk) == 8 + sizeof(Update) * kStreamBatchSize);
 
 // Counters accumulated over an engine's lifetime; stable after Close().
 // This is the engine's one view of its own accounting: stats() folds the
@@ -368,6 +383,24 @@ class IngestEngine {
   // prevent (the quiesce guarantee then covers healthy shards only).
   EngineError Flush();
 
+  // Barrier snapshot: commits one barrier marker per shard on the internal
+  // producer's lane and waits (spin + yield) until every worker has popped
+  // its marker and run `at_marker(shard)` on its own thread.  The marker
+  // trails every chunk committed before the call, so each shard's sink
+  // then holds exactly the routed prefix, and after an ok return the sinks
+  // may be read race-free until the next Submit, as after Flush().
+  // Single-producer engines under kBlock only (CHECK-fails otherwise: a
+  // shed policy must never drop a marker).  A marker touches no routing
+  // state or counter, so SnapshotProducerState() reads as after Flush().
+  //
+  // Degraded engines: a poisoned worker consumes its marker without
+  // running `at_marker`, and a wedged one is given up after Flush()'s
+  // grace; either way the engine's error is returned and that shard's
+  // callback never runs.  `at_marker` never runs after Barrier returns.
+  // On a closed engine the workers are joined, so `at_marker` runs on the
+  // caller's thread for each healthy shard.
+  EngineError Barrier(const std::function<void(size_t shard)>& at_marker);
+
   // The first failure recorded on this engine (kNone while healthy).
   // Thread-safe; stable once Close() returned.
   EngineError error() const;
@@ -411,6 +444,19 @@ class IngestEngine {
     alignas(64) std::atomic<bool> done{false};
   };
 
+  // One shard's side of the barrier handshake.  The producer arms
+  // kPending, and a worker claims it from kPending only (a stale marker of
+  // a barrier given up on finds nothing to claim); the producer gives up
+  // on a shard only by taking kPending back to kIdle, so a claimed
+  // callback always runs to kDone before Barrier returns.
+  enum class BarrierState : uint32_t {
+    kIdle,
+    kPending,
+    kRunning,
+    kDone,
+    kSkipped,  // poisoned: the marker was consumed, the callback not run
+  };
+
   struct Shard {
     Shard(size_t index, size_t ring_chunks, size_t n_lanes) : index(index) {
       lanes.reserve(n_lanes);
@@ -442,6 +488,7 @@ class IngestEngine {
     // stall: a poisoned worker applies nothing further and sheds every
     // queued chunk, so producers drain instead of hanging.
     std::atomic<bool> poisoned{false};
+    std::atomic<BarrierState> barrier{BarrierState::kIdle};
     // Fault sites, fetched at engine construction ("engine/shard/<i>/
     // sink_stall" sleeps param() ns before the sink; ".../sink_throw"
     // raises in place of the sink call).
@@ -453,11 +500,18 @@ class IngestEngine {
   // One chunk through the sink, with fault injection, poisoned-shard
   // shedding, exception capture, and applied/shed accounting.
   void ApplyChunk(Shard* shard, UpdateChunk* chunk);
+  // A barrier marker: claims the shard's pending barrier and runs the
+  // callback, or consumes the marker when poisoned or stale.
+  void ApplyBarrier(Shard* shard);
   // Watchdog thread body (only started when options.watchdog_ns > 0).
   void WatchdogLoop();
   // Records the first engine error (later ones are dropped -- the first
   // failure is the cause, the rest are symptoms).
   void RecordError(EngineErrorCode code, size_t shard, std::string detail);
+
+  // The give-up rule of Flush() and Barrier(): once an error is recorded,
+  // a wait lasts at most 2 x watchdog_ns (forever without a watchdog).
+  class Grace;
 
   // Number of handles claimed so far, clamped to the preallocated pool.
   size_t ClaimedProducers() const;
@@ -476,6 +530,10 @@ class IngestEngine {
   mutable std::mutex error_mu_;
   EngineError error_;
   std::atomic<bool> error_flag_{false};
+
+  // The running barrier's callback: written by the producer before it arms
+  // any shard, read by a worker only after claiming an armed shard.
+  const std::function<void(size_t)>* barrier_fn_ = nullptr;
 
   std::thread watchdog_;
   std::atomic<bool> watchdog_stop_{false};

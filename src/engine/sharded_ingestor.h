@@ -138,13 +138,26 @@ class ShardedIngestor {
 
   // Quiesce without closing: every committed chunk applied, workers parked.
   // Afterwards replicas() and stats() are race-free to read (and
-  // serialize) until the next Submit -- the checkpoint hook
-  // (persist/checkpoint.h) is built on this.  Returns the engine's first
+  // serialize) until the next Submit.  Returns the engine's first
   // recorded error (see IngestEngine::Flush for the degraded-shard grace
   // contract).
   EngineError Flush() {
     GSTREAM_CHECK(engine_ != nullptr);
     return engine_->Flush();
+  }
+
+  // Barrier snapshot (see IngestEngine::Barrier): each shard's worker
+  // calls `at_marker(shard, replica)` on its own thread once its replica
+  // holds exactly what was submitted before this call.  After an ok
+  // return, replicas() and stats() are race-free to read until the next
+  // Submit, as after Flush().  The checkpoint hook (persist/checkpoint.h)
+  // serializes every replica this way, in parallel.
+  EngineError Barrier(
+      const std::function<void(size_t shard, const SketchT& replica)>&
+          at_marker) {
+    GSTREAM_CHECK(engine_ != nullptr);
+    return engine_->Barrier(
+        [&](size_t shard) { at_marker(shard, replicas_[shard]); });
   }
 
   // The first failure recorded on the underlying engine (kNone while

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,14 @@ class GFunction {
   // Human-readable name used in tables and test output.
   virtual std::string name() const = 0;
 
-  // Symmetric extension g(|x|) used when applying g to frequencies.
-  double ValueAbs(int64_t x) const { return Value(std::llabs(x)); }
+  // Symmetric extension g(|x|) used when applying g to frequencies.  |x|
+  // saturates at INT64_MAX: sketch counters wrap mod 2^64, so an estimate
+  // can be INT64_MIN, whose magnitude no int64 holds.
+  double ValueAbs(int64_t x) const {
+    return Value(x == std::numeric_limits<int64_t>::min()
+                     ? std::numeric_limits<int64_t>::max()
+                     : std::llabs(x));
+  }
 
   // Adapts this function to the std::function-based callables used by
   // stream/exact.h.  The returned callable references *this; the GFunction

@@ -1,6 +1,6 @@
 // Crash-consistent checkpoint/restart for the sharded ingestion engine.
 //
-// A checkpoint captures a running ingestion at a quiescent chunk boundary:
+// A checkpoint captures a running ingestion at a chunk boundary:
 // the stream cursor, the producer routing state (round-robin position and
 // stats -- see IngestProducerState), and one
 // serialized sketch blob per shard.  The file is written with the
@@ -20,7 +20,7 @@
 // count, and why CheckpointOptions::interval_updates must be a multiple of
 // the engine's chunk_updates (checked).
 //
-// File layout (little-endian, version 3, sharing the persist byte
+// File layout (little-endian, version 4, sharing the persist byte
 // primitives):
 //
 //   bytes 0-3   magic "GCKP"
@@ -34,8 +34,11 @@
 //   u64         XXH64 (seed 0) of every preceding byte
 //
 // Version history: 1 = FNV-1a trailer, 2 = XXH64 trailer and per-shard
-// staged partial chunks before the blobs, 3 = no staged chunks.  Versions
-// 1 and 2 are retired and reported as version skew.
+// staged partial chunks before the blobs, 3 = no staged chunks, 4 = the
+// same layout around GSKB version 3 shard blobs (counters at their
+// width), so a version 3 file is refused when it is decoded rather than
+// shard by shard when it is restored.  Versions 1-3 are retired and
+// reported as version skew.
 
 #ifndef GSTREAM_PERSIST_CHECKPOINT_H_
 #define GSTREAM_PERSIST_CHECKPOINT_H_
@@ -57,7 +60,7 @@
 
 namespace gstream {
 
-inline constexpr uint32_t kCheckpointFormatVersion = 3;
+inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
 // In-memory image of one checkpoint.
 struct CheckpointImage {
@@ -70,8 +73,8 @@ std::string EncodeCheckpoint(const CheckpointImage& image);
 
 // Total over arbitrary bytes, like DeserializeSketch: magic, truncation,
 // checksum, and version failures come back as a clean LoadStatus and the
-// image is untouched.  A file of a retired version (its checksum no
-// longer verifies) is reported as version skew, not as corruption.
+// image is untouched.  An intact file of a retired version is reported as
+// version skew, not as corruption.
 // Shard blobs are only framed here; their contents self-validate when
 // RestoreIngestor feeds them to DeserializeSketch.
 LoadStatus DecodeCheckpoint(std::string_view bytes, CheckpointImage* image);
@@ -94,29 +97,40 @@ int SinkPasses(const SketchT& sink) {
   }
 }
 
-// Captures a running ingestion: quiesces the engine (Flush), then snapshots
-// the producer state and serializes every shard replica.  `cursor` is the
-// caller's position in the input stream.  The ingestor stays live.
+// Captures a running ingestion with a barrier snapshot
+// (ShardedIngestor::Barrier): each shard's worker serializes its own
+// replica, in parallel, at a marker behind every chunk submitted so far;
+// the producer waits for all of them, then snapshots its routing state.
+// `cursor` is the caller's position in the input stream.  The ingestor
+// stays live, and its replicas are race-free to read until the next
+// Submit.
+//
+// `error`, if given, receives the engine's error.  A degraded engine (a
+// poisoned or wedged shard) yields an error, and then the image is no
+// checkpoint: a failed shard's blob is empty, so it cannot restore.
 template <typename SketchT>
 CheckpointImage SnapshotIngestor(ShardedIngestor<SketchT>& ingest,
-                                 uint64_t cursor) {
+                                 uint64_t cursor,
+                                 EngineError* error = nullptr) {
   obs::TraceSpan span("persist/snapshot", "persist");
-  // The two phases have different owners -- quiesce waits on the workers,
-  // serialize is producer-side CPU -- so they get separate histograms.
-  {
-    obs::ScopedTimer quiesce(
-        obs::Registry::Get().GetHistogram("persist/ckpt_quiesce_ns"));
-    ingest.Flush();
-  }
-  obs::ScopedTimer serialize(
-      obs::Registry::Get().GetHistogram("persist/ckpt_serialize_ns"));
+  obs::Registry& registry = obs::Registry::Get();
+  // The producer's wait, which spans the slowest shard's serialize, and
+  // each shard's serialize on its own worker.
+  obs::Histogram* const serialize_ns =
+      registry.GetHistogram("persist/ckpt_serialize_ns");
   CheckpointImage image;
   image.cursor = cursor;
-  image.producer = ingest.SnapshotProducerState();
-  image.shard_blobs.reserve(ingest.replicas().size());
-  for (SketchT& replica : ingest.replicas()) {
-    image.shard_blobs.push_back(SerializeSketch(replica));
+  image.shard_blobs.resize(ingest.replicas().size());
+  EngineError status;
+  {
+    obs::ScopedTimer quiesce(registry.GetHistogram("persist/ckpt_quiesce_ns"));
+    status = ingest.Barrier([&](size_t shard, const SketchT& replica) {
+      obs::ScopedTimer serialize(serialize_ns);
+      image.shard_blobs[shard] = SerializeSketch(replica);
+    });
   }
+  image.producer = ingest.SnapshotProducerState();
+  if (error != nullptr) *error = std::move(status);
   return image;
 }
 
@@ -177,10 +191,11 @@ struct CheckpointOptions {
 // once at end-of-stream).  `after_checkpoint`, if set, runs after each
 // successful save with the current cursor; returning false stops the feed
 // there (the kill-point hook the crash tests use).  Returns the cursor
-// reached: stream.length() on completion, earlier if stopped by the hook
-// or by a failed save (an injected fault "crashed" the writer).  A
-// multi-pass sink is refused (CHECK): its checkpoints could not be
-// restored.
+// reached: stream.length() on completion, earlier if stopped by the hook,
+// by a failed save (an injected fault "crashed" the writer) or by an
+// engine error at a snapshot, which saves nothing (ingest.error() names
+// it; the last saved checkpoint predates the fault).  A multi-pass sink
+// is refused (CHECK): its checkpoints could not be restored.
 template <typename SketchT>
 uint64_t RunWithCheckpoints(
     ShardedIngestor<SketchT>& ingest, const Stream& stream, uint64_t start,
@@ -203,8 +218,9 @@ uint64_t RunWithCheckpoints(
     const uint64_t n = std::min(options.interval_updates, total - cursor);
     ingest.Submit(updates + cursor, n);
     cursor += n;
-    const CheckpointImage image = SnapshotIngestor(ingest, cursor);
-    if (!SaveCheckpoint(image, options.path)) return cursor;
+    EngineError error;
+    const CheckpointImage image = SnapshotIngestor(ingest, cursor, &error);
+    if (!error.ok() || !SaveCheckpoint(image, options.path)) return cursor;
     if (after_checkpoint != nullptr && !after_checkpoint(cursor)) {
       return cursor;
     }

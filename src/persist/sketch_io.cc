@@ -114,6 +114,55 @@ void ByteWriter::PutBytes(std::string_view bytes) {
   buf_.append(bytes.data(), bytes.size());
 }
 
+uint32_t PackedWidth(const int64_t* values, size_t n) {
+  // A value fits in w bytes iff its bits 8w - 1 .. 63 are all equal, that
+  // is iff bits 8w .. 63 of v ^ (v << 1) are zero.  OR-ing those tests
+  // every value at once, with a shift and an xor that vectorize.
+  uint64_t bits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto v = static_cast<uint64_t>(values[i]);
+    bits |= v ^ (v << 1);
+  }
+  if (bits < 0x100) return 1;
+  if (bits < 0x10000) return 2;
+  if (bits < 0x100000000) return 4;
+  return 8;
+}
+
+namespace {
+
+template <typename Narrow>
+void Pack(const int64_t* values, size_t n, char* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const auto v = static_cast<Narrow>(values[i]);
+    std::memcpy(out + i * sizeof(Narrow), &v, sizeof(Narrow));
+  }
+}
+
+template <typename Narrow>
+void Unpack(const char* in, size_t n, int64_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    Narrow v;
+    std::memcpy(&v, in + i * sizeof(Narrow), sizeof(Narrow));
+    out[i] = v;
+  }
+}
+
+}  // namespace
+
+void ByteWriter::PutPacked(const int64_t* values, size_t n, uint32_t width) {
+  if (n == 0) return;
+  const size_t at = buf_.size();
+  buf_.resize(at + width * n);
+  char* out = buf_.data() + at;
+  switch (width) {
+    case 1: Pack<int8_t>(values, n, out); break;
+    case 2: Pack<int16_t>(values, n, out); break;
+    case 4: Pack<int32_t>(values, n, out); break;
+    default: std::memcpy(out, values, 8 * n); break;
+  }
+}
+
 void ByteWriter::PutBlob(std::string_view blob) {
   PutU64(blob.size());
   PutBytes(blob);
@@ -146,6 +195,20 @@ bool ByteReader::GetI64Array(int64_t* out, size_t n) {
   if (n == 0) return true;
   std::memcpy(out, bytes_.data() + pos_, n * sizeof(int64_t));
   pos_ += n * sizeof(int64_t);
+  return true;
+}
+
+bool ByteReader::GetPacked(uint32_t width, int64_t* out, size_t n) {
+  if (std::popcount(width) != 1 || width > 8) return false;
+  if (n > remaining() / width) return false;
+  const char* in = bytes_.data() + pos_;
+  switch (width) {
+    case 1: Unpack<int8_t>(in, n, out); break;
+    case 2: Unpack<int16_t>(in, n, out); break;
+    case 4: Unpack<int32_t>(in, n, out); break;
+    default: if (n != 0) std::memcpy(out, in, 8 * n); break;
+  }
+  pos_ += width * n;
   return true;
 }
 
@@ -187,10 +250,11 @@ LoadStatus OpenEnvelope(std::string_view bytes, const Envelope& envelope,
   *body = ByteReader(payload.substr(magic.size()));
   uint32_t version = 0;
   body->GetU32(&version);
-  // A retired version carries another checksum, which cannot verify here:
-  // it is reported as version skew rather than as corrupt bytes.
-  const bool retired = version >= 1 && version < envelope.version;
-  if (!retired && Checksum64(payload) != stored_checksum) {
+  // Version 1 of both formats ended in an FNV-1a trailer, which cannot
+  // verify here: it is reported as version skew rather than as corrupt
+  // bytes.  Every later version ends in this XXH64, so a retired one is
+  // named only once its bytes verify.
+  if (version != 1 && Checksum64(payload) != stored_checksum) {
     return LoadStatus::Fail(LoadError::kChecksumMismatch,
                             "whole-image checksum mismatch (corrupt or torn " +
                                 magic + " bytes)");
@@ -267,7 +331,8 @@ struct SketchSerde {
   //   Geometry         u64 words that must equal the destination's;
   //   FingerprintWord  a u64 that must equal it, checked with the envelope's
   //                    fingerprint;
-  //   Counters         an i64 array sized by the geometry, copied in bulk;
+  //   Counters         an i64 array sized by the geometry: a u32 width,
+  //                    then every counter in that many bytes;
   //   Entries,         a u64 count, then (u64, i64) entries, item ids
   //   Candidates       strictly ascending;
   //   Children         nested blobs, each a length-prefixed envelope;
@@ -373,10 +438,14 @@ struct SketchSerde {
 // Walks a declaration with no output to size a blob, then again into a
 // buffer reserved to that size.  Each child is written in place: its
 // length word is back-patched and its checksum covers its own region, so
-// every counter array is copied once.
+// every counter array is packed once.  The sizing walk measures each
+// counter array's width and the writing walk reuses it, in walk order.
 class SketchSerde::Writer {
  public:
-  explicit Writer(ByteWriter* out) : out_(out) {}
+  Writer() = default;
+  // Writes into `out` at the widths `sizer` measured.
+  Writer(ByteWriter* out, const Writer& sizer)
+      : out_(out), widths_(sizer.widths_) {}
 
   size_t bytes() const { return bytes_; }
 
@@ -395,7 +464,15 @@ class SketchSerde::Writer {
   void Geometry(const char*, uint64_t value) { U64(value); }
   void FingerprintWord(uint64_t value) { U64(value); }
   void Counters(const auto& counters) {
-    Put(counters.data(), 8 * counters.size());
+    if (out_ == nullptr) {
+      widths_.push_back(PackedWidth(counters.data(), counters.size()));
+    }
+    const uint32_t width = widths_[next_width_++];
+    U32(width);
+    if (out_ != nullptr) {
+      out_->PutPacked(counters.data(), counters.size(), width);
+    }
+    bytes_ += width * counters.size();
   }
 
   void Children(const auto&... children) { (Child(children), ...); }
@@ -468,8 +545,10 @@ class SketchSerde::Writer {
   void U32(uint32_t v) { Put(&v, sizeof(v)); }
   void U64(uint64_t v) { Put(&v, sizeof(v)); }
 
-  ByteWriter* out_;  // null while sizing
+  ByteWriter* out_ = nullptr;  // null while sizing
   size_t bytes_ = 0;
+  std::vector<uint32_t> widths_;  // per counter array, in walk order
+  size_t next_width_ = 0;
 };
 
 // Walks a declaration over a blob's payload into the loader's private copy
@@ -497,9 +576,26 @@ class SketchSerde::Reader {
     if (Word(&got) && got != want) fingerprint_ok_ = false;
   }
 
+  // A width the writer would not pick for the values it holds is refused,
+  // so every array that loads re-serializes to its own bytes.
   void Counters(auto& counters) {
-    if (Ready() && !in_->GetI64Array(counters.data(), counters.size())) {
+    uint32_t width = 0;
+    if (!Ready()) return;
+    if (!in_->GetU32(&width)) {
+      Note(Truncated(kind_ + "counter width"));
+    } else if (width != 1 && width != 2 && width != 4 && width != 8) {
+      Note(LoadStatus::Fail(LoadError::kDomainError,
+                            kind_ + "counter width " + std::to_string(width) +
+                                " outside {1, 2, 4, 8}"));
+    } else if (!in_->GetPacked(width, counters.data(), counters.size())) {
       Note(Truncated(kind_ + "counters"));
+    } else if (const uint32_t need =
+                   PackedWidth(counters.data(), counters.size());
+               need != width) {
+      Note(LoadStatus::Fail(LoadError::kDomainError,
+                            kind_ + "counters at width " +
+                                std::to_string(width) + ", their values " +
+                                "pack at width " + std::to_string(need)));
     }
   }
 
@@ -671,11 +767,11 @@ class SketchSerde::Reader {
 
 template <typename T>
 std::string SketchSerde::Write(const T& sketch) {
-  Writer sizer(nullptr);
+  Writer sizer;
   sizer.Blob(sketch);
   ByteWriter out;
   out.Reserve(sizer.bytes());
-  Writer(&out).Blob(sketch);
+  Writer(&out, sizer).Blob(sketch);
   GSTREAM_CHECK_EQ(out.bytes().size(), sizer.bytes());
   return out.Take();
 }

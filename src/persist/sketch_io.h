@@ -1,7 +1,7 @@
 // Durable sketches: a versioned binary wire format for every mergeable
 // sketch in the library, including whole RecursiveGSum Theorem-13 stacks.
 //
-// Blob layout (little-endian, version 2; docs/persistence.md has the full
+// Blob layout (little-endian, version 3; docs/persistence.md has the full
 // story):
 //
 //   bytes 0-3   magic "GSKB"
@@ -10,9 +10,9 @@
 //   u32         flags (reserved: 0, any other value is refused)
 //   u64         Fingerprint() of the serialized sketch
 //   ...         kind-specific payload: geometry words, then counter state
-//               (counter arrays are copied in bulk; a composite writes each
-//               child in place as a length-prefixed blob with its own
-//               envelope)
+//               (a counter array is a u32 width, then every counter in
+//               that many bytes; a composite writes each child in place
+//               as a length-prefixed blob with its own envelope)
 //   u64         XXH64 (seed 0) of every preceding byte
 //
 // What is serialized is exactly the *state* -- counters, sums, candidate
@@ -82,9 +82,10 @@ enum class SketchKind : uint32_t {
 // names no SketchKind.
 const char* SketchKindName(SketchKind kind);
 
-// Version history: 1 = FNV-1a trailer (retired, reported as version skew),
-// 2 = XXH64 trailer.  The payload layout is the same in both.
-inline constexpr uint32_t kSketchFormatVersion = 2;
+// Version history: 1 = FNV-1a trailer, 2 = XXH64 trailer (the same payload
+// layout as 1, every counter an i64), 3 = counter arrays at their width.
+// Versions 1 and 2 are retired and reported as version skew.
+inline constexpr uint32_t kSketchFormatVersion = 3;
 
 // ---------------------------------------------------------------------------
 // Serialize / Deserialize, one overload pair per mergeable sketch.
@@ -190,6 +191,11 @@ namespace persist {
 // adversaries, which is the contract crash consistency needs.
 uint64_t Checksum64(std::string_view bytes);
 
+// The width of a counter array on the wire: the smallest of 1, 2, 4 and 8
+// bytes whose two's complement holds every one of `values[0, n)`.  Derived
+// from the values alone, so a loaded array re-serializes at its own width.
+uint32_t PackedWidth(const int64_t* values, size_t n);
+
 // Little-endian bounds-checked primitives shared by the sketch and
 // checkpoint formats.
 class ByteWriter {
@@ -202,6 +208,9 @@ class ByteWriter {
   void PutU64(uint64_t v);
   void PutI64(int64_t v);
   void PutBytes(std::string_view bytes);
+  // `n` i64s at `width` bytes each (PackedWidth of them), low bytes
+  // first, written in place.
+  void PutPacked(const int64_t* values, size_t n, uint32_t width);
   // Length-prefixed child blob.
   void PutBlob(std::string_view blob);
   // Overwrites the u64 at byte `pos` (a length written before its blob).
@@ -225,6 +234,10 @@ class ByteReader {
   bool GetI64(int64_t* v);
   // `n` i64s in one copy; false, reading nothing, if fewer remain.
   bool GetI64Array(int64_t* out, size_t n);
+  // `n` i64s of `width` bytes each, sign-extended; false, reading
+  // nothing, if `width` is not 1, 2, 4 or 8 or fewer than width * n bytes
+  // remain.
+  bool GetPacked(uint32_t width, int64_t* out, size_t n);
   bool GetBytes(size_t n, std::string_view* out);
   // Length-prefixed child blob (bounded by the remaining bytes).
   bool GetBlob(std::string_view* out);
@@ -251,8 +264,8 @@ inline constexpr Envelope kSketchEnvelope = {"GSKB", 4 + 4 + 4 + 4 + 8,
                                              kSketchFormatVersion, "format"};
 
 // Checks 1-4 of docs/persistence.md's order: magic, minimum size, the
-// checksum (unless the version word names a retired version, whose
-// trailer is another hash), then the version.  On success `body` reads
+// checksum (unless the version word is 1, whose trailer is another hash),
+// then the version.  On success `body` reads
 // the bytes between the version word and the checksum.
 LoadStatus OpenEnvelope(std::string_view bytes, const Envelope& envelope,
                         ByteReader* body);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -32,6 +33,25 @@ struct Update {
   ItemId item = 0;
   int64_t delta = 0;
 };
+
+// std::allocator, except that value-initializing an element leaves it
+// unset: a vector resized with it allocates without zero-filling.  (Every
+// other construction has no matching construct() here, so
+// std::allocator_traits constructs as usual.)  For implicit-lifetime
+// element types like Update, whose objects exist once their storage is
+// allocated; every element must be written before it is read.
+template <typename T>
+struct UninitializedAllocator : std::allocator<T> {
+  UninitializedAllocator() noexcept = default;
+  template <typename U>
+  UninitializedAllocator(const UninitializedAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U*) noexcept {}
+};
+
+// A stream's update storage.
+using UpdateVector = std::vector<Update, UninitializedAllocator<Update>>;
 
 // Default chunk size for batched stream consumption: 512 updates (8 KiB)
 // keep a whole chunk resident in L1 while a sketch re-scans it row-major.
@@ -55,10 +75,11 @@ class Stream {
   // reallocation churn while appending.
   void Reserve(size_t n) { updates_.reserve(n); }
 
-  // Sets the length to exactly `n`, allocating once; new updates are
-  // (0, 0).  For a writer that knows the length up front and fills the
-  // updates out of order with Set, e.g. several threads on disjoint index
-  // ranges.
+  // Sets the length to exactly `n`, allocating once; new updates are left
+  // unset, and every one must be Set before the stream is read.  For a
+  // writer that knows the length up front and fills the updates out of
+  // order with Set, e.g. several threads on disjoint index ranges, which
+  // would overwrite a zero fill anyway.
   void Resize(size_t n) { updates_.resize(n); }
 
   // Overwrites update `index` (< length()); `item` must lie in
@@ -75,7 +96,7 @@ class Stream {
 
   uint64_t domain() const { return domain_; }
   size_t length() const { return updates_.size(); }
-  const std::vector<Update>& updates() const { return updates_; }
+  const UpdateVector& updates() const { return updates_; }
 
   // Invokes `fn(const Update*, size_t)` on consecutive chunks of at most
   // `max_batch` updates, covering the stream in arrival order.  This is the
@@ -115,7 +136,7 @@ class Stream {
 
  private:
   uint64_t domain_;
-  std::vector<Update> updates_;
+  UpdateVector updates_;
 };
 
 // Coalesces a chunk into its net per-item deltas: ascending by item, each

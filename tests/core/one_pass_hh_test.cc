@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -62,6 +63,51 @@ TEST(OnePassHHTest, VariableFunctionPrunedAtVolatileScale) {
   EXPECT_FALSE(OnePassHeavyHitter::SurvivesPruning(*g, /*v_hat=*/10000,
                                                    /*e=*/8, /*epsilon=*/0.1,
                                                    /*probe_points=*/24));
+}
+
+TEST(OnePassHHTest, CoverOfInt64EdgeEstimatesIsDefined) {
+  // Counters wrap mod 2^64, so a tracker can hold an INT64_MIN estimate
+  // (ranked strongest) and an INT64_MAX one.  One row of two buckets, an
+  // item in each, so each item's estimate is its one delta.  Cover must
+  // saturate |INT64_MIN|, not CHECK-fail on a negative magnitude; and at
+  // a radius near the int64 range every probe v_hat + y crosses the edge,
+  // where the pruning test must saturate too.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  OnePassHHOptions options;
+  options.count_sketch = {1, 2};
+  options.ams = {4, 2};
+  options.candidates = 2;
+  const auto make = [&options] {
+    Rng rng(16);
+    return OnePassHeavyHitter(options, rng);
+  };
+  const auto bucket = [&make](ItemId item) {
+    OnePassHeavyHitter probe = make();
+    probe.Update(item, 1);
+    return probe.tracker().sketch().counters()[0] != 0 ? 0 : 1;
+  };
+  const ItemId a = 0;
+  ItemId b = 1;
+  while (bucket(b) == bucket(a)) ++b;
+  OnePassHeavyHitter hh = make();
+  hh.Update(a, kMin);
+  hh.Update(b, kMax);
+  ASSERT_EQ(hh.tracker().sketch().Estimate(a), kMin);
+  ASSERT_EQ(hh.tracker().sketch().Estimate(b), kMax);
+
+  const GFunctionPtr g = MakePower(2.0);
+  const GCover cover = hh.Cover(*g);
+  EXPECT_EQ(cover.size(), 2u);
+  for (const GCoverEntry& entry : cover) {
+    EXPECT_EQ(entry.g_value, g->Value(kMax)) << "item " << entry.item;
+  }
+  for (const int64_t e : {int64_t{4'000'000'000'000'000'000}, kMax}) {
+    for (const int64_t v_hat : {kMin, kMin + 1, kMax}) {
+      EXPECT_FALSE(OnePassHeavyHitter::SurvivesPruning(*g, v_hat, e, 0.25, 24))
+          << "v_hat " << v_hat << ", E " << e;
+    }
+  }
 }
 
 TEST(OnePassHHTest, ZeroRadiusAlwaysSurvives) {

@@ -501,7 +501,7 @@ ChaosOutcome RunChaosSchedule(uint64_t seed, OverloadPolicy policy,
                                       [](size_t) { return MakeReplica(); });
   ingest.Open(2);
 
-  const std::vector<Update>& ups = stream.updates();
+  const auto& ups = stream.updates();
   std::vector<std::thread> threads;
   for (size_t p = 0; p < 3; ++p) {
     const size_t begin = p * ups.size() / 3;

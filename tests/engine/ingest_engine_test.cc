@@ -46,7 +46,7 @@ Stream MakeTurnstileStream(uint64_t seed, size_t churn_pairs = 700) {
 // framing sees every boundary case, not just whole-stream submission.
 template <typename IngestorT>
 void SubmitIrregular(IngestorT& ingest, const Stream& stream) {
-  const std::vector<Update>& ups = stream.updates();
+  const auto& ups = stream.updates();
   size_t run = 1;
   size_t consumed = 0;
   while (consumed < ups.size()) {
@@ -751,7 +751,7 @@ TEST(IngestEngineTest, MultiProducerDisjointSlicesBitIdenticalToSequential) {
       return CountSketch(CountSketchOptions{5, 256}, rng);
     });
     ingest.Open(4);
-    const std::vector<Update>& ups = stream.updates();
+    const auto& ups = stream.updates();
     std::vector<std::thread> producers;
     for (size_t p = 0; p < 3; ++p) {
       const size_t begin = p * ups.size() / 3;

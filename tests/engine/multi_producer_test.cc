@@ -51,7 +51,7 @@ template <typename IngestorT>
 std::vector<ProducerHandle*> FeedConcurrently(IngestorT& ingest,
                                               const Stream& stream,
                                               size_t producers) {
-  const std::vector<Update>& ups = stream.updates();
+  const auto& ups = stream.updates();
   std::vector<ProducerHandle*> handles(producers, nullptr);
   std::vector<std::thread> threads;
   threads.reserve(producers);
@@ -206,7 +206,7 @@ TEST(MultiProducerTest, ConcurrentProducerStatsConservation) {
   options.max_producers = kProducers;
   IngestEngine engine(options, std::move(sinks));
 
-  const std::vector<Update>& ups = stream.updates();
+  const auto& ups = stream.updates();
   std::vector<ProducerHandle*> handles(kProducers, nullptr);
   std::vector<std::thread> threads;
   for (size_t p = 0; p < kProducers; ++p) {
@@ -268,7 +268,7 @@ TEST(MultiProducerTest, EngineSubmitCoexistsWithExternalProducer) {
     return CountSketch(CountSketchOptions{5, 256}, rng);
   });
   ingest.Open(3);
-  const std::vector<Update>& ups = stream.updates();
+  const auto& ups = stream.updates();
   const size_t half = ups.size() / 2;
   std::thread external([&ingest, &ups, half] {
     ProducerHandle* handle = ingest.AddProducer();

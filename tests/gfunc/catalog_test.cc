@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 namespace gstream {
@@ -32,6 +33,15 @@ TEST(CatalogTest, ValueAbsIsSymmetricExtension) {
   const GFunctionPtr g = MakePower(2.0);
   EXPECT_DOUBLE_EQ(g->ValueAbs(-5), g->Value(5));
   EXPECT_DOUBLE_EQ(g->ValueAbs(5), 25.0);
+}
+
+TEST(CatalogTest, ValueAbsSaturatesAtInt64Min) {
+  // |INT64_MIN| is no int64: it reads as INT64_MAX.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const GFunctionPtr g = MakePower(2.0);
+  EXPECT_EQ(g->ValueAbs(kMin), g->Value(kMax));
+  EXPECT_EQ(g->ValueAbs(kMin + 1), g->Value(kMax));
 }
 
 TEST(CatalogTest, PowerValues) {

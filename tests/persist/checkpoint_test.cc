@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/one_pass_hh.h"
 #include "core/two_pass_hh.h"
 #include "sketch/count_sketch.h"
 #include "stream/generators.h"
@@ -461,6 +462,200 @@ TEST_F(CheckpointTest, RestoreRefusesTwoPassSink) {
             "restored");
   EXPECT_EQ(SerializeSketch(fresh.replicas()[0]), untouched);
   fresh.Drain();
+}
+
+// ---------------------------------------------------------------------------
+// Barrier snapshots.  Each worker serializes its own replica at a marker
+// behind every chunk submitted so far; the image must encode to the bytes
+// a quiesced (Flush + SerializeSketch on the producer) snapshot at the same
+// cursor encodes to.
+// ---------------------------------------------------------------------------
+
+// The quiesced snapshot SnapshotIngestor took before barrier markers.
+template <typename SketchT>
+CheckpointImage QuiescedSnapshot(ShardedIngestor<SketchT>& ingest,
+                                 uint64_t cursor) {
+  EXPECT_TRUE(ingest.Flush().ok());
+  CheckpointImage image;
+  image.cursor = cursor;
+  image.producer = ingest.SnapshotProducerState();
+  for (const SketchT& replica : ingest.replicas()) {
+    image.shard_blobs.push_back(SerializeSketch(replica));
+  }
+  return image;
+}
+
+// Snapshots at several cursors, each barrier then quiesced, with a
+// two-chunk ring so the marker usually waits behind full lanes.  The
+// resumed stream after each pair must leave the final state of a run that
+// took no snapshot.
+template <typename SketchT, typename Factory>
+void ExpectBarrierEqualsQuiesced(const Factory& make) {
+  const Stream stream = MakeTestStream();
+  const Update* updates = stream.updates().data();
+  const uint64_t chunk = 32;
+  ASSERT_GT(stream.length(), 63 * chunk);
+  for (size_t shards = 1; shards <= 8; ++shards) {
+    SCOPED_TRACE(shards);
+    IngestEngineOptions options;
+    options.ring_chunks = 2;
+    options.chunk_updates = chunk;
+    ShardedIngestor<SketchT> ingest(options, make);
+    ingest.Open(shards);
+    uint64_t cursor = 0;
+    for (const uint64_t n : {5 * chunk, 1 * chunk, 17 * chunk, 40 * chunk}) {
+      ingest.Submit(updates + cursor, n);
+      cursor += n;
+      EngineError error;
+      const std::string barrier =
+          EncodeCheckpoint(SnapshotIngestor(ingest, cursor, &error));
+      ASSERT_TRUE(error.ok()) << error.detail;
+      ASSERT_EQ(barrier, EncodeCheckpoint(QuiescedSnapshot(ingest, cursor)))
+          << "cursor " << cursor;
+    }
+    ingest.Submit(updates + cursor, stream.length() - cursor);
+    ShardedIngestor<SketchT> plain(options, make);
+    plain.Open(shards);
+    plain.SubmitStream(stream);
+    EXPECT_EQ(SerializeSketch(ingest.Close()), SerializeSketch(plain.Close()));
+  }
+}
+
+TEST_F(CheckpointTest, BarrierSnapshotEqualsQuiescedSnapshotTopK) {
+  ExpectBarrierEqualsQuiesced<CountSketchTopK>([](size_t) {
+    Rng rng(kSeed);
+    return CountSketchTopK(CountSketchOptions{4, 128}, 16, rng);
+  });
+}
+
+TEST_F(CheckpointTest, BarrierSnapshotEqualsQuiescedSnapshotOnePassHH) {
+  ExpectBarrierEqualsQuiesced<OnePassHeavyHitter>([](size_t) {
+    Rng rng(kSeed);
+    OnePassHHOptions options;
+    options.count_sketch = {4, 128};
+    options.candidates = 16;
+    return OnePassHeavyHitter(options, rng);
+  });
+}
+
+// A closed engine has no workers: the snapshot serializes on the caller's
+// thread, to the same bytes.
+TEST_F(CheckpointTest, SnapshotOfADrainedIngestorSerializesEveryReplica) {
+  const Stream stream = MakeTestStream();
+  ShardedIngestor<CountSketchTopK> ingest = MakeIngestor();
+  ingest.Open(3);
+  ingest.Submit(stream.updates().data(), 6 * kStreamBatchSize);
+  const std::string live =
+      EncodeCheckpoint(SnapshotIngestor(ingest, 6 * kStreamBatchSize));
+  ASSERT_TRUE(ingest.Drain().ok());
+  EXPECT_EQ(EncodeCheckpoint(SnapshotIngestor(ingest, 6 * kStreamBatchSize)),
+            live);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshots of a degraded engine fail by name, and no failed shard's
+// replica is read.
+// ---------------------------------------------------------------------------
+
+class CheckpointFaultTest : public CheckpointTest {
+ protected:
+  void SetUp() override {
+    if (!fault::kEnabled) GTEST_SKIP() << "built with GSTREAM_FAULTS=OFF";
+  }
+};
+
+// A poisoned shard (its sink threw) consumes its marker without
+// serializing: the snapshot reports the sink exception and holds no blob
+// for that shard, so the image cannot restore.
+TEST_F(CheckpointFaultTest, SinkThrowFailsTheSnapshotByName) {
+  const Stream stream = MakeTestStream();
+  fault::Registry::Get().Arm(
+      31, {{"engine/shard/1/sink_throw", 1.0, 0, /*max_fires=*/1}});
+  ShardedIngestor<CountSketchTopK> ingest = MakeIngestor();
+  ingest.Open(3);
+  ingest.Submit(stream.updates().data(), 6 * kStreamBatchSize);
+  EngineError error;
+  const CheckpointImage image =
+      SnapshotIngestor(ingest, 6 * kStreamBatchSize, &error);
+  ASSERT_FALSE(error.ok());
+  EXPECT_EQ(error.code, EngineErrorCode::kSinkException);
+  EXPECT_EQ(error.shard, 1u);
+  EXPECT_TRUE(image.shard_blobs[1].empty());
+  EXPECT_FALSE(image.shard_blobs[0].empty());
+  EXPECT_FALSE(image.shard_blobs[2].empty());
+
+  CheckpointImage decoded;
+  ASSERT_TRUE(DecodeCheckpoint(EncodeCheckpoint(image), &decoded).ok());
+  ShardedIngestor<CountSketchTopK> fresh = MakeIngestor();
+  fresh.Open(3);
+  const LoadStatus status = RestoreIngestor(decoded, &fresh);
+  EXPECT_EQ(status.error, LoadError::kBadMagic) << status.message;
+  EXPECT_NE(status.message.find("shard 1"), std::string::npos);
+  fresh.Drain();
+  EXPECT_EQ(ingest.Drain().code, EngineErrorCode::kSinkException);
+}
+
+// A wedged shard is given up after Flush's grace (2 x watchdog_ns): the
+// snapshot returns the watchdog's error long before the stall ends, and
+// the wedged worker never serializes into the image.
+TEST_F(CheckpointFaultTest, WedgedShardFailsTheSnapshotAfterGrace) {
+  const Stream stream = MakeTestStream();
+  constexpr uint64_t kStallNs = 600'000'000;
+  fault::Registry::Get().Arm(
+      32, {{"engine/shard/0/sink_stall", 1.0, kStallNs, /*max_fires=*/1}});
+  IngestEngineOptions options;
+  options.shards = 2;
+  options.watchdog_ns = 20'000'000;  // 20 ms
+  ShardedIngestor<CountSketchTopK> ingest(options, [](size_t) {
+    Rng rng(kSeed);
+    return CountSketchTopK(CountSketchOptions{4, 128}, 16, rng);
+  });
+  ingest.Open(2);
+  ingest.Submit(stream.updates().data(), 4 * kStreamBatchSize);
+  const auto t0 = std::chrono::steady_clock::now();
+  EngineError error;
+  const CheckpointImage image =
+      SnapshotIngestor(ingest, 4 * kStreamBatchSize, &error);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_FALSE(error.ok());
+  EXPECT_EQ(error.code, EngineErrorCode::kWorkerStalled);
+  EXPECT_EQ(error.shard, 0u);
+  EXPECT_LT(waited, std::chrono::nanoseconds(kStallNs));
+  EXPECT_TRUE(image.shard_blobs[0].empty());
+  EXPECT_FALSE(image.shard_blobs[1].empty());
+  // The wedged worker wakes poisoned, sheds what it holds and consumes the
+  // marker it was given up on.
+  EXPECT_EQ(ingest.Drain().code, EngineErrorCode::kWorkerStalled);
+}
+
+// RunWithCheckpoints saves nothing past the fault: the file keeps the
+// last checkpoint taken while the engine was healthy.
+TEST_F(CheckpointFaultTest, RunWithCheckpointsSavesNothingPastTheFault) {
+  const Stream stream = MakeTestStream();
+  CheckpointOptions ckpt;
+  ckpt.interval_updates = 2 * kStreamBatchSize;
+  ckpt.path = TempPath("ckpt_fault.gckp");
+  std::remove(ckpt.path.c_str());
+  ShardedIngestor<CountSketchTopK> ingest = MakeIngestor();
+  ingest.Open(3);
+  size_t saves = 0;
+  const uint64_t stopped = RunWithCheckpoints<CountSketchTopK>(
+      ingest, stream, 0, ckpt, [&saves](uint64_t) {
+        // Shard 2's sink throws on its first chunk, in the next interval.
+        if (saves++ == 0) {
+          fault::Registry::Get().Arm(
+              33, {{"engine/shard/2/sink_throw", 1.0, 0, /*max_fires=*/1}});
+        }
+        return true;
+      });
+  EXPECT_EQ(saves, 1u);
+  EXPECT_EQ(stopped, 2 * ckpt.interval_updates);
+  EXPECT_EQ(ingest.error().code, EngineErrorCode::kSinkException);
+  CheckpointImage image;
+  ASSERT_TRUE(LoadCheckpoint(ckpt.path, &image).ok());
+  EXPECT_EQ(image.cursor, ckpt.interval_updates);
+  ingest.Drain();
+  std::remove(ckpt.path.c_str());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -466,6 +467,113 @@ TEST_F(SketchIoTest, NonzeroFlagsWordIsDomainError) {
                       LoadError::kDomainError);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Counter arrays at their width: a u32 width word, then every counter in
+// the smallest of 1, 2, 4 and 8 bytes that holds all of them.
+// ---------------------------------------------------------------------------
+
+// The width word of a CountSketch blob follows the header and the two
+// geometry words.
+constexpr size_t kWidthWord = 24 + 2 * 8;
+
+// A 1x1 CountSketch whose one counter holds `value` (a single update of
+// `value` times the item's sign, mod 2^64).
+CountSketch OneCounter(int64_t value) {
+  CountSketch probe = Seeded<CountSketch>(kSeed, CountSketchOptions{1, 1});
+  probe.Update(0, 1);
+  CountSketch cs = Seeded<CountSketch>(kSeed, CountSketchOptions{1, 1});
+  cs.Update(0, static_cast<int64_t>(static_cast<uint64_t>(value) *
+                                    static_cast<uint64_t>(probe.counters()[0])));
+  return cs;
+}
+
+TEST_F(SketchIoTest, CounterWidthIsTheNarrowestThatHoldsEveryCounter) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const struct {
+    int64_t value;
+    uint32_t width;
+  } kCases[] = {
+      {0, 1},
+      {127, 1},
+      {-128, 1},
+      {128, 2},
+      {-129, 2},
+      {32767, 2},
+      {-32768, 2},
+      {32768, 4},
+      {-32769, 4},
+      {int64_t{2147483647}, 4},
+      {-int64_t{2147483648}, 4},
+      {int64_t{2147483648}, 8},
+      {-int64_t{2147483649}, 8},
+      {kMax, 8},
+      {kMin, 8},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.value);
+    const CountSketch cs = OneCounter(c.value);
+    ASSERT_EQ(cs.counters()[0], c.value);
+    const std::string blob = SerializeSketch(cs);
+    EXPECT_EQ(blob.size(), kWidthWord + 4 + c.width + 8);
+    EXPECT_EQ(static_cast<uint8_t>(blob[kWidthWord]), c.width);
+    CountSketch restored =
+        Seeded<CountSketch>(kSeed, CountSketchOptions{1, 1});
+    ASSERT_TRUE(DeserializeSketch(blob, &restored).ok());
+    EXPECT_EQ(restored.counters()[0], c.value);
+    EXPECT_EQ(SerializeSketch(restored), blob);
+  }
+  // One array, one width: the widest counter sets it for all.
+  CountSketch mixed = Seeded<CountSketch>(kSeed, CountSketchOptions{3, 64});
+  Feed(mixed);
+  mixed.Update(1, 1 << 20);
+  const std::string blob = SerializeSketch(mixed);
+  EXPECT_EQ(static_cast<uint8_t>(blob[kWidthWord]), 4);
+  EXPECT_EQ(blob.size(), kWidthWord + 4 + 4 * 3 * 64 + 8);
+}
+
+// A width outside {1, 2, 4, 8}, an array shorter than width x count, and
+// a width wider than the values need (bytes the writer never emits) are
+// each refused by name.
+TEST_F(SketchIoTest, BadCounterWidthIsRefusedByName) {
+  const std::string blob = SerializeSketch(OneCounter(5));
+  const auto with_width = [&blob](uint32_t width, std::string counter) {
+    std::string out = blob.substr(0, kWidthWord);
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<char>(width >> (8 * i)));
+    }
+    out += counter;
+    out.append(8, '\0');
+    return RewriteWithValidChecksum(std::move(out));
+  };
+  CountSketch dst = Seeded<CountSketch>(kSeed, CountSketchOptions{1, 1});
+  dst.Update(3, 9);
+  const auto refused = [&dst](const std::string& bytes, LoadError want,
+                              const std::string& message) {
+    const std::string before = SerializeSketch(dst);
+    const LoadStatus status = DeserializeSketch(bytes, &dst);
+    EXPECT_EQ(status.error, want) << status.message;
+    EXPECT_EQ(status.message, message);
+    EXPECT_EQ(SerializeSketch(dst), before);
+  };
+  for (const uint32_t width : {0u, 3u, 5u, 16u, 0xffffffffu}) {
+    refused(with_width(width, std::string(16, '\x05')),
+            LoadError::kDomainError,
+            "count_sketch counter width " + std::to_string(width) +
+                " outside {1, 2, 4, 8}");
+  }
+  refused(with_width(4, "\x05\x00"), LoadError::kTruncated,
+          "blob ends inside count_sketch counters");
+  refused(with_width(2, std::string("\x05\x00", 2)), LoadError::kDomainError,
+          "count_sketch counters at width 2, their values pack at width 1");
+  refused(RewriteWithValidChecksum(blob.substr(0, kWidthWord + 2) +
+                                   std::string(8, '\0')),
+          LoadError::kTruncated, "blob ends inside count_sketch counter width");
+  // The same bytes at the width the value needs load.
+  CountSketch restored = Seeded<CountSketch>(kSeed, CountSketchOptions{1, 1});
+  EXPECT_TRUE(DeserializeSketch(with_width(1, "\x05"), &restored).ok());
 }
 
 // ---------------------------------------------------------------------------

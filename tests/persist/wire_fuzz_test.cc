@@ -5,7 +5,8 @@
 // valid blob's layout -- the envelope, the length-prefixed child blobs
 // (recursively) and, for a GCKP, the shard table -- and mutates one
 // semantic field at a time: child lengths, entry and shard counts,
-// geometry words, kind and version tags, the reserved flags word, and the
+// geometry words, counter-array width words, kind and version tags, the
+// reserved flags word, and the
 // sorted entry lists -- top-k candidates and exact frequencies (a
 // duplicated id, two entries out of order, or, for a tracker, more than 2k
 // entries: lists the writer never emits).  It then re-seals every checksum
@@ -59,6 +60,7 @@ enum class FieldClass {
   kCount,
   kChildLength,
   kFlags,
+  kWidth,      // a counter array's width word
   kEntryList,  // a sorted (id, value) list; `offset` is its count word
 };
 
@@ -146,9 +148,11 @@ class Walker {
       case SketchKind::kCountSketch:
       case SketchKind::kAms:
         geometry(2);
+        Add(pos, 4, FieldClass::kWidth);
         break;
       case SketchKind::kGnp:
         geometry(3);
+        Add(pos, 4, FieldClass::kWidth);
         break;
       case SketchKind::kExactFrequency:
         Add(pos, 8, FieldClass::kCount);
@@ -226,6 +230,13 @@ uint64_t MutateValue(const Field& field, uint64_t v, uint64_t& rng) {
     case FieldClass::kKind:
       out = r % 13;  // every tag, plus 0, 11 and 12
       break;
+    case FieldClass::kWidth: {
+      // Every legal width, the gaps between them, and the edges.
+      constexpr uint64_t kWidths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 16,
+                                      0x80000008ULL, 0xffffffffULL};
+      out = kWidths[r % std::size(kWidths)];
+      break;
+    }
     default: {
       const uint64_t menu[] = {0,
                                1,

@@ -4,10 +4,10 @@
 // here, independent of persist::Checksum64, so a change to the writer, the
 // reader primitives or the trailer checksum that moves a single byte shows
 // up as a digest change.  On a mismatch the failure prints the
-// replacement table row.  Committed version-1 vectors and the last
-// version-2 checkpoint pin the retired-version rule, and the v1 sketch
-// blob shows that GSKB version 2 kept the payload layout; a committed blob
-// of retired tag 2 pins its refusal.
+// replacement table row.  Committed version-1 vectors, the last version-2
+// sketch blob and the last version-2 and version-3 checkpoints pin the
+// retired-version rule; a committed blob of retired tag 2 pins its
+// refusal.
 
 #include <gtest/gtest.h>
 
@@ -192,31 +192,32 @@ struct SketchGolden {
   Golden golden;
 };
 
-// Version 2 (XXH64 trailer).  The version 1 table differed in every
-// digest and in no size.  The AMS bit signs (sketch/ams.h) changed the
-// ams, one_pass_hh and recursive_gsum digests (new fingerprints and sums)
-// and no size, so the version stayed 2.  Tag 2 is retired; a test
-// below pins its refusal.
+// Version 3 (counter arrays at their width).  Version 2 wrote every
+// counter as an i64: the kinds with counter arrays were larger (count_sketch
+// 176, ams 112, gnp 696, count_sketch_topk 328, one_pass_hh 488,
+// two_pass_hh 444, recursive_gsum 1548 bytes), and the two exact kinds
+// differed only in the version word and so in their digests.  Tag 2 is
+// retired; a test below pins its refusal.
 constexpr SketchGolden kSketchGoldens[] = {
-    {SketchKind::kCountSketch, {"count_sketch", 176, 0xce05fe79c078f50dULL}},
-    {SketchKind::kAms, {"ams", 112, 0x11623fc37b8a1155ULL}},
-    {SketchKind::kGnp, {"gnp", 696, 0x308e423dea32b0a2ULL}},
+    {SketchKind::kCountSketch, {"count_sketch", 68, 0x3d362767fcec3703ULL}},
+    {SketchKind::kAms, {"ams", 60, 0xe08ccfd23e9331eeULL}},
+    {SketchKind::kGnp, {"gnp", 140, 0xfa6a3cc27a4094d2ULL}},
     {SketchKind::kExactFrequency,
-     {"exact_frequency", 648, 0x1b9f3ce50c17bdceULL}},
+     {"exact_frequency", 648, 0xcf46f2bad10f770aULL}},
     {SketchKind::kCountSketchTopK,
-     {"count_sketch_topk", 328, 0xc4afc9a01cf0fe63ULL}},
+     {"count_sketch_topk", 220, 0x30cc957f6250c5abULL}},
     {SketchKind::kExactHeavyHitter,
-     {"exact_heavy_hitter", 688, 0xb1d64170865baf8fULL}},
-    {SketchKind::kOnePassHH, {"one_pass_hh", 488, 0x379fa50b42f056ceULL}},
-    {SketchKind::kTwoPassHH, {"two_pass_hh", 444, 0xeb24afb0009f58e7ULL}},
+     {"exact_heavy_hitter", 688, 0xeabf19863ec02749ULL}},
+    {SketchKind::kOnePassHH, {"one_pass_hh", 328, 0x222e1c72dfc0cae0ULL}},
+    {SketchKind::kTwoPassHH, {"two_pass_hh", 336, 0x6d36ceebc5b7acaaULL}},
     {SketchKind::kRecursiveGSum,
-     {"recursive_gsum", 1548, 0x005c63a222000dddULL}},
+     {"recursive_gsum", 1068, 0x3fb380444698465aULL}},
 };
 
-// GCKP version 3: the v2 golden (kV2CheckpointHex below) less its staged
-// chunk records.
-constexpr Golden kCheckpointGolden = {"gckp_two_shards", 448,
-                                      0x64716fe6db864277ULL};
+// GCKP version 4: the v3 golden (kV3CheckpointHex below, 448 bytes) with
+// its shard blobs at GSKB version 3.
+constexpr Golden kCheckpointGolden = {"gckp_two_shards", 232,
+                                      0xfb0ae1c0d8b34016ULL};
 
 TEST(SketchIoGoldenTest, EveryKindMatchesItsPinnedBytes) {
   const auto blobs = GoldenBlobs();
@@ -234,9 +235,10 @@ TEST(CheckpointGoldenTest, TwoShardImageMatchesItsPinnedBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Committed retired vectors: a v1 1x4 CountSketch blob, a v1 two-shard
-// GCKP whose shards both hold that blob, and the last v2 GCKP golden (it
-// carried per-shard staged partial chunks).
+// Committed retired vectors: a v1 1x4 CountSketch blob and the same
+// sketch's v2 blob, a v1 two-shard GCKP whose shards both hold the v1
+// blob, the last v2 GCKP golden (it carried per-shard staged partial
+// chunks) and the last v3 GCKP golden (its shard blobs are GSKB v2).
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kV1CountSketchHex =
@@ -273,6 +275,27 @@ constexpr std::string_view kV2CheckpointHex =
     "0200000000000000fafffffffffffffff4fffffffffffffffeffffffffffffff"
     "10000000000000000100000000000000cfbd8298afe594c2f0160438c932cbb3";
 
+constexpr std::string_view kV2CountSketchHex =
+    "47534b4202000000010000000000000047dad39d7f422c4d0100000000000000"
+    "0400000000000000fffffffffffffffffaffffffffffffff0300000000000000"
+    "0200000000000000989c8fd49e08270a";
+
+constexpr std::string_view kV3CheckpointHex =
+    "47434b5003000000020000000000000000100000000000000100000000000000"
+    "0010000000000000070000000000000002000000000000000208000000000000"
+    "fb07000000000000b00000000000000047534b42020000000100000000000000"
+    "51398475980b3af6020000000000000008000000000000000100000000000000"
+    "06000000000000000e00000000000000fcfffffffffffffff6ffffffffffffff"
+    "0000000000000000010000000000000002000000000000000700000000000000"
+    "0e0000000000000001000000000000000f000000000000000500000000000000"
+    "f7fffffffffffffff4ffffffffffffff0b00000000000000bf884e0f835018f3"
+    "b00000000000000047534b4202000000010000000000000051398475980b3af6"
+    "020000000000000008000000000000001200000000000000f9ffffffffffffff"
+    "f8ffffffffffffff0000000000000000f1ffffffffffffff0300000000000000"
+    "f8fffffffffffffffffffffffffffffffbffffffffffffff0000000000000000"
+    "0200000000000000fafffffffffffffff4fffffffffffffffeffffffffffffff"
+    "10000000000000000100000000000000cfbd8298afe594c24fa2439d332328cc";
+
 CountSketch FedTinyCountSketch() {
   Rng rng(kSeed);
   CountSketch s(CountSketchOptions{1, 4}, rng);
@@ -280,18 +303,57 @@ CountSketch FedTinyCountSketch() {
   return s;
 }
 
-// Format version 1 is retired: its FNV-1a trailer cannot verify as XXH64,
-// and the loaders name the version instead of reporting corruption.
-TEST(SketchIoGoldenTest, RetiredV1BlobIsVersionSkew) {
+// Replaces a blob's version word and strips its checksum trailer.
+std::string BodyAsVersion(std::string blob, uint32_t version) {
+  for (int i = 0; i < 4; ++i) {
+    blob[4 + i] = static_cast<char>(version >> (8 * i));
+  }
+  blob.resize(blob.size() - 8);
+  return blob;
+}
+
+// Stamps a retired blob with this build's version and re-seals its
+// checksum, so a loader reads past the version check.  Only the envelope
+// changes: checks that come before the payload (kind, geometry,
+// fingerprint) then see the blob as written.
+std::string Restamped(std::string_view hex) {
+  std::string blob = BodyAsVersion(FromHex(hex), kSketchFormatVersion);
+  const uint64_t checksum = persist::Checksum64(blob);
+  for (int i = 0; i < 8; ++i) {
+    blob.push_back(static_cast<char>(checksum >> (8 * i)));
+  }
+  return blob;
+}
+
+// A retired sketch blob is refused by version, and the destination is
+// untouched.
+void ExpectRetiredBlob(std::string_view hex, uint32_t version) {
   CountSketch dst = FedTinyCountSketch();
   dst.Update(77, 5);
   const std::string before = SerializeSketch(dst);
-  const LoadStatus status =
-      DeserializeSketch(FromHex(kV1CountSketchHex), &dst);
+  const LoadStatus status = DeserializeSketch(FromHex(hex), &dst);
   EXPECT_EQ(status.error, LoadError::kVersionSkew) << status.message;
-  EXPECT_EQ(status.message, "format version 1, this build reads " +
+  EXPECT_EQ(status.message, "format version " + std::to_string(version) +
+                                ", this build reads " +
                                 std::to_string(kSketchFormatVersion));
   EXPECT_EQ(SerializeSketch(dst), before);
+}
+
+// Format version 1 is retired: its FNV-1a trailer cannot verify as XXH64,
+// and the loaders name the version instead of reporting corruption.
+TEST(SketchIoGoldenTest, RetiredV1BlobIsVersionSkew) {
+  ExpectRetiredBlob(kV1CountSketchHex, 1);
+}
+
+// Version 2 wrote every counter as an i64.  Its XXH64 trailer verifies, so
+// the blob is named by its version.  Its body is the v1 blob's: v2 changed
+// only the trailer.
+TEST(SketchIoGoldenTest, RetiredV2BlobIsVersionSkew) {
+  ExpectGolden({"count_sketch_1x4_v2", 80, 0xa65cc32b1a304f63ULL},
+               FromHex(kV2CountSketchHex));
+  ExpectRetiredBlob(kV2CountSketchHex, 2);
+  EXPECT_EQ(ToHex(BodyAsVersion(FromHex(kV2CountSketchHex), 1)),
+            ToHex(BodyAsVersion(FromHex(kV1CountSketchHex), 1)));
 }
 
 // A retired checkpoint is refused by version, and the image is untouched.
@@ -301,7 +363,8 @@ void ExpectRetiredCheckpoint(std::string_view hex, uint32_t version) {
   const LoadStatus status = DecodeCheckpoint(FromHex(hex), &image);
   EXPECT_EQ(status.error, LoadError::kVersionSkew) << status.message;
   EXPECT_EQ(status.message, "checkpoint version " + std::to_string(version) +
-                                ", this build reads 3");
+                                ", this build reads " +
+                                std::to_string(kCheckpointFormatVersion));
   EXPECT_EQ(EncodeCheckpoint(image), before);
 }
 
@@ -315,21 +378,12 @@ TEST(CheckpointGoldenTest, RetiredV2CheckpointIsVersionSkew) {
   ExpectRetiredCheckpoint(kV2CheckpointHex, 2);
 }
 
-// Replaces a blob's version word and strips its checksum trailer.
-std::string BodyAsVersion(std::string blob, uint32_t version) {
-  for (int i = 0; i < 4; ++i) {
-    blob[4 + i] = static_cast<char>(version >> (8 * i));
-  }
-  blob.resize(blob.size() - 8);
-  return blob;
-}
-
-// GSKB version 2 changed only the version word and the trailer: the body
-// of the committed v1 sketch blob is this build's bytes.
-TEST(SketchIoGoldenTest, V2KeepsTheV1PayloadLayout) {
-  const std::string v2 = SerializeSketch(FedTinyCountSketch());
-  EXPECT_EQ(ToHex(BodyAsVersion(v2, 1)),
-            ToHex(BodyAsVersion(FromHex(kV1CountSketchHex), 1)));
+// Version 3 framed GSKB version 2 shard blobs; it is refused at decode,
+// before any shard blob reaches a loader.
+TEST(CheckpointGoldenTest, RetiredV3CheckpointIsVersionSkew) {
+  ExpectGolden({"gckp_two_shards_v3", 448, 0x64716fe6db864277ULL},
+               FromHex(kV3CheckpointHex));
+  ExpectRetiredCheckpoint(kV3CheckpointHex, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,8 +400,10 @@ constexpr std::string_view kRetiredCountMinHex =
     "fdffffffffffffff0100000000000000fdffffffffffffff0100000000000000"
     "0300000000000000477662a799747383";
 
-// The blob is intact, so the loader gets as far as the tag and names what
-// the blob holds; the destination is left untouched.
+// The blob is GSKB version 2, so as committed the version check refuses
+// it.  Stamped with this build's version it is intact, so the loader gets
+// as far as the tag and names what the blob holds.  The destination is
+// left untouched either way.
 TEST(SketchIoGoldenTest, RetiredCountMinBlobIsTypeMismatch) {
   const std::string blob = FromHex(kRetiredCountMinHex);
   ExpectGolden({"count_min", 176, 0xdb1de15eb6a9cff8ULL}, blob);
@@ -356,7 +412,9 @@ TEST(SketchIoGoldenTest, RetiredCountMinBlobIsTypeMismatch) {
   CountSketch dst(CountSketchOptions{2, 8}, rng);
   Feed(dst);
   const std::string before = SerializeSketch(dst);
-  const LoadStatus status = DeserializeSketch(blob, &dst);
+  EXPECT_EQ(DeserializeSketch(blob, &dst).error, LoadError::kVersionSkew);
+  const LoadStatus status =
+      DeserializeSketch(Restamped(kRetiredCountMinHex), &dst);
   EXPECT_EQ(status.error, LoadError::kTypeMismatch) << status.message;
   EXPECT_EQ(status.message,
             "blob holds count_min, destination is count_sketch");
@@ -374,17 +432,19 @@ constexpr std::string_view kRowSignAmsHex =
     "0400000000000000ccfffffffffffffff2fffffffffffffffcffffffffffffff"
     "beffffffffffffff7081d78b919004d3";
 
-// The payload layout is unchanged, so the blob parses as far as the
-// fingerprint; the sign derivation is not, so a same-seed shell refuses
-// it instead of adding in sums signed by other hashes.
+// The blob is GSKB version 2, so as committed it now meets the version
+// check first.  Stamped with this build's version, it parses as far as the
+// fingerprint, which comes before the counters; the sign derivation
+// changed, so a same-seed shell refuses it instead of adding in sums
+// signed by other hashes.
 TEST(SketchIoGoldenTest, RowSignAmsBlobIsFingerprintMismatch) {
   Rng rng(kSeed);
   AmsSketch dst(AmsOptions{4, 2}, rng);
   Feed(dst);
   const std::string before = SerializeSketch(dst);
-  const std::string old = FromHex(kRowSignAmsHex);
-  EXPECT_EQ(old.size(), before.size());
-  const LoadStatus status = DeserializeSketch(old, &dst);
+  EXPECT_EQ(DeserializeSketch(FromHex(kRowSignAmsHex), &dst).error,
+            LoadError::kVersionSkew);
+  const LoadStatus status = DeserializeSketch(Restamped(kRowSignAmsHex), &dst);
   EXPECT_EQ(status.error, LoadError::kFingerprintMismatch) << status.message;
   EXPECT_EQ(SerializeSketch(dst), before);
 }

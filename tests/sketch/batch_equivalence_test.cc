@@ -48,7 +48,7 @@ void DriveBoth(SketchT& single, SketchT& batched, const Stream& stream) {
   for (const Update& u : stream.updates()) single.Update(u.item, u.delta);
   size_t chunk = 1;
   size_t consumed = 0;
-  const std::vector<Update>& ups = stream.updates();
+  const auto& ups = stream.updates();
   // Varying chunk sizes (1, 2, 4, ... then the tail) exercises every batch
   // boundary case, including n == 0 at the end.
   while (consumed < ups.size()) {
@@ -452,7 +452,7 @@ TEST(BatchEquivalenceTest, CopiedTrackerContinuesBitIdentically) {
   const Stream stream = MakeTurnstileStream(114);
   Rng r1(34);
   CountSketchTopK original(kPinSketch, kPinK, r1);
-  const std::vector<Update>& ups = stream.updates();
+  const auto& ups = stream.updates();
   const size_t half = ups.size() / 2;
   for (size_t i = 0; i < half; i += 300) {
     original.UpdateBatch(ups.data() + i, std::min<size_t>(300, half - i));

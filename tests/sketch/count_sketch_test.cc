@@ -123,12 +123,19 @@ void Reseal(std::string* blob) {
 }
 
 // Plants `counters` (row-major) into a CountSketch blob, whose counter
-// array ends just before the trailing checksum.
+// array -- a width word, then the counters at that width -- follows the
+// 24-byte envelope header and the two geometry words and ends just before
+// the trailing checksum.
 std::string PlantCounters(const std::vector<int64_t>& counters,
                           std::string blob) {
-  const size_t body = blob.size() - 8;
-  std::memcpy(blob.data() + body - 8 * counters.size(), counters.data(),
-              8 * counters.size());
+  blob.resize(24 + 2 * 8);
+  persist::ByteWriter w;
+  w.PutBytes(blob);
+  const uint32_t width = persist::PackedWidth(counters.data(), counters.size());
+  w.PutU32(width);
+  w.PutPacked(counters.data(), counters.size(), width);
+  w.PutU64(0);  // the checksum, sealed below
+  blob = w.Take();
   Reseal(&blob);
   return blob;
 }
@@ -249,7 +256,11 @@ TEST(CountSketchTopKTest, Int64MinEstimateRanksStrongest) {
   const std::string child = SerializeSketch(topk.sketch());
   const size_t at = blob.find(child);
   ASSERT_NE(at, std::string::npos);
-  blob.replace(at, child.size(), PlantCounters(counters, child));
+  const std::string planted = PlantCounters(counters, child);
+  blob.replace(at, child.size(), planted);
+  // The child's length word precedes it.
+  const uint64_t length = planted.size();
+  std::memcpy(blob.data() + at - 8, &length, 8);
   Reseal(&blob);
   ASSERT_TRUE(DeserializeSketch(blob, &topk).ok());
   topk.MergeFrom(make());

@@ -233,7 +233,7 @@ TEST_P(SimdDispatchTest, BatchSingleEquivalenceUnderForcedTier) {
   CountSketch single(CountSketchOptions{4, 256}, r1);
   CountSketch batched(CountSketchOptions{4, 256}, r2);
   for (const Update& u : stream.updates()) single.Update(u.item, u.delta);
-  const std::vector<Update>& ups = stream.updates();
+  const auto& ups = stream.updates();
   size_t consumed = 0, chunk = 3;
   while (consumed < ups.size()) {
     const size_t m = std::min(chunk, ups.size() - consumed);
@@ -355,7 +355,7 @@ TEST_P(SimdDispatchTest, GnpManyTrialsBatchedMatchesSingle) {
     GnpHeavyHitter single(options, r1);
     GnpHeavyHitter batched(options, r2);
     ASSERT_EQ(single.Fingerprint(), batched.Fingerprint());
-    const std::vector<Update>& ups = stream.updates();
+    const auto& ups = stream.updates();
     for (const Update& u : ups) single.Update(u.item, u.delta);
     size_t consumed = 0, chunk = 3;
     while (consumed < ups.size()) {

@@ -172,7 +172,7 @@ bool RunSeed(uint64_t seed, const Flags& f, const Stream& stream,
                                       [](size_t) { return MakeReplica(); });
   ingest.Open(f.shards);
 
-  const std::vector<Update>& ups = stream.updates();
+  const auto& ups = stream.updates();
   std::vector<std::thread> threads;
   for (size_t p = 0; p < f.producers; ++p) {
     const size_t begin = p * ups.size() / f.producers;
